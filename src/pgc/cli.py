@@ -17,10 +17,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+import typing
+from dataclasses import asdict, dataclass, field, fields, make_dataclass, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import corpus, eval as evalmod, model as M, prompt, train as trainmod
 from .corpus import CorpusError
@@ -38,44 +37,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 @dataclass
-class RunConfig:
-    """Flat bag of every tunable the subcommands share."""
-    seed: int = 0
-    prompt_version: int = 1
-    history_depth: int = 1
-    tighten: bool = False
+class CliSettings:
+    """The settings that only the command line reads."""
+    tighten: bool = field(default=False, metadata={
+        "help": "cut extractive rationales down to the answer span"})
     multi_ref: bool = False
     top_k_categories: int = 10
-    n_enc_layers: int = 2
-    n_dec_layers: int = 2
-    d_model: int = 64
-    n_heads: int = 4
-    d_k: int | None = None
-    vocab_size: int = 512
-    max_source_len: int = 64
-    max_target_len: int = 16
-    d_ff: int | None = None
-    learning_rate: float = 1e-3
-    batch_size: int = 8
-    epochs: int = 10
-    clip_norm: float = 1.0
-    checkpoint_interval: int = 0
 
-    def model_config(self) -> M.ModelConfig:
-        return M.ModelConfig(
-            n_enc_layers=self.n_enc_layers, n_dec_layers=self.n_dec_layers,
-            d_model=self.d_model, n_heads=self.n_heads, d_k=self.d_k,
-            vocab_size=self.vocab_size, max_source_len=self.max_source_len,
-            max_target_len=self.max_target_len, d_ff=self.d_ff,
-        )
 
-    def train_config(self) -> trainmod.TrainConfig:
-        return trainmod.TrainConfig(
-            learning_rate=self.learning_rate, batch_size=self.batch_size,
-            epochs=self.epochs, seed=self.seed,
-            prompt_version=self.prompt_version, history_depth=self.history_depth,
-            clip_norm=self.clip_norm, checkpoint_interval=self.checkpoint_interval,
-        )
+class RunConfig(make_dataclass("RunConfig", [
+        (f.name, f.type, field(default=f.default, metadata=f.metadata))
+        for section in (M.ModelConfig, trainmod.TrainConfig, CliSettings)
+        for f in fields(section)])):
+    """Every setting of a run, flat: the fields of ModelConfig, TrainConfig
+    and CliSettings.  These are the config-file keys and the sidecar."""
+
+    def section(self, cls):
+        """The ModelConfig, TrainConfig or CliSettings part of the settings."""
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
 
     def prompt_version_obj(self) -> prompt.PromptVersion:
         return prompt.PromptVersion(prompt.PromptVersionId(self.prompt_version),
@@ -83,6 +62,10 @@ class RunConfig:
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
+_SETTING_TYPES = typing.get_type_hints(RunConfig)
+# The settings the prompt builder reads.  Wherever a checkpoint is used,
+# its values of these and of its model shape replace the run's.
+_PROMPT_FIELDS = ("prompt_version", "history_depth")
 
 
 def _load_config_dict(path: str | Path) -> dict:
@@ -102,25 +85,18 @@ def _load_config_dict(path: str | Path) -> dict:
 
 def load_config(path: str | Path) -> RunConfig:
     """Read a JSON config file; unknown keys are an error."""
-    return RunConfig(**{**asdict(RunConfig()), **_load_config_dict(path)})
+    return RunConfig(**_load_config_dict(path))
 
 
 def effective_config(args: argparse.Namespace) -> RunConfig:
     """Precedence: explicit flags > config file > PGC_SEED env > defaults."""
-    file_settings = (_load_config_dict(args.config)
-                     if getattr(args, "config", None) else {})
-    flag_settings = {}
-    for name in _CONFIG_KEYS:
-        value = getattr(args, name, None)
-        if value is not None:
-            flag_settings[name] = value
-    merged = asdict(RunConfig())
+    settings = _load_config_dict(args.config) if getattr(args, "config", None) else {}
+    settings.update({name: getattr(args, name) for name in _CONFIG_KEYS
+                     if getattr(args, name, None) is not None})
     env_seed = os.environ.get("PGC_SEED")
-    if env_seed is not None and "seed" not in file_settings and "seed" not in flag_settings:
-        merged["seed"] = int(env_seed)
-    merged.update(file_settings)
-    merged.update(flag_settings)
-    return RunConfig(**merged)
+    if env_seed is not None and "seed" not in settings:
+        settings["seed"] = int(env_seed)
+    return RunConfig(**settings)
 
 
 def _write_sidecar(artifact_path: str | Path, config: RunConfig) -> None:
@@ -183,14 +159,12 @@ def _cmd_prompts(args) -> int:
     config = effective_config(args)
     examples = _load_examples_any(args.input)
     vocab = prompt.build_category_vocab(examples, config.top_k_categories)
-    version = config.prompt_version_obj()
     with open(args.output, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            p = prompt.build_prompt(ex, version, vocab)
+        for p in _build_prompts(examples, config, vocab, None):
             fh.write(json.dumps({
-                "story_id": ex.story_id,
-                "turn_id": ex.turn.turn_id,
-                "version": int(version.version),
+                "story_id": p.origin.story_id,
+                "turn_id": p.origin.turn.turn_id,
+                "version": int(config.prompt_version),
                 "source_text": p.source_text,
                 "target_text": p.target_text,
             }, ensure_ascii=False) + "\n")
@@ -218,38 +192,33 @@ def _cmd_train(args) -> int:
     examples = _load_examples_any(args.input)
     if not examples:
         raise CorpusError(f"{args.input}: no training examples")
-    category_vocab = prompt.build_category_vocab(examples, config.top_k_categories)
-    version = config.prompt_version_obj()
-    bare = [prompt.build_prompt(ex, version, category_vocab) for ex in examples]
-    token_lists = [p.source_tokens for p in bare]
-    token_lists += [prompt.tokenize(p.target_text) for p in bare]
-    token_vocab = prompt.TokenVocab.build(token_lists, config.vocab_size)
-    model_config = config.model_config()
-    if token_vocab.size != model_config.vocab_size:
-        model_config = M.ModelConfig(**{**model_config.to_dict(),
-                                        "vocab_size": token_vocab.size})
+    start_epoch = 0
+    if args.resume:
+        config, store, model_config, token_vocab, category_vocab, meta = \
+            _open_checkpoint(args.resume, config, args, examples)
+        start_epoch = meta["epochs_completed"]
+    else:
+        category_vocab = prompt.build_category_vocab(examples, config.top_k_categories)
+        bare = _build_prompts(examples, config, category_vocab, None)
+        token_lists = [p.source_tokens for p in bare]
+        token_lists += [prompt.tokenize(p.target_text) for p in bare]
+        token_vocab = prompt.TokenVocab.build(token_lists, config.vocab_size)
+        model_config = replace(config.section(M.ModelConfig), vocab_size=token_vocab.size)
+        store = M.init_params(model_config, config.seed)
     prompted = _build_prompts(examples, config, category_vocab, token_vocab)
     prompted, dropped = _fit_length(prompted, config)
     if dropped:
         print(f"dropped {dropped} over-length examples", file=sys.stderr)
     if not prompted:
         raise CorpusError("every example exceeds the model's length limits")
-    start_epoch = 0
-    if args.resume:
-        store, model_config, _, token_vocab, _c, meta = \
-            _load_checkpoint_vocabs(args.resume)
-        start_epoch = meta["epochs_completed"]
-        prompted = _build_prompts(examples, config, category_vocab, token_vocab)
-        prompted, _ = _fit_length(prompted, config)
-    else:
-        store = M.init_params(model_config, config.seed)
+    train_config = config.section(trainmod.TrainConfig)
     result = trainmod.train_loop(
-        prompted, store, config.train_config(), model_config, token_vocab,
+        prompted, store, train_config, model_config, token_vocab,
         start_epoch=start_epoch, checkpoint_path=args.output,
         log=lambda msg: print(msg, file=sys.stderr),
     )
     trainmod.checkpoint_save(
-        args.output, store, model_config, config.train_config(), token_vocab,
+        args.output, store, model_config, train_config, token_vocab,
         category_vocab=category_vocab, epochs_completed=config.epochs,
         extra={"run_config": asdict(config)},
     )
@@ -261,25 +230,39 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_checkpoint_vocabs(path):
+def _open_checkpoint(path, config: RunConfig, args, examples):
+    """Load a checkpoint and adopt its model shape and prompt settings.
+
+    A flag that names a different value is overridden, with one stderr
+    line each.  Returns (config, store, model_config, token_vocab,
+    category_vocab, meta); the category vocabulary is built from
+    ``examples`` when the checkpoint carries none.
+    """
     store, model_config, train_config, token_vocab, meta = trainmod.checkpoint_load(path)
-    category_vocab = None
-    if meta.get("category_vocab"):
+    if meta["category_vocab"]:
         category_vocab = prompt.CategoryVocab(categories=tuple(meta["category_vocab"]))
-    return store, model_config, train_config, token_vocab, category_vocab, meta
+    else:
+        category_vocab = prompt.build_category_vocab(examples, config.top_k_categories)
+    # vocab_size stays the run's budget: the checkpoint's token vocabulary
+    # is used as it is, whatever its size.
+    adopted = {name: value for name, value in asdict(model_config).items()
+               if name != "vocab_size"}
+    if train_config is not None:
+        adopted.update({name: getattr(train_config, name) for name in _PROMPT_FIELDS})
+    for name, value in adopted.items():
+        given = getattr(args, name, None)
+        if given is not None and given != value:
+            print(f"{path}: using the checkpoint's {name} {value}, not {given}",
+                  file=sys.stderr)
+    config = replace(config, **adopted)
+    return config, store, model_config, token_vocab, category_vocab, meta
 
 
 def _cmd_predict(args) -> int:
     config = effective_config(args)
-    store, model_config, train_config, token_vocab, category_vocab, _ = \
-        _load_checkpoint_vocabs(args.checkpoint)
     examples = _load_examples_any(args.input)
-    if category_vocab is None:
-        category_vocab = prompt.build_category_vocab(examples, config.top_k_categories)
-    if train_config is not None:
-        config = RunConfig(**{**asdict(config),
-                              "prompt_version": train_config.prompt_version,
-                              "history_depth": train_config.history_depth})
+    config, store, model_config, token_vocab, category_vocab, _ = \
+        _open_checkpoint(args.checkpoint, config, args, examples)
     prompted = _build_prompts(examples, config, category_vocab, token_vocab)
     skipped = 0
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -302,22 +285,35 @@ def _cmd_predict(args) -> int:
 
 
 def _read_predictions(path, examples, multi_ref, coqa_path):
+    """One prediction per line, each for a distinct example of the store."""
     by_key = {(ex.story_id, ex.turn.turn_id): ex for ex in examples}
     extra = corpus.load_additional_answers(coqa_path) if (multi_ref and coqa_path) else {}
-    predictions = []
+    predictions, seen = [], set()
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            record = json.loads(line)
-            key = (record["story_id"], int(record["turn_id"]))
-            if key not in by_key:
-                raise EvalError(f"prediction for unknown example {key[0]}/{key[1]}")
+            # EvalError is a ValueError, so each problem below gets path:line.
+            try:
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise EvalError("expected a JSON object")
+                key = (record["story_id"], int(record["turn_id"]))
+                text = record["text"]
+                if not isinstance(text, str):
+                    raise EvalError("text is not a string")
+                if key not in by_key:
+                    raise EvalError(f"prediction for unknown example {key[0]}/{key[1]}")
+                if key in seen:
+                    raise EvalError(f"second prediction for {key[0]}/{key[1]}")
+            except KeyError as err:
+                raise EvalError(f"{path}:{line_no}: prediction lacks {err}") from err
+            except (TypeError, ValueError) as err:
+                raise EvalError(f"{path}:{line_no}: bad prediction record: {err}") from err
+            seen.add(key)
             references = [by_key[key].turn.answer] + list(extra.get(key, []))
             predictions.append(evalmod.Prediction(
-                story_id=key[0], turn_id=key[1],
-                text=record["text"], references=references,
-            ))
+                story_id=key[0], turn_id=key[1], text=text, references=references))
     return predictions
 
 
@@ -363,30 +359,7 @@ def _cmd_raw_baseline(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     config = effective_config(args)
-    from . import tensor as tensormod
-
-    model_config = M.ModelConfig(n_enc_layers=2, n_dec_layers=1, d_model=8,
-                                 n_heads=2, vocab_size=12, max_source_len=8,
-                                 max_target_len=8, d_ff=16)
-    store = M.init_params(model_config, seed=config.seed)
-    rng = np.random.default_rng(config.seed)
-    source = [4, 13, 6, 7, 12]   # five tokens, two of them extended-vocabulary
-    gold = [5, 13, 2]            # three target steps, one copy-only id
-
-    turn = corpus.ConversationTurn(turn_id=1, question="q", rationale="r",
-                                   answer="a", span_start=0)
-    origin = corpus.DialogueExample(story_id="gradcheck", turn=turn, history=(),
-                                    answer_class=corpus.AnswerClass.GENERATIVE)
-    prompted = prompt.PromptedExample(
-        source_text="", target_text="", source_tokens=[""] * len(source),
-        source_ids=source, origin=origin, source_oov=["x", "y"])
-
-    def loss(s):
-        stack = M.encode(prompted.source_ids, s, model_config)
-        fwd = M.forward_distributions([1, 5, 3], stack, s, model_config)
-        return trainmod.nll_from_rows(fwd.p_final, gold)
-
-    error = tensormod.grad_check(loss, store, max_coords_per_param=args.coords, rng=rng)
+    error, _ = trainmod.gradcheck(config.seed, max_coords_per_param=args.coords)
     print(f"gradcheck max relative error: {error:.3e}")
     if error >= 1e-4:
         print("gradcheck FAILED (threshold 1e-4)", file=sys.stderr)
@@ -396,17 +369,11 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_export_attention(args) -> int:
     config = effective_config(args)
-    store, model_config, train_config, token_vocab, category_vocab, _ = \
-        _load_checkpoint_vocabs(args.checkpoint)
     examples = _load_examples_any(args.input)
     if not 0 <= args.index < len(examples):
         raise CorpusError(f"example index {args.index} out of range")
-    if category_vocab is None:
-        category_vocab = prompt.build_category_vocab(examples, config.top_k_categories)
-    if train_config is not None:
-        config = RunConfig(**{**asdict(config),
-                              "prompt_version": train_config.prompt_version,
-                              "history_depth": train_config.history_depth})
+    config, store, model_config, token_vocab, category_vocab, _ = \
+        _open_checkpoint(args.checkpoint, config, args, examples)
     p = prompt.build_prompt(examples[args.index], config.prompt_version_obj(),
                             category_vocab, token_vocab)
     heads = [int(h) for h in args.heads.split(",") if h != ""]
@@ -417,21 +384,41 @@ def _cmd_export_attention(args) -> int:
     return 0
 
 
+def _add_setting_flags(parser, *names) -> None:
+    """One flag per named setting, ``--the-name``, typed as its field.
+
+    Boolean settings are switches and ``int | None`` ones take an int.
+    ``prompt_version`` is spelled ``--version``.
+    """
+    metadata = {f.name: f.metadata for f in fields(RunConfig)}
+    for name in names:
+        hint = _SETTING_TYPES[name]
+        options = {"dest": name, "help": metadata[name].get("help")}
+        if hint is bool:
+            options.update(action="store_const", const=True)
+        else:
+            options["type"] = next(t for t in typing.get_args(hint) or (hint,)
+                                   if t is not type(None))
+        flag = "--" + name.replace("_", "-")
+        if name == "prompt_version":
+            flag, options["choices"] = "--version", [int(v) for v in prompt.PromptVersionId]
+        parser.add_argument(flag, **options)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="pgc", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, *settings):
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--seed", type=int, help="random seed (fallback: PGC_SEED)")
+        _add_setting_flags(p, *settings)
 
     p = sub.add_parser("ingest", help="CoQA JSON -> line-delimited example store")
-    common(p)
+    common(p, "tighten")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--tighten", action="store_const", const=True,
-                   help="cut extractive rationales down to the answer span")
     p.set_defaults(handler=_cmd_ingest)
 
     p = sub.add_parser("stats", help="print corpus statistics")
@@ -440,12 +427,9 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_stats)
 
     p = sub.add_parser("prompts", help="emit prompt texts as line-delimited JSON")
-    common(p)
+    common(p, *_PROMPT_FIELDS, "top_k_categories")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--version", type=int, choices=(1, 2, 3), dest="prompt_version")
-    p.add_argument("--history-depth", type=int, dest="history_depth")
-    p.add_argument("--top-k-categories", type=int, dest="top_k_categories")
     p.set_defaults(handler=_cmd_prompts)
 
     p = sub.add_parser("synthetic", help="generate copy/gate verification data")
@@ -459,55 +443,36 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_synthetic)
 
     p = sub.add_parser("train", help="teacher-forced training run")
-    common(p)
+    common(p, *(f.name for section in (M.ModelConfig, trainmod.TrainConfig)
+                for f in fields(section) if f.name != "seed"), "top_k_categories")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True, help="checkpoint path")
     p.add_argument("--loss-curve", help="CSV path for (epoch, step, loss)")
-    p.add_argument("--resume", help="checkpoint to continue from")
-    p.add_argument("--version", type=int, choices=(1, 2, 3), dest="prompt_version")
-    p.add_argument("--history-depth", type=int, dest="history_depth")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--clip-norm", type=float, dest="clip_norm")
-    p.add_argument("--checkpoint-interval", type=int, dest="checkpoint_interval")
-    p.add_argument("--top-k-categories", type=int, dest="top_k_categories")
-    for flag, name in (("--n-enc-layers", "n_enc_layers"),
-                       ("--n-dec-layers", "n_dec_layers"),
-                       ("--d-model", "d_model"), ("--n-heads", "n_heads"),
-                       ("--d-k", "d_k"), ("--vocab-size", "vocab_size"),
-                       ("--max-source-len", "max_source_len"),
-                       ("--max-target-len", "max_target_len"), ("--d-ff", "d_ff")):
-        p.add_argument(flag, type=int, dest=name)
+    p.add_argument("--resume", help="checkpoint to continue from; its model and "
+                                    "prompt settings replace the flags'")
     p.set_defaults(handler=_cmd_train)
 
     p = sub.add_parser("predict", help="greedy decoding over an example store")
-    common(p)
+    common(p, "top_k_categories")
     p.add_argument("--input", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--top-k-categories", type=int, dest="top_k_categories")
     p.set_defaults(handler=_cmd_predict)
 
     p = sub.add_parser("eval", help="score a predictions file")
-    common(p)
+    common(p, "multi_ref", "top_k_categories")
     p.add_argument("--predictions", required=True)
     p.add_argument("--examples", required=True)
     p.add_argument("--report", help="JSON report output path")
     p.add_argument("--category-csv", dest="category_csv")
-    p.add_argument("--multi-ref", action="store_const", const=True, dest="multi_ref")
     p.add_argument("--coqa", help="original CoQA JSON for extra references")
-    p.add_argument("--top-k-categories", type=int, dest="top_k_categories")
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("raw-baseline", help="score the rationale itself as the answer")
-    common(p)
+    common(p, "tighten", "multi_ref", "top_k_categories")
     p.add_argument("--input", required=True)
     p.add_argument("--report")
     p.add_argument("--category-csv", dest="category_csv")
-    p.add_argument("--tighten", action="store_const", const=True)
-    p.add_argument("--multi-ref", action="store_const", const=True, dest="multi_ref")
-    p.add_argument("--top-k-categories", type=int, dest="top_k_categories")
     p.set_defaults(handler=_cmd_raw_baseline)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the full loss")
@@ -517,14 +482,13 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_gradcheck)
 
     p = sub.add_parser("export-attention", help="encoder self-attention as CSV")
-    common(p)
+    common(p, "top_k_categories")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--index", type=int, default=0)
     p.add_argument("--layer", type=int, required=True)
     p.add_argument("--heads", required=True, help="comma-separated head indices")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--top-k-categories", type=int, dest="top_k_categories")
     p.set_defaults(handler=_cmd_export_attention)
 
     return parser

@@ -256,7 +256,10 @@ def load_examples(path: str | Path) -> list[DialogueExample]:
             if not line.strip():
                 continue
             try:
-                examples.append(example_from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError) as err:
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise TypeError("expected a JSON object")
+                examples.append(example_from_dict(record))
+            except (KeyError, TypeError, ValueError) as err:
                 raise CorpusError(f"{path}:{line_no}: bad example record: {err}") from err
     return examples

@@ -59,18 +59,6 @@ class ModelConfig:
     def ffn_dim(self) -> int:
         return self.d_ff if self.d_ff is not None else 4 * self.d_model
 
-    def to_dict(self) -> dict:
-        return {
-            "n_enc_layers": self.n_enc_layers, "n_dec_layers": self.n_dec_layers,
-            "d_model": self.d_model, "n_heads": self.n_heads, "d_k": self.d_k,
-            "vocab_size": self.vocab_size, "max_source_len": self.max_source_len,
-            "max_target_len": self.max_target_len, "d_ff": self.d_ff,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
-
 
 @dataclass
 class EncoderStack:
@@ -84,15 +72,6 @@ class EncoderStack:
     @property
     def source_len(self) -> int:
         return int(self.source_ext_ids.shape[0])
-
-
-@dataclass
-class StepOutput:
-    """One decoder step: copy attention, gate, and output distributions."""
-    alpha: np.ndarray        # [source_len]
-    p_gen: float
-    p_vocab: np.ndarray      # [vocab_size]
-    p_final: np.ndarray      # [extended_size]
 
 
 @dataclass
@@ -351,32 +330,23 @@ def forward_distributions(prefix_ids, stack: EncoderStack, params: ParamStore,
                    p_vocab=p_vocab, p_copy=p_copy, p_final=p_final)
 
 
-def decode_step(prefix_ids, stack: EncoderStack, params: ParamStore,
-                config: ModelConfig) -> StepOutput:
-    """Distributions for the next token after the given prefix."""
-    fwd = forward_distributions(prefix_ids, stack, params, config)
-    return StepOutput(
-        alpha=fwd.alpha.data[-1].copy(),
-        p_gen=float(fwd.p_gen.data[-1, 0]),
-        p_vocab=fwd.p_vocab.data[-1].copy(),
-        p_final=fwd.p_final.data[-1].copy(),
-    )
-
-
 def greedy_decode(prompted: PromptedExample, params: ParamStore, config: ModelConfig,
                   max_len: int | None = None) -> list[int]:
     """Greedy argmax decoding; returns emitted extended-vocabulary ids.
 
-    Stops at EOS or after ``max_len`` tokens.  Emitted ids map back to
-    surface tokens via the token vocabulary plus ``prompted.source_oov``.
+    Each step reads the last row of a full pass over the prefix.  Stops
+    at EOS or after ``max_len`` tokens.  Emitted ids map back to surface
+    tokens via the token vocabulary plus ``prompted.source_oov``.
     """
     stack = encode(prompted.source_ids, params, config)
     limit = max_len if max_len is not None else config.max_target_len
     prefix = [BOS]
     emitted: list[int] = []
     for _ in range(limit):
-        step = decode_step(prefix, stack, params, config)
-        next_id = int(np.argmax(step.p_final))
+        # Bind only the last row, so the pass's graph is unreachable before
+        # the next pass (it is freed by the cyclic collector).
+        p_next = forward_distributions(prefix, stack, params, config).p_final.data[-1]
+        next_id = int(np.argmax(p_next))
         if next_id == EOS:
             break
         emitted.append(next_id)

@@ -2,10 +2,10 @@
 
 Covers exactly what the encoder-decoder and its copy head need: linear
 maps, masked softmax, elementwise nonlinearities, layer normalisation,
-gather/scatter for embeddings and copy distributions, cross-entropy,
-gradient checking, and a bias-corrected Adam step.  Everything runs in
-float64 so analytic gradients can be validated against central finite
-differences.
+gather/scatter for embeddings and copy distributions, the sequence
+negative log-likelihood, gradient checking, and a bias-corrected Adam
+step.  Everything runs in float64 so analytic gradients can be
+validated against central finite differences.
 """
 
 from __future__ import annotations
@@ -383,17 +383,6 @@ def log_clamped(x, floor: float = _LOG_FLOOR) -> Tensor:
     return out
 
 
-def vsum(x) -> Tensor:
-    x = as_tensor(x)
-    out = Tensor(x.data.sum(), (x,))
-
-    def backward():
-        x.accumulate_grad(np.full_like(x.data, out.grad.item()))
-
-    out._backward = backward
-    return out
-
-
 def vmean(x) -> Tensor:
     x = as_tensor(x)
     n = x.data.size
@@ -404,24 +393,6 @@ def vmean(x) -> Tensor:
 
     out._backward = backward
     return out
-
-
-def cross_entropy(p, gold: int, floor: float = _LOG_FLOOR) -> Tensor:
-    """Negative log-probability of ``gold`` under a 1-D distribution ``p``."""
-    p = as_tensor(p)
-    if p.data.ndim != 1:
-        raise ValueError("cross_entropy expects a 1-D distribution")
-    if abs(p.data.sum() - 1.0) > 1e-6:
-        raise ValueError("cross_entropy input does not sum to 1")
-    if not 0 <= int(gold) < p.data.shape[0]:
-        raise ValueError(f"gold id {gold} out of range for {p.data.shape[0]} entries")
-    row = Tensor(p.data[None, :], (p,))
-
-    def backward_row():
-        p.accumulate_grad(row.grad[0])
-
-    row._backward = backward_row
-    return -log_clamped(pick_cols(row, [int(gold)]), floor)
 
 
 def sequence_nll(p_rows, gold_ids, floor: float = _LOG_FLOOR) -> Tensor:

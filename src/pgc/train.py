@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from . import model as M
 from . import tensor as T
 from .corpus import ConversationTurn, DialogueExample, classify_answer
 from .model import ModelConfig
-from .prompt import BOS, EOS, SPECIAL_TOKENS, PromptedExample, TokenVocab, tokenize
+from .prompt import BOS, EOS, SPECIAL_TOKENS, UNK, PromptedExample, TokenVocab, tokenize
 from .tensor import ParamStore
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -50,18 +50,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate, "batch_size": self.batch_size,
-            "epochs": self.epochs, "seed": self.seed,
-            "prompt_version": self.prompt_version, "history_depth": self.history_depth,
-            "clip_norm": self.clip_norm, "checkpoint_interval": self.checkpoint_interval,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -132,38 +120,20 @@ def target_ids(prompted: PromptedExample, vocab: TokenVocab) -> list[int]:
     return vocab.encode_target(tokens, prompted.source_oov) + [EOS]
 
 
-def _decoder_input(gold_ext: list[int], vocab: TokenVocab) -> list[int]:
-    return [BOS] + vocab.to_generator_ids(gold_ext[:-1])
-
-
-def nll_from_rows(p_rows, gold_ids) -> T.Tensor:
-    """Mean negative log-likelihood of one gold id per distribution row."""
-    return T.sequence_nll(p_rows, gold_ids)
+def _teacher_forced(prompted: PromptedExample, params: ParamStore, config: ModelConfig,
+                    vocab: TokenVocab) -> tuple[M.Forward, list[int]]:
+    """The pass with the gold prefix fed to the decoder, plus the gold ids."""
+    gold = target_ids(prompted, vocab)
+    stack = M.encode(prompted.source_ids, params, config)
+    prefix = [BOS] + vocab.to_generator_ids(gold[:-1])
+    return M.forward_distributions(prefix, stack, params, config), gold
 
 
 def teacher_forced_loss(prompted: PromptedExample, params: ParamStore,
-                        config: ModelConfig, vocab: TokenVocab,
-                        stack: M.EncoderStack | None = None) -> T.Tensor:
+                        config: ModelConfig, vocab: TokenVocab) -> T.Tensor:
     """Mean step loss with the gold prefix fed to the decoder."""
-    gold = target_ids(prompted, vocab)
-    if stack is None:
-        stack = M.encode(prompted.source_ids, params, config)
-    fwd = M.forward_distributions(_decoder_input(gold, vocab), stack, params, config)
-    return nll_from_rows(fwd.p_final, gold)
-
-
-def teacher_forced_steps(prompted: PromptedExample, params: ParamStore,
-                         config: ModelConfig, vocab: TokenVocab) -> tuple[list[M.StepOutput], list[int]]:
-    """Per-step outputs under teacher forcing, plus the gold extended ids."""
-    gold = target_ids(prompted, vocab)
-    stack = M.encode(prompted.source_ids, params, config)
-    fwd = M.forward_distributions(_decoder_input(gold, vocab), stack, params, config)
-    steps = [
-        M.StepOutput(alpha=fwd.alpha.data[t].copy(), p_gen=float(fwd.p_gen.data[t, 0]),
-                     p_vocab=fwd.p_vocab.data[t].copy(), p_final=fwd.p_final.data[t].copy())
-        for t in range(len(gold))
-    ]
-    return steps, gold
+    fwd, gold = _teacher_forced(prompted, params, config, vocab)
+    return T.sequence_nll(fwd.p_final, gold)
 
 
 def token_accuracy(prompted_examples: list[PromptedExample], params: ParamStore,
@@ -171,10 +141,9 @@ def token_accuracy(prompted_examples: list[PromptedExample], params: ParamStore,
     """Teacher-forced next-token accuracy over all target steps."""
     hits = total = 0
     for prompted in prompted_examples:
-        steps, gold = teacher_forced_steps(prompted, params, config, vocab)
-        for step, gold_id in zip(steps, gold):
-            hits += int(np.argmax(step.p_final) == gold_id)
-            total += 1
+        fwd, gold = _teacher_forced(prompted, params, config, vocab)
+        hits += int(np.sum(np.argmax(fwd.p_final.data, axis=1) == gold))
+        total += len(gold)
     return hits / total if total else 0.0
 
 
@@ -186,19 +155,40 @@ def gate_statistics(prompted_examples: list[PromptedExample], params: ParamStore
     """
     copied, generated = [], []
     for prompted in prompted_examples:
-        steps, gold = teacher_forced_steps(prompted, params, config, vocab)
+        fwd, gold = _teacher_forced(prompted, params, config, vocab)
         source = set(prompted.source_ids)
-        for step, gold_id in zip(steps, gold):
+        for p_gen, gold_id in zip(fwd.p_gen.data[:, 0], gold):
             if gold_id == EOS:
                 continue
-            (copied if gold_id in source else generated).append(step.p_gen)
+            (copied if gold_id in source else generated).append(float(p_gen))
     mean = lambda xs: float(np.mean(xs)) if xs else float("nan")
     return mean(copied), mean(generated)
 
 
+def gradcheck(seed: int = 0, max_coords_per_param: int | None = None) -> tuple[float, int]:
+    """Finite-difference check of the full loss on one fixed case.
+
+    A two-layer encoder reads five source ids, two of them copy-only;
+    the decoder prefix ``[BOS, 5, UNK]`` is scored against the gold ids
+    ``[5, 13, 2]``, whose middle step only the copy path can produce.
+    Returns (max relative error, number of parameter values).
+    """
+    config = ModelConfig(n_enc_layers=2, n_dec_layers=1, d_model=8, n_heads=2,
+                         vocab_size=12, max_source_len=8, max_target_len=8, d_ff=16)
+    store = M.init_params(config, seed=seed)
+
+    def loss(s: ParamStore) -> T.Tensor:
+        stack = M.encode([4, 13, 6, 7, 12], s, config)
+        fwd = M.forward_distributions([BOS, 5, UNK], stack, s, config)
+        return T.sequence_nll(fwd.p_final, [5, 13, 2])
+
+    error = T.grad_check(loss, store, max_coords_per_param=max_coords_per_param,
+                         rng=np.random.default_rng(seed))
+    return error, store.n_values()
+
+
 @dataclass
 class TrainResult:
-    store: ParamStore
     curve: list[tuple[int, int, float]]  # (epoch, step, loss)
     epoch_losses: list[float]
 
@@ -243,7 +233,7 @@ def train_loop(prompted_examples: list[PromptedExample], store: ParamStore,
                 and (epoch + 1) % config.checkpoint_interval == 0):
             checkpoint_save(checkpoint_path, store, model_config, config, vocab,
                             epochs_completed=epoch + 1)
-    return TrainResult(store=store, curve=curve, epoch_losses=epoch_losses)
+    return TrainResult(curve=curve, epoch_losses=epoch_losses)
 
 
 def write_loss_curve(curve: list[tuple[int, int, float]], path: str | Path) -> None:
@@ -254,7 +244,7 @@ def write_loss_curve(curve: list[tuple[int, int, float]], path: str | Path) -> N
 
 
 def config_hash(model_config: ModelConfig) -> str:
-    canonical = json.dumps(model_config.to_dict(), sort_keys=True)
+    canonical = json.dumps(asdict(model_config), sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
@@ -283,8 +273,8 @@ def checkpoint_save(path: str | Path, store: ParamStore, model_config: ModelConf
     payload = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config_hash": config_hash(model_config),
-        "model_config": model_config.to_dict(),
-        "train_config": train_config.to_dict() if train_config else None,
+        "model_config": asdict(model_config),
+        "train_config": asdict(train_config) if train_config else None,
         "step": store.step,
         "epochs_completed": epochs_completed,
         "token_vocab": vocab.tokens[len(SPECIAL_TOKENS):],
@@ -307,7 +297,7 @@ def checkpoint_load(path: str | Path, expected_config: ModelConfig | None = None
     version = payload.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint format version {version}")
-    model_config = ModelConfig.from_dict(payload["model_config"])
+    model_config = ModelConfig(**payload["model_config"])
     if expected_config is not None and config_hash(expected_config) != payload["config_hash"]:
         raise CheckpointError(
             f"{path}: checkpoint was written for a different model configuration")
@@ -324,7 +314,7 @@ def checkpoint_load(path: str | Path, expected_config: ModelConfig | None = None
         store.adam_v[name] = adam_v[name]
     store.step = int(payload["step"])
     vocab = TokenVocab(payload["token_vocab"])
-    train_config = (TrainConfig.from_dict(payload["train_config"])
+    train_config = (TrainConfig(**payload["train_config"])
                     if payload.get("train_config") else None)
     meta = {
         "epochs_completed": int(payload.get("epochs_completed", 0)),

@@ -21,7 +21,7 @@ from pgc import train as TR
 from pgc.model import ModelConfig
 from pgc.prompt import PromptVersion, PromptVersionId, TokenVocab
 
-from conftest import random_small_config, make_prompted
+from helpers import random_small_config
 from test_model import plain_attention
 
 DATA_DIR = Path(os.environ.get("PGC_COQA_DIR", Path(__file__).parent.parent / "data"))
@@ -103,10 +103,11 @@ def test_criterion_04_distribution_invariants():
         stack = M.encode(source, params, config)
         prefix = [P.BOS] + list(rng.integers(4, config.vocab_size,
                                              size=int(rng.integers(0, 4))))
-        step = M.decode_step(prefix, stack, params, config)
-        assert abs(step.p_final.sum() - 1.0) < 1e-6
-        assert np.all(step.p_final >= 0.0)
-        assert 0.0 < step.p_gen < 1.0
+        fwd = M.forward_distributions(prefix, stack, params, config)
+        p_final, p_gen = fwd.p_final.data[-1], fwd.p_gen.data[-1, 0]
+        assert abs(p_final.sum() - 1.0) < 1e-6
+        assert np.all(p_final >= 0.0)
+        assert 0.0 < p_gen < 1.0
         weights = M.layer_weights(params).data
         assert np.all(weights >= 0.0)
         weight_gap = max(weight_gap, abs(weights.sum() - 1.0))
@@ -155,22 +156,10 @@ def test_criterion_05_oracle_equivalence():
 
 def test_criterion_06_gradient_check():
     start = time.monotonic()
-    config = ModelConfig(n_enc_layers=2, n_dec_layers=1, d_model=8, n_heads=2,
-                         vocab_size=12, max_source_len=8, max_target_len=8, d_ff=16)
-    store = M.init_params(config, seed=0)
-    source = [4, 13, 6, 7, 12]          # five source tokens, two extended
-    gold = [5, 13, 2]                   # three target steps incl. one copy-only id
-    prompted = make_prompted(source, oov=["x", "y"])
-
-    def loss(s):
-        stack = M.encode(prompted.source_ids, s, config)
-        fwd = M.forward_distributions([P.BOS, 5, P.UNK], stack, s, config)
-        return TR.nll_from_rows(fwd.p_final, gold)
-
-    error = T.grad_check(loss, store)   # every coordinate, no sampling
+    error, n_values = TR.gradcheck(seed=0)   # every coordinate, no sampling
     elapsed = time.monotonic() - start
     ok = error < 1e-4 and elapsed < 30.0
-    report(6, ok, f"full sweep over {store.n_values()} coordinates, max relative "
+    report(6, ok, f"full sweep over {n_values} coordinates, max relative "
                   f"error {error:.2e} (< 1e-4), {elapsed:.1f}s")
 
 

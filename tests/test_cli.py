@@ -1,11 +1,14 @@
 """End-to-end subcommand behaviour, exit codes, config precedence."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
 from pgc import cli
 from pgc.cli import RunConfig, load_config
+from pgc.model import ModelConfig
+from pgc.train import TrainConfig
 
 
 TINY_MODEL_FLAGS = [
@@ -134,6 +137,55 @@ class TestTrainPredictEval:
         payload = json.loads(resumed.read_text())
         assert payload["epochs_completed"] == 3
 
+    @pytest.mark.parametrize("omitted", ["model flags", "--version"])
+    def test_resume_adopts_checkpoint_settings(self, tmp_path, capsys, omitted):
+        data = tmp_path / "copy.jsonl"
+        assert cli.run(["synthetic", "--task", "copy", "--n", "32", "--min-len", "2",
+                        "--max-len", "6", "--lexicon-size", "48", "--seed", "1",
+                        "--output", str(data)]) == 0
+        first = tmp_path / "first.json"
+        # The later --max-source-len wins: the checkpoint's limit is 12.
+        assert cli.run(["train", "--input", str(data), "--output", str(first),
+                        *TINY_MODEL_FLAGS, "--max-source-len", "12",
+                        "--version", "2", "--epochs", "1"]) == 0
+        resumed = tmp_path / "resumed.json"
+        given = (["--version", "1"] if omitted == "model flags"
+                 else [*TINY_MODEL_FLAGS, "--max-source-len", "20"])
+        capsys.readouterr()
+        assert cli.run(["train", "--input", str(data), "--output", str(resumed),
+                        "--resume", str(first), "--epochs", "2", *given]) == 0
+        payload = json.loads(resumed.read_text())
+        assert payload["epochs_completed"] == 2
+        assert payload["model_config"] == json.loads(first.read_text())["model_config"]
+        assert payload["train_config"]["prompt_version"] == 2
+        assert payload["extra"]["run_config"]["max_source_len"] == 12
+        err = capsys.readouterr().err
+        changed = "prompt_version 2, not 1" if omitted == "model flags" else \
+            "max_source_len 12, not 20"
+        assert f"{first}: using the checkpoint's {changed}" in err
+
+
+class TestEvalInput:
+    GOOD = {"story_id": "beach-001", "turn_id": 1, "text": "a red kite"}
+
+    @pytest.mark.parametrize("second_line", [
+        json.dumps(GOOD),
+        json.dumps({"turn_id": 2, "text": "yes"}),
+        json.dumps({"story_id": "beach-001", "text": "yes"}),
+        json.dumps({"story_id": "beach-001", "turn_id": 2}),
+        json.dumps({"story_id": "beach-001", "turn_id": 2, "text": 7}),
+        json.dumps([1, 2]),
+        "{broken",
+    ], ids=["duplicate", "no-story", "no-turn", "no-text", "text-not-string",
+            "not-object", "malformed"])
+    def test_bad_prediction_line_is_data_error(self, store_path, tmp_path, capsys,
+                                               second_line):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps(self.GOOD) + "\n" + second_line + "\n")
+        assert cli.run(["eval", "--predictions", str(preds),
+                        "--examples", str(store_path)]) == 2
+        assert f"{preds}:2: " in capsys.readouterr().err
+
 
 class TestRawBaseline:
     def test_single_reference_generative_em_zero(self, tiny_coqa_path, tmp_path, capsys):
@@ -227,6 +279,29 @@ class TestExitCodesAndConfig:
         sidecar_path = tmp_path / "s.jsonl.run.json"
         reloaded = load_config(sidecar_path)
         assert reloaded == RunConfig(seed=4)
+
+    def test_every_model_and_train_field_is_a_setting(self, tmp_path):
+        def changed(f):
+            if f.default is None:
+                return 4
+            return f.default * 2 if isinstance(f.default, float) else f.default + 1
+
+        settings = {f.name: changed(f)
+                    for section in (ModelConfig, TrainConfig) for f in fields(section)}
+        parser = cli.build_parser()
+        for name, value in settings.items():
+            flag = "--version" if name == "prompt_version" else "--" + name.replace("_", "-")
+            args = parser.parse_args(["train", "--input", "x", "--output", "y",
+                                      flag, str(value)])
+            assert getattr(cli.effective_config(args), name) == value, flag
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(settings))
+        out = tmp_path / "s.jsonl"
+        assert cli.run(["synthetic", "--task", "copy", "--n", "3",
+                        "--config", str(config), "--output", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "s.jsonl.run.json").read_text())
+        assert {name: sidecar[name] for name in settings} == settings
+        assert load_config(config) == RunConfig(**settings)
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PGC_SEED", "17")

@@ -12,7 +12,7 @@ from pgc.corpus import (AnswerClass, ConversationTurn, CorpusError,
                         ingest, tighten_rationale)
 from pgc.eval import em, normalize
 
-from conftest import tiny_coqa_dict
+from helpers import tiny_coqa_dict
 
 
 def make_example(answer, rationale, question="why?", turn_id=1, history=(),
@@ -208,6 +208,9 @@ class TestJsonlStore:
         path = tmp_path / "store.jsonl"
         path.write_text('{"nope": 1}\n')
         with pytest.raises(CorpusError, match=":1"):
+            corpus.load_examples(path)
+        path.write_text('\n[1, 2]\n')
+        with pytest.raises(CorpusError, match=r"store\.jsonl:2: .*JSON object"):
             corpus.load_examples(path)
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from pgc.model import EncoderStack, ModelConfig
 from pgc.prompt import BOS, EOS, PAD, UNK
 from pgc.tensor import ParamStore, Tensor
 
-from conftest import make_prompted, random_small_config
+from helpers import make_prompted, random_small_config
 
 
 def manual_stack(layer_arrays, ext_ids=None, extended_size=None):
@@ -43,7 +44,7 @@ class TestModelConfig:
 
     def test_round_trip(self):
         config = ModelConfig(d_model=16, n_heads=2)
-        assert ModelConfig.from_dict(config.to_dict()) == config
+        assert ModelConfig(**asdict(config)) == config
 
 
 class TestEncode:
@@ -278,12 +279,14 @@ class TestMix:
 
 
 class TestDecodeStep:
+    """The next-token distributions: the last row of a full pass."""
+
     def test_deterministic(self, small_params, small_config):
         stack = M.encode([4, 5, 13], small_params, small_config)
-        a = M.decode_step([BOS, 4], stack, small_params, small_config)
-        b = M.decode_step([BOS, 4], stack, small_params, small_config)
-        assert np.array_equal(a.p_final, b.p_final)
-        assert a.p_gen == b.p_gen
+        a = M.forward_distributions([BOS, 4], stack, small_params, small_config)
+        b = M.forward_distributions([BOS, 4], stack, small_params, small_config)
+        assert np.array_equal(a.p_final.data[-1], b.p_final.data[-1])
+        assert a.p_gen.data[-1, 0] == b.p_gen.data[-1, 0]
 
     def test_invariants_over_random_draws(self):
         rng = np.random.default_rng(6)
@@ -296,25 +299,26 @@ class TestDecodeStep:
             stack = M.encode(ids, params, config)
             prefix = [BOS] + list(rng.integers(4, config.vocab_size,
                                                size=int(rng.integers(0, 4))))
-            step = M.decode_step(prefix, stack, params, config)
-            assert abs(step.p_final.sum() - 1.0) < 1e-6
-            assert np.all(step.p_final >= 0.0)
-            assert abs(step.alpha.sum() - 1.0) < 1e-6
-            assert 0.0 < step.p_gen < 1.0
+            fwd = M.forward_distributions(prefix, stack, params, config)
+            p_final, p_gen = fwd.p_final.data[-1], fwd.p_gen.data[-1, 0]
+            assert abs(p_final.sum() - 1.0) < 1e-6
+            assert np.all(p_final >= 0.0)
+            assert abs(fwd.alpha.data[-1].sum() - 1.0) < 1e-6
+            assert 0.0 < p_gen < 1.0
 
     def test_copy_only_argmax_is_a_source_id(self, small_config):
         params = M.init_params(small_config, seed=7)
         params["gate.b"].data[:] = -1e9  # force the copy path
         source = [5, 9, 13, 6]
         stack = M.encode(source, params, small_config)
-        step = M.decode_step([BOS], stack, params, small_config)
-        assert int(np.argmax(step.p_final)) in set(source)
+        fwd = M.forward_distributions([BOS], stack, params, small_config)
+        assert int(np.argmax(fwd.p_final.data[-1])) in set(source)
 
     def test_over_length_prefix_rejected(self, small_params, small_config):
         stack = M.encode([4, 5], small_params, small_config)
         with pytest.raises(ValueError):
-            M.decode_step([BOS] * (small_config.max_target_len + 1),
-                          stack, small_params, small_config)
+            M.forward_distributions([BOS] * (small_config.max_target_len + 1),
+                                    stack, small_params, small_config)
 
 
 def copy_wired_params(config):

@@ -90,23 +90,21 @@ class TestSigmoid:
 
 
 class TestCrossEntropy:
+    """The sequence NLL on one row is the cross-entropy of that row."""
+
     def test_certain_prediction(self):
-        assert T.cross_entropy(Tensor([0.0, 1.0, 0.0]), 1).item() == 0.0
+        assert T.sequence_nll(Tensor([[0.0, 1.0, 0.0]]), [1]).item() == 0.0
 
     def test_half_probability(self):
-        assert abs(T.cross_entropy(Tensor([0.5, 0.5]), 0).item() - math.log(2)) < 1e-12
+        assert abs(T.sequence_nll(Tensor([[0.5, 0.5]]), [0]).item() - math.log(2)) < 1e-12
 
     def test_zero_probability_floored(self):
-        loss = T.cross_entropy(Tensor([1.0, 0.0]), 1).item()
+        loss = T.sequence_nll(Tensor([[1.0, 0.0]]), [1]).item()
         assert abs(loss - (-math.log(1e-12))) < 1e-9
 
     def test_gold_out_of_range(self):
         with pytest.raises(ValueError):
-            T.cross_entropy(Tensor([0.5, 0.5]), 2)
-
-    def test_unnormalised_input_rejected(self):
-        with pytest.raises(ValueError):
-            T.cross_entropy(Tensor([0.5, 0.6]), 0)
+            T.sequence_nll(Tensor([[0.5, 0.5]]), [2])
 
 
 class TestBackward:
@@ -114,37 +112,37 @@ class TestBackward:
         store = ParamStore()
         w = store.add("w", np.zeros((2, 3)))
         x = np.array([[1.0], [2.0], [3.0]])
-        T.vsum(w @ Tensor(x)).backward()
-        assert np.array_equal(w.grad, np.tile(x.T, (2, 1)))
+        T.vmean(w @ Tensor(x)).backward()
+        assert np.array_equal(w.grad, np.tile(x.T, (2, 1)) / 2.0)
 
     def test_unused_parameter_has_zero_gradient(self):
         store = ParamStore()
         used = store.add("used", np.ones((2, 2)))
         store.add("unused", np.ones((2, 2)))
-        T.vsum(used * used).backward()
+        T.vmean(used * used).backward()
         assert np.array_equal(store.gradient("unused"), np.zeros((2, 2)))
 
     def test_sum_of_losses_is_sum_of_gradients(self):
         rng = np.random.default_rng(5)
         data = rng.normal(size=(3, 3))
         x1 = Tensor(data)
-        T.vsum(T.relu(x1 @ x1.T)).backward()
+        T.vmean(T.relu(x1 @ x1.T)).backward()
         g_first = x1.grad.copy()
         x2 = Tensor(data)
-        T.vsum(T.sigmoid(x2) * 2.0).backward()
+        T.vmean(T.sigmoid(x2) * 2.0).backward()
         g_second = x2.grad.copy()
 
         x3 = Tensor(data)
-        combined = T.vsum(T.relu(x3 @ x3.T)) + T.vsum(T.sigmoid(x3) * 2.0)
+        combined = T.vmean(T.relu(x3 @ x3.T)) + T.vmean(T.sigmoid(x3) * 2.0)
         combined.backward()
         assert np.max(np.abs(x3.grad - (g_first + g_second))) < 1e-10
 
     def test_gradients_accumulate_across_backward_calls(self):
         store = ParamStore()
         w = store.add("w", np.ones(4))
-        T.vsum(w * 2.0).backward()
-        T.vsum(w * 3.0).backward()
-        assert np.array_equal(w.grad, np.full(4, 5.0))
+        T.vmean(w * 2.0).backward()
+        T.vmean(w * 3.0).backward()
+        assert np.array_equal(w.grad, np.full(4, 5.0 / 4.0))
 
     def test_backward_needs_scalar(self):
         with pytest.raises(ValueError):
@@ -157,7 +155,7 @@ class TestGradCheck:
         store.add("theta", np.array([1.0, -2.0, 0.5]))
 
         def f(s):
-            return T.vsum(s["theta"] * s["theta"])
+            return T.vmean(s["theta"] * s["theta"])
 
         assert T.grad_check(f, store) < 1e-8
 
@@ -167,8 +165,8 @@ class TestGradCheck:
         x = np.array([[0.3], [-1.2], [0.7], [2.0]])
 
         def f(s):
-            logits = T.reshape((s["w"].T @ Tensor(x)).T, (3,))
-            return T.cross_entropy(T.softmax(logits), 1)
+            logits = (s["w"].T @ Tensor(x)).T
+            return T.sequence_nll(T.softmax(logits), [1])
 
         assert T.grad_check(f, store) < 1e-6
 

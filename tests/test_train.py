@@ -1,6 +1,7 @@
 """Loss, training loop determinism, synthetic tasks, checkpoints."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from pgc.prompt import PromptVersion, PromptVersionId, TokenVocab
 from pgc.tensor import Tensor
 from pgc.train import (CheckpointError, SyntheticSpec, TrainConfig,
                        checkpoint_load, checkpoint_save, make_synthetic,
-                       teacher_forced_loss, teacher_forced_steps, token_accuracy,
+                       teacher_forced_loss, token_accuracy,
                        train_loop)
 
 TINY_MODEL = ModelConfig(n_enc_layers=1, n_dec_layers=1, d_model=16, n_heads=2,
@@ -74,14 +75,14 @@ class TestMakeSynthetic:
 class TestLoss:
     def test_uniform_rows_cost_log_of_width(self):
         rows = Tensor(np.full((3, 8), 1.0 / 8.0))
-        loss = TR.nll_from_rows(rows, [0, 3, 7])
+        loss = T.sequence_nll(rows, [0, 3, 7])
         assert abs(loss.item() - math.log(8)) < 1e-12
 
     def test_certain_rows_cost_zero(self):
         rows = np.zeros((2, 5))
         rows[0, 1] = 1.0
         rows[1, 4] = 1.0
-        assert TR.nll_from_rows(Tensor(rows), [1, 4]).item() == 0.0
+        assert T.sequence_nll(Tensor(rows), [1, 4]).item() == 0.0
 
     def test_empty_target_rejected(self):
         prompted, vocab = tiny_setup(n=1)
@@ -96,9 +97,12 @@ class TestLoss:
         params = M.init_params(TINY_MODEL, seed=1)
         for p in prompted[:3]:
             loss = teacher_forced_loss(p, params, TINY_MODEL, vocab).item()
-            steps, gold = teacher_forced_steps(p, params, TINY_MODEL, vocab)
-            by_hand = -sum(math.log(max(step.p_final[g], 1e-12))
-                           for step, g in zip(steps, gold)) / len(gold)
+            gold = TR.target_ids(p, vocab)
+            prefix = [P.BOS] + [g if g < vocab.size else P.UNK for g in gold[:-1]]
+            stack = M.encode(p.source_ids, params, TINY_MODEL)
+            rows = M.forward_distributions(prefix, stack, params, TINY_MODEL).p_final.data
+            by_hand = -sum(math.log(max(row[g], 1e-12))
+                           for row, g in zip(rows, gold)) / len(gold)
             assert abs(loss - by_hand) < 1e-12
 
     def test_loss_finite_for_random_parameter_draws(self):
@@ -193,7 +197,7 @@ class TestCheckpoints:
         _, vocab, params, config = self.make_trained(tmp_path)
         path = tmp_path / "ckpt.json"
         checkpoint_save(path, params, TINY_MODEL, config, vocab)
-        other = ModelConfig(**{**TINY_MODEL.to_dict(), "d_model": 32})
+        other = replace(TINY_MODEL, d_model=32)
         with pytest.raises(CheckpointError):
             checkpoint_load(path, expected_config=other)
 
