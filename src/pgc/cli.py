@@ -80,7 +80,11 @@ def _load_config_dict(path: str | Path) -> dict:
     unknown = sorted(set(payload) - _CONFIG_KEYS)
     if unknown:
         raise UsageError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    return payload
+    try:
+        return {name: trainmod.coerce_setting(name, value, _SETTING_TYPES[name])
+                for name, value in payload.items()}
+    except TypeError as err:
+        raise CorpusError(f"{path}: {err}") from err
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -12,14 +12,19 @@ top of the final decoder state sit four pieces:
     the copy-weighted context vector and the decoder state;
   * a vocabulary softmax, mixed with the copy distribution by the gate.
 
-Inference is greedy; ties go to the lowest id.
+Training and inference share one forward pass.  Inference is greedy
+(ties go to the lowest id) and incremental: it runs without a graph,
+computes the encoder-side projections once per source and feeds the
+decoder one new position per step against cached self-attention keys
+and values.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -62,21 +67,59 @@ class ModelConfig:
 
 @dataclass
 class EncoderStack:
-    """Every encoder layer's output, kept for the multi-view copy head."""
+    """Every encoder layer's output, kept for the multi-view copy head.
+
+    ``cached`` keeps what depends only on the source and the parameters
+    (the copy keys, the cross-attention keys and values), so a stack
+    computes each of them once however many decoder passes read it.  A
+    stack is valid for the parameter values it was encoded with.
+    """
     layers: list[Tensor]                  # each [source_len, d_model]
     attn_maps: list[list[np.ndarray]]     # [layer][head] -> [L, L]
     pad_mask: np.ndarray                  # [L] bool, True at padding
     source_ext_ids: np.ndarray            # [L] extended-vocabulary ids
     extended_size: int
+    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def source_len(self) -> int:
         return int(self.source_ext_ids.shape[0])
 
+    def cached(self, key: str, make):
+        """``make()`` on the first call for ``key``, the same value after."""
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = make()
+        return value
+
+
+@dataclass
+class DecoderCache:
+    """Decoder self-attention keys and values of the positions decoded so
+    far, per layer: keys transposed, ``[n_heads, head_dim, length]``,
+    values ``[n_heads, length, head_dim]``."""
+    keys_t: list[Tensor] = field(default_factory=list)
+    values: list[Tensor] = field(default_factory=list)
+
+    @property
+    def length(self) -> int:
+        return self.values[0].data.shape[1] if self.values else 0
+
+    def extend(self, layer: int, keys_t: Tensor, values: Tensor) -> tuple[Tensor, Tensor]:
+        """Append new positions to ``layer``'s keys and values; returns all of them."""
+        if layer < len(self.values):
+            keys_t = T.concat([self.keys_t[layer], keys_t], axis=-1)
+            values = T.concat([self.values[layer], values], axis=1)
+            self.keys_t[layer], self.values[layer] = keys_t, values
+        else:
+            self.keys_t.append(keys_t)
+            self.values.append(values)
+        return keys_t, values
+
 
 @dataclass
 class Forward:
-    """Graph handles for a whole teacher-forced pass (one row per step)."""
+    """Handles for one forward pass, one row per decoder position passed."""
     states: Tensor
     alpha: Tensor
     p_gen: Tensor
@@ -139,29 +182,43 @@ def init_params(config: ModelConfig, seed: int = 0) -> ParamStore:
     return store
 
 
-def _multi_head_attention(x_query: Tensor, x_keyval: Tensor, prefix: str,
+def _heads(x: Tensor, name: str, params: ParamStore, config: ModelConfig) -> Tensor:
+    """``x @ params[name]`` split into heads, ``[n_heads, L, head_dim]``."""
+    return T.split_heads(x @ params[name], config.n_heads)
+
+
+def _keys_values(x: Tensor, prefix: str, params: ParamStore,
+                 config: ModelConfig) -> tuple[Tensor, Tensor]:
+    """Transposed keys ``[n_heads, head_dim, L]`` and values of ``x``."""
+    return (_heads(x, f"{prefix}.wk", params, config).T,
+            _heads(x, f"{prefix}.wv", params, config))
+
+
+def _multi_head_attention(x_query: Tensor, keys_t: Tensor, values: Tensor, prefix: str,
                           params: ParamStore, config: ModelConfig,
-                          mask) -> tuple[Tensor, list[np.ndarray]]:
-    """Standard multi-head scaled dot-product attention over 2-D inputs."""
-    q_all = x_query @ params[f"{prefix}.wq"]
-    k_all = x_keyval @ params[f"{prefix}.wk"]
-    v_all = x_keyval @ params[f"{prefix}.wv"]
-    head_dim = config.d_model // config.n_heads
-    outputs, maps = [], []
-    for h in range(config.n_heads):
-        lo, hi = h * head_dim, (h + 1) * head_dim
-        q = T.slice_cols(q_all, lo, hi)
-        k = T.slice_cols(k_all, lo, hi)
-        v = T.slice_cols(v_all, lo, hi)
-        weights = T.softmax((q @ k.T) / math.sqrt(head_dim), mask)
-        maps.append(weights.data.copy())
-        outputs.append(weights @ v)
-    return T.concat_cols(outputs) @ params[f"{prefix}.wo"], maps
+                          mask) -> tuple[Tensor, np.ndarray]:
+    """Scaled dot-product attention of every head at once.
+
+    Returns the output rows and the weights ``[n_heads, L_query, L_key]``.
+    """
+    q = _heads(x_query, f"{prefix}.wq", params, config)
+    weights = T.softmax((q @ keys_t) / math.sqrt(q.data.shape[-1]), mask)
+    return T.merge_heads(weights @ values) @ params[f"{prefix}.wo"], weights.data
 
 
-def _embed_with_positions(ids: np.ndarray, params: ParamStore, config: ModelConfig) -> Tensor:
+@functools.lru_cache(maxsize=None)
+def _position_table(n: int, d_model: int) -> np.ndarray:
+    table = sinusoidal_positions(n, d_model)
+    table.flags.writeable = False
+    return table
+
+
+def _embed_with_positions(ids: np.ndarray, params: ParamStore, config: ModelConfig,
+                          start: int = 0) -> Tensor:
+    """Scaled embeddings plus the position rows ``start`` onwards."""
     x = T.embed_rows(params["embed"], ids) * math.sqrt(config.d_model)
-    return x + Tensor(sinusoidal_positions(len(ids), config.d_model))
+    rows = max(config.max_source_len, config.max_target_len)
+    return x + Tensor(_position_table(rows, config.d_model)[start:start + len(ids)])
 
 
 def _ffn(x: Tensor, prefix: str, params: ParamStore) -> Tensor:
@@ -195,32 +252,49 @@ def encode(source_ids, params: ParamStore, config: ModelConfig) -> EncoderStack:
     key_mask = pad_mask[None, :]
     layers, attn_maps = [], []
     for i in range(config.n_enc_layers):
-        attn_out, maps = _multi_head_attention(x, x, f"enc{i}.self", params, config, key_mask)
+        keys_t, values = _keys_values(x, f"enc{i}.self", params, config)
+        attn_out, weights = _multi_head_attention(x, keys_t, values, f"enc{i}.self",
+                                                  params, config, key_mask)
         x = _ln(x + attn_out, f"enc{i}.ln1", params)
         x = _ln(x + _ffn(x, f"enc{i}.ffn", params), f"enc{i}.ln2", params)
         layers.append(x)
-        attn_maps.append(maps)
+        attn_maps.append(list(weights))
     extended_size = max(config.vocab_size, int(ext_ids.max()) + 1)
     return EncoderStack(layers=layers, attn_maps=attn_maps, pad_mask=pad_mask,
                         source_ext_ids=ext_ids, extended_size=extended_size)
 
 
 def decoder_states(prefix_ids, stack: EncoderStack, params: ParamStore,
-                   config: ModelConfig) -> Tensor:
-    """Decoder output states for a generator-id prefix (BOS first)."""
+                   config: ModelConfig, cache: DecoderCache | None = None) -> Tensor:
+    """Decoder output states for a generator-id prefix (BOS first).
+
+    With a ``cache``, ``prefix_ids`` are only the ids that follow the
+    ``cache.length`` positions already in it: they are embedded at their
+    positions, attend to the cached positions and themselves, and are
+    added to the cache.  One row is returned per id passed.
+    """
     ids = np.asarray(prefix_ids, dtype=np.int64)
     if ids.ndim != 1 or ids.size == 0:
         raise ValueError("decoder prefix must be a non-empty 1-D id list")
-    if ids.size > config.max_target_len:
-        raise ValueError(f"prefix length {ids.size} exceeds max_target_len "
-                         f"{config.max_target_len}")
+    start = cache.length if cache is not None else 0
     n = ids.size
-    causal = np.triu(np.ones((n, n), dtype=bool), k=1)
-    x = _embed_with_positions(ids, params, config)
+    if start + n > config.max_target_len:
+        raise ValueError(f"prefix length {start + n} exceeds max_target_len "
+                         f"{config.max_target_len}")
+    # New position r sees keys 0 .. start + r, so a single new position sees all.
+    causal = np.triu(np.ones((n, start + n), dtype=bool), k=start + 1) if n > 1 else None
+    x = _embed_with_positions(ids, params, config, start)
     for i in range(config.n_dec_layers):
-        self_out, _ = _multi_head_attention(x, x, f"dec{i}.self", params, config, causal)
+        keys_t, values = _keys_values(x, f"dec{i}.self", params, config)
+        if cache is not None:
+            keys_t, values = cache.extend(i, keys_t, values)
+        self_out, _ = _multi_head_attention(x, keys_t, values, f"dec{i}.self",
+                                            params, config, causal)
         x = _ln(x + self_out, f"dec{i}.ln1", params)
-        cross_out, _ = _multi_head_attention(x, stack.layers[-1], f"dec{i}.cross",
+        cross_keys_t, cross_values = stack.cached(
+            f"dec{i}.cross", lambda: _keys_values(stack.layers[-1], f"dec{i}.cross",
+                                                  params, config))
+        cross_out, _ = _multi_head_attention(x, cross_keys_t, cross_values, f"dec{i}.cross",
                                              params, config, stack.pad_mask[None, :])
         x = _ln(x + cross_out, f"dec{i}.ln2", params)
         x = _ln(x + _ffn(x, f"dec{i}.ffn", params), f"dec{i}.ln3", params)
@@ -250,8 +324,8 @@ def copy_attention(states, stack: EncoderStack, params: ParamStore) -> Tensor:
     w_row = T.reshape(weights, (1, len(stack.layers)))
     alpha: Tensor | None = None
     for i, layer_out in enumerate(stack.layers):
-        keys = layer_out @ params[f"copy.w_h{i}"]
-        view = T.softmax((q @ keys.T) / math.sqrt(dk), stack.pad_mask[None, :])
+        keys_t = stack.cached(f"copy.w_h{i}", lambda: (layer_out @ params[f"copy.w_h{i}"]).T)
+        view = T.softmax((q @ keys_t) / math.sqrt(dk), stack.pad_mask[None, :])
         term = view * T.slice_cols(w_row, i, i + 1)
         alpha = term if alpha is None else alpha + term
     return T.reshape(alpha, (stack.source_len,)) if one_dim else alpha
@@ -312,15 +386,20 @@ def mix(p_gen, p_vocab, p_copy) -> Tensor:
     if n_ext < n_vocab:
         raise ValueError("extended size smaller than vocabulary size")
     if n_ext > n_vocab:
-        pv = T.concat_cols([pv, T.zeros((pv.data.shape[0], n_ext - n_vocab))])
+        pv = T.concat([pv, T.zeros((pv.data.shape[0], n_ext - n_vocab))])
     out = pg * pv + (1.0 - pg) * pc
     return T.reshape(out, (n_ext,)) if pv_1d else out
 
 
 def forward_distributions(prefix_ids, stack: EncoderStack, params: ParamStore,
-                          config: ModelConfig) -> Forward:
-    """Full teacher-forced pass: all step distributions as graph tensors."""
-    states = decoder_states(prefix_ids, stack, params, config)
+                          config: ModelConfig, cache: DecoderCache | None = None) -> Forward:
+    """Step distributions, one row per decoder position passed.
+
+    Without a cache this is the full teacher-forced pass over the prefix;
+    with one, ``prefix_ids`` are the new positions only (see
+    ``decoder_states``).
+    """
+    states = decoder_states(prefix_ids, stack, params, config, cache)
     alpha = copy_attention(states, stack, params)
     p_copy = scatter_copy(alpha, stack.source_ext_ids, stack.extended_size)
     p_gen = generation_gate(states, alpha, stack, params)
@@ -334,23 +413,28 @@ def greedy_decode(prompted: PromptedExample, params: ParamStore, config: ModelCo
                   max_len: int | None = None) -> list[int]:
     """Greedy argmax decoding; returns emitted extended-vocabulary ids.
 
-    Each step reads the last row of a full pass over the prefix.  Stops
-    at EOS or after ``max_len`` tokens.  Emitted ids map back to surface
-    tokens via the token vocabulary plus ``prompted.source_oov``.
+    Runs without a graph.  Each step passes only the newest id to
+    ``forward_distributions``, against a decoder cache holding the
+    earlier positions.  Stops at EOS or after ``max_len`` tokens, which
+    may not exceed ``config.max_target_len``.  Emitted ids map back to
+    surface tokens via the token vocabulary plus ``prompted.source_oov``.
     """
-    stack = encode(prompted.source_ids, params, config)
     limit = max_len if max_len is not None else config.max_target_len
-    prefix = [BOS]
+    if limit > config.max_target_len:
+        raise ValueError(f"max_len {limit} exceeds max_target_len {config.max_target_len}")
     emitted: list[int] = []
-    for _ in range(limit):
-        # Bind only the last row, so the pass's graph is unreachable before
-        # the next pass (it is freed by the cyclic collector).
-        p_next = forward_distributions(prefix, stack, params, config).p_final.data[-1]
-        next_id = int(np.argmax(p_next))
-        if next_id == EOS:
-            break
-        emitted.append(next_id)
-        prefix.append(next_id if next_id < config.vocab_size else UNK)
+    with T.no_grad():
+        stack = encode(prompted.source_ids, params, config)
+        cache = DecoderCache()
+        next_ids = [BOS]
+        for _ in range(limit):
+            p_next = forward_distributions(next_ids, stack, params, config,
+                                           cache).p_final.data[-1]
+            next_id = int(np.argmax(p_next))
+            if next_id == EOS:
+                break
+            emitted.append(next_id)
+            next_ids = [next_id if next_id < config.vocab_size else UNK]
     return emitted
 
 

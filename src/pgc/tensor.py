@@ -1,16 +1,23 @@
 """Dense numeric kernel with reverse-mode differentiation.
 
 Covers exactly what the encoder-decoder and its copy head need: linear
-maps, masked softmax, elementwise nonlinearities, layer normalisation,
-gather/scatter for embeddings and copy distributions, the sequence
-negative log-likelihood, gradient checking, and a bias-corrected Adam
-step.  Everything runs in float64 so analytic gradients can be
-validated against central finite differences.
+maps (2-D, or stacked 3-D with one matrix per attention head), masked
+softmax over the last axis, head split/merge, elementwise
+nonlinearities, layer normalisation, gather/scatter for embeddings and
+copy distributions, the sequence negative log-likelihood, gradient
+checking, and a bias-corrected Adam step.  Everything runs in float64
+so analytic gradients can be validated against central finite
+differences.
+
+Each op's backward closure holds its inputs but not its output, so a
+graph has no reference cycles and is freed as soon as its last handle
+goes.  Inside ``no_grad()`` ops record no inputs and no closure at all.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from typing import Callable, Iterable
 
 import numpy as np
@@ -19,6 +26,22 @@ import numpy as np
 # result stays strictly inside (0, 1) in float64.
 _SIGMOID_CLIP = 30.0
 _LOG_FLOOR = 1e-12
+# False inside ``no_grad``; read by ``_result`` at every op.
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Ops inside the block record no graph: results are plain values.
+
+    The previous mode is restored on exit, also when the block raises.
+    """
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
 
 
 class Tensor:
@@ -28,18 +51,20 @@ class Tensor:
     and accumulates across calls for leaf tensors (parameters), which is
     what batch-level gradient accumulation relies on.  Non-finite values
     are rejected at construction, i.e. at every operation boundary.
+    ``_backward(g)`` adds this node's share of the output gradient ``g``
+    to each parent.
     """
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, _parents=(), _backward=None):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("non-finite values entering the computation graph")
         self.data = arr
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = _parents
-        self._backward: Callable[[], None] | None = _backward
+        self._backward: Callable[[np.ndarray], None] | None = _backward
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -80,7 +105,7 @@ class Tensor:
         self.accumulate_grad(np.ones_like(self.data))
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
 
     # -- operator sugar --
 
@@ -125,6 +150,13 @@ def zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape))
 
 
+def _result(data, parents: tuple[Tensor, ...], backward) -> Tensor:
+    """An op's output: a graph node, or a plain value inside ``no_grad``."""
+    if _recording:
+        return Tensor(data, parents, backward)
+    return Tensor(data)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum out the axes numpy broadcasting introduced or stretched."""
     extra = grad.ndim - len(shape)
@@ -138,75 +170,109 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data + b.data, (a, b))
 
-    def backward():
-        a.accumulate_grad(_unbroadcast(out.grad, a.data.shape))
-        b.accumulate_grad(_unbroadcast(out.grad, b.data.shape))
+    def backward(g):
+        a.accumulate_grad(_unbroadcast(g, a.data.shape))
+        b.accumulate_grad(_unbroadcast(g, b.data.shape))
 
-    out._backward = backward
-    return out
+    return _result(a.data + b.data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data * b.data, (a, b))
 
-    def backward():
-        a.accumulate_grad(_unbroadcast(out.grad * b.data, a.data.shape))
-        b.accumulate_grad(_unbroadcast(out.grad * a.data, b.data.shape))
+    def backward(g):
+        a.accumulate_grad(_unbroadcast(g * b.data, a.data.shape))
+        b.accumulate_grad(_unbroadcast(g * a.data, b.data.shape))
 
-    out._backward = backward
-    return out
+    return _result(a.data * b.data, (a, b), backward)
+
+
+def _swap_last(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2)
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product of 2-D operands, or of two stacks of matrices
+    ``[n, i, k] @ [n, k, j]`` (one product per leading index)."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
+    ndim = a.data.ndim
+    if ndim not in (2, 3) or b.data.ndim != ndim:
+        raise ValueError(f"matmul expects two 2-D or two 3-D operands, "
+                         f"got {a.data.shape} @ {b.data.shape}")
+    if (a.data.shape[-1] != b.data.shape[-2]
+            or a.data.shape[:-2] != b.data.shape[:-2]):
         raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
-    out = Tensor(a.data @ b.data, (a, b))
 
-    def backward():
-        a.accumulate_grad(out.grad @ b.data.T)
-        b.accumulate_grad(a.data.T @ out.grad)
+    def backward(g):
+        a.accumulate_grad(g @ _swap_last(b.data))
+        b.accumulate_grad(_swap_last(a.data) @ g)
 
-    out._backward = backward
-    return out
+    return _result(a.data @ b.data, (a, b), backward)
 
 
 def transpose(a) -> Tensor:
+    """Swap the last two axes (the matrix transpose of each stacked matrix)."""
     a = as_tensor(a)
-    out = Tensor(a.data.T, (a,))
 
-    def backward():
-        a.accumulate_grad(out.grad.T)
+    def backward(g):
+        a.accumulate_grad(_swap_last(g))
 
-    out._backward = backward
-    return out
+    return _result(_swap_last(a.data), (a,), backward)
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.reshape(shape), (a,))
 
-    def backward():
-        a.accumulate_grad(out.grad.reshape(a.data.shape))
+    def backward(g):
+        a.accumulate_grad(g.reshape(a.data.shape))
 
-    out._backward = backward
-    return out
+    return _result(a.data.reshape(shape), (a,), backward)
+
+
+def _split_array(x: np.ndarray, n_heads: int) -> np.ndarray:
+    rows, width = x.shape
+    return x.reshape(rows, n_heads, width // n_heads).transpose(1, 0, 2)
+
+
+def _merge_array(x: np.ndarray) -> np.ndarray:
+    n_heads, rows, head_dim = x.shape
+    return x.transpose(1, 0, 2).reshape(rows, n_heads * head_dim)
+
+
+def split_heads(x, n_heads: int) -> Tensor:
+    """``[L, n_heads * dh] -> [n_heads, L, dh]``: head h holds columns
+    ``h * dh`` to ``(h + 1) * dh``."""
+    x = as_tensor(x)
+    if x.data.ndim != 2 or x.data.shape[1] % n_heads:
+        raise ValueError(f"cannot split shape {x.data.shape} into {n_heads} heads")
+
+    def backward(g):
+        x.accumulate_grad(_merge_array(g))
+
+    return _result(_split_array(x.data, n_heads), (x,), backward)
+
+
+def merge_heads(x) -> Tensor:
+    """``[n_heads, L, dh] -> [L, n_heads * dh]``, the inverse of ``split_heads``."""
+    x = as_tensor(x)
+    if x.data.ndim != 3:
+        raise ValueError(f"merge_heads expects a 3-D input, got shape {x.data.shape}")
+    n_heads = x.data.shape[0]
+
+    def backward(g):
+        x.accumulate_grad(_split_array(g, n_heads))
+
+    return _result(_merge_array(x.data), (x,), backward)
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.maximum(a.data, 0.0), (a,))
 
-    def backward():
-        a.accumulate_grad(out.grad * (a.data > 0.0))
+    def backward(g):
+        a.accumulate_grad(g * (a.data > 0.0))
 
-    out._backward = backward
-    return out
+    return _result(np.maximum(a.data, 0.0), (a,), backward)
 
 
 def sigmoid(a) -> Tensor:
@@ -214,50 +280,44 @@ def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     x = np.clip(a.data, -_SIGMOID_CLIP, _SIGMOID_CLIP)
     y = 1.0 / (1.0 + np.exp(-x))
-    out = Tensor(y, (a,))
 
-    def backward():
-        a.accumulate_grad(out.grad * y * (1.0 - y))
+    def backward(g):
+        a.accumulate_grad(g * y * (1.0 - y))
 
-    out._backward = backward
-    return out
+    return _result(y, (a,), backward)
 
 
 def softmax(x, mask=None) -> Tensor:
-    """Row-wise softmax with max-subtraction; masked entries are exactly 0.
+    """Softmax over the last axis with max-subtraction; masked entries are
+    exactly 0.
 
     ``mask`` is boolean with ``x``'s shape (or broadcastable to it);
     True marks positions excluded from the distribution.  Every row must
-    keep at least one unmasked entry.  1-D input is treated as one row.
+    keep at least one unmasked entry.
     """
     x = as_tensor(x)
-    one_dim = x.data.ndim == 1
-    data = x.data[None, :] if one_dim else x.data
-    if data.ndim != 2:
-        raise ValueError(f"softmax expects a 1-D or 2-D input, got shape {x.data.shape}")
+    data = x.data
+    if data.ndim == 0:
+        raise ValueError("softmax needs at least one axis")
     if mask is not None:
         mask = np.broadcast_to(np.asarray(mask, dtype=bool), data.shape)
-        if np.any(mask.all(axis=1)):
+        if mask.all(axis=-1).any():
             raise ValueError("softmax row is fully masked")
         shifted = np.where(mask, -np.inf, data)
-        shifted = shifted - shifted.max(axis=1, keepdims=True)
+        shifted = shifted - shifted.max(axis=-1, keepdims=True)
         e = np.where(mask, 0.0, np.exp(np.where(mask, 0.0, shifted)))
     else:
-        shifted = data - data.max(axis=1, keepdims=True)
+        shifted = data - data.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(y[0] if one_dim else y, (x,))
+    y = e / e.sum(axis=-1, keepdims=True)
 
-    def backward():
-        g = out.grad[None, :] if one_dim else out.grad
-        inner = (g * y).sum(axis=1, keepdims=True)
-        dx = y * (g - inner)
+    def backward(g):
+        dx = y * (g - (g * y).sum(axis=-1, keepdims=True))
         if mask is not None:
             dx = np.where(mask, 0.0, dx)
-        x.accumulate_grad(dx[0] if one_dim else dx)
+        x.accumulate_grad(dx)
 
-    out._backward = backward
-    return out
+    return _result(y, (x,), backward)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -267,10 +327,8 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
-    out = Tensor(xhat * gain.data + bias.data, (x, gain, bias))
 
-    def backward():
-        g = out.grad
+    def backward(g):
         dxhat = g * gain.data
         dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
                     - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
@@ -279,36 +337,31 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         gain.accumulate_grad((g * xhat).sum(axis=axes))
         bias.accumulate_grad(g.sum(axis=axes))
 
-    out._backward = backward
-    return out
+    return _result(xhat * gain.data + bias.data, (x, gain, bias), backward)
 
 
-def concat_cols(parts: Iterable[Tensor]) -> Tensor:
+def concat(parts: Iterable[Tensor], axis: int = -1) -> Tensor:
+    """Join tensors along ``axis``; the other axes must agree."""
     parts = [as_tensor(p) for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1), tuple(parts))
-    widths = [p.data.shape[1] for p in parts]
+    bounds = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
 
-    def backward():
-        offset = 0
-        for p, w in zip(parts, widths):
-            p.accumulate_grad(out.grad[:, offset:offset + w])
-            offset += w
+    def backward(g):
+        for p, piece in zip(parts, np.split(g, bounds, axis=axis)):
+            p.accumulate_grad(piece)
 
-    out._backward = backward
-    return out
+    return _result(np.concatenate([p.data for p in parts], axis=axis), tuple(parts),
+                   backward)
 
 
 def slice_cols(x, lo: int, hi: int) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(x.data[:, lo:hi], (x,))
 
-    def backward():
-        g = np.zeros_like(x.data)
-        g[:, lo:hi] = out.grad
-        x.accumulate_grad(g)
+    def backward(g):
+        full = np.zeros_like(x.data)
+        full[:, lo:hi] = g
+        x.accumulate_grad(full)
 
-    out._backward = backward
-    return out
+    return _result(x.data[:, lo:hi], (x,), backward)
 
 
 def embed_rows(table, ids) -> Tensor:
@@ -319,15 +372,13 @@ def embed_rows(table, ids) -> Tensor:
         raise ValueError("embed_rows expects a 1-D id list")
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise ValueError("embedding id out of range")
-    out = Tensor(table.data[ids], (table,))
 
-    def backward():
-        g = np.zeros_like(table.data)
-        np.add.at(g, ids, out.grad)
-        table.accumulate_grad(g)
+    def backward(g):
+        full = np.zeros_like(table.data)
+        np.add.at(full, ids, g)
+        table.accumulate_grad(full)
 
-    out._backward = backward
-    return out
+    return _result(table.data[ids], (table,), backward)
 
 
 def scatter_add_cols(weights, col_ids, n_cols: int) -> Tensor:
@@ -341,13 +392,11 @@ def scatter_add_cols(weights, col_ids, n_cols: int) -> Tensor:
         raise ValueError("scatter column id out of range")
     data = np.zeros((rows, n_cols))
     np.add.at(data, (slice(None), col_ids), weights.data)
-    out = Tensor(data, (weights,))
 
-    def backward():
-        weights.accumulate_grad(out.grad[:, col_ids])
+    def backward(g):
+        weights.accumulate_grad(g[:, col_ids])
 
-    out._backward = backward
-    return out
+    return _result(data, (weights,), backward)
 
 
 def pick_cols(p, ids) -> Tensor:
@@ -359,40 +408,34 @@ def pick_cols(p, ids) -> Tensor:
         raise ValueError("pick_cols needs one id per row")
     if ids.size and (ids.min() < 0 or ids.max() >= p.data.shape[1]):
         raise ValueError("pick_cols id out of range")
-    out = Tensor(p.data[rows, ids], (p,))
 
-    def backward():
-        g = np.zeros_like(p.data)
-        g[rows, ids] = out.grad
-        p.accumulate_grad(g)
+    def backward(g):
+        full = np.zeros_like(p.data)
+        full[rows, ids] = g
+        p.accumulate_grad(full)
 
-    out._backward = backward
-    return out
+    return _result(p.data[rows, ids], (p,), backward)
 
 
 def log_clamped(x, floor: float = _LOG_FLOOR) -> Tensor:
     """log(max(x, floor)); the floor keeps exact-zero probabilities finite."""
     x = as_tensor(x)
     clamped = np.maximum(x.data, floor)
-    out = Tensor(np.log(clamped), (x,))
 
-    def backward():
-        x.accumulate_grad(out.grad * np.where(x.data > floor, 1.0 / clamped, 0.0))
+    def backward(g):
+        x.accumulate_grad(g * np.where(x.data > floor, 1.0 / clamped, 0.0))
 
-    out._backward = backward
-    return out
+    return _result(np.log(clamped), (x,), backward)
 
 
 def vmean(x) -> Tensor:
     x = as_tensor(x)
     n = x.data.size
-    out = Tensor(x.data.mean(), (x,))
 
-    def backward():
-        x.accumulate_grad(np.full_like(x.data, out.grad.item() / n))
+    def backward(g):
+        x.accumulate_grad(np.full_like(x.data, g.item() / n))
 
-    out._backward = backward
-    return out
+    return _result(x.data.mean(), (x,), backward)
 
 
 def sequence_nll(p_rows, gold_ids, floor: float = _LOG_FLOOR) -> Tensor:

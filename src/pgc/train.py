@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+import typing
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -253,12 +254,16 @@ def _arrays_to_json(arrays: dict[str, np.ndarray]) -> dict:
             for name, a in arrays.items()}
 
 
-def _arrays_from_json(payload: dict) -> dict[str, np.ndarray]:
-    out = {}
-    for name, entry in payload.items():
-        arr = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
-        out[name] = arr
-    return out
+def _arrays_from_json(path, payload: dict, key: str) -> dict[str, np.ndarray]:
+    """The named arrays of the checkpoint section ``key``."""
+    section = payload.get(key)
+    if not isinstance(section, dict):
+        raise CheckpointError(f"{path}: {key} is missing or not an object")
+    try:
+        return {name: np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
+                for name, entry in section.items()}
+    except (KeyError, TypeError, ValueError) as err:
+        raise CheckpointError(f"{path}: {key}: malformed array: {err!r}") from err
 
 
 def checkpoint_save(path: str | Path, store: ParamStore, model_config: ModelConfig,
@@ -288,34 +293,75 @@ def checkpoint_save(path: str | Path, store: ParamStore, model_config: ModelConf
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
+def coerce_setting(name: str, value, hint):
+    """``value``, read from JSON, as a setting declared with type ``hint``.
+
+    An int is taken for a float (and returned as one); a bool is never
+    taken for a number.  Anything else raises ``TypeError`` with the
+    message ``"<name>: expected <type>, got <type>"``.
+    """
+    allowed = typing.get_args(hint) or (hint,)
+    if type(value) in allowed:
+        return value
+    if type(value) is int and float in allowed:
+        return float(value)
+    expected = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+    got = "null" if value is None else type(value).__name__
+    raise TypeError(f"{name}: expected {expected}, got {got}")
+
+
+def _config_from_checkpoint(path, payload: dict, key: str, cls):
+    """The ``cls`` section ``key`` of a checkpoint: exactly its fields, each
+    of its declared type and passing its own checks."""
+    section = payload.get(key)
+    if not isinstance(section, dict):
+        raise CheckpointError(f"{path}: {key} is missing or not an object")
+    names = {f.name for f in fields(cls)}
+    unknown, missing = sorted(set(section) - names), sorted(names - set(section))
+    if unknown or missing:
+        raise CheckpointError(f"{path}: {key}: unknown keys {unknown}, missing keys {missing}")
+    hints = typing.get_type_hints(cls)
+    try:
+        return cls(**{name: coerce_setting(name, value, hints[name])
+                      for name, value in section.items()})
+    except (TypeError, ValueError) as err:
+        raise CheckpointError(f"{path}: {key}: {err}") from err
+
+
 def checkpoint_load(path: str | Path, expected_config: ModelConfig | None = None):
     """Load a checkpoint; returns (store, model_config, train_config, vocab, meta)."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise CheckpointError(f"{path}: not a checkpoint file: {err}") from err
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"{path}: not a checkpoint file: not a JSON object")
     version = payload.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint format version {version}")
-    model_config = ModelConfig(**payload["model_config"])
+    model_config = _config_from_checkpoint(path, payload, "model_config", ModelConfig)
     if expected_config is not None and config_hash(expected_config) != payload["config_hash"]:
         raise CheckpointError(
             f"{path}: checkpoint was written for a different model configuration")
-    params = _arrays_from_json(payload["params"])
+    params = _arrays_from_json(path, payload, "params")
     store = ParamStore()
     for name, arr in params.items():
         store.add(name, arr)
-    adam_m = _arrays_from_json(payload["adam_m"])
-    adam_v = _arrays_from_json(payload["adam_v"])
+    adam_m = _arrays_from_json(path, payload, "adam_m")
+    adam_v = _arrays_from_json(path, payload, "adam_v")
     for name in store.names():
-        if adam_m[name].shape != store[name].data.shape:
-            raise CheckpointError(f"{path}: optimizer state shape mismatch for {name}")
+        shape = store[name].data.shape
+        if any(name not in state or state[name].shape != shape for state in (adam_m, adam_v)):
+            raise CheckpointError(f"{path}: optimizer state missing or of the wrong "
+                                  f"shape for {name}")
         store.adam_m[name] = adam_m[name]
         store.adam_v[name] = adam_v[name]
-    store.step = int(payload["step"])
+    if type(payload.get("step")) is not int or not isinstance(payload.get("token_vocab"), list):
+        raise CheckpointError(f"{path}: step or token_vocab is missing or malformed")
+    store.step = payload["step"]
     vocab = TokenVocab(payload["token_vocab"])
-    train_config = (TrainConfig(**payload["train_config"])
-                    if payload.get("train_config") else None)
+    train_config = (_config_from_checkpoint(path, payload, "train_config", TrainConfig)
+                    if payload.get("train_config") is not None else None)
     meta = {
         "epochs_completed": int(payload.get("epochs_completed", 0)),
         "category_vocab": payload.get("category_vocab"),

@@ -99,3 +99,20 @@ def random_small_config(rng: np.random.Generator) -> M.ModelConfig:
         max_target_len=8,
         d_ff=2 * d_model,
     )
+
+
+def random_model_draws(seed: int, n: int):
+    """Random models with a source and a decoder prefix each (criterion 4's
+    draws for ``seed=42, n=1000``): yields (config, params, source, prefix)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        config = random_small_config(rng)
+        params = M.init_params(config, seed=int(rng.integers(1 << 31)))
+        for name in ("gate.b", "copy.a_raw"):
+            params[name].data[:] = rng.normal(size=params[name].data.shape) * 3
+        length = int(rng.integers(1, 10))
+        n_oov = int(rng.integers(0, 4))
+        source = list(rng.integers(4, config.vocab_size + n_oov, size=length))
+        prefix = [prompt.BOS] + list(rng.integers(4, config.vocab_size,
+                                                  size=int(rng.integers(0, 4))))
+        yield config, params, source, prefix

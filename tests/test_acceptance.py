@@ -21,7 +21,7 @@ from pgc import train as TR
 from pgc.model import ModelConfig
 from pgc.prompt import PromptVersion, PromptVersionId, TokenVocab
 
-from helpers import random_small_config
+from helpers import random_model_draws
 from test_model import plain_attention
 
 DATA_DIR = Path(os.environ.get("PGC_COQA_DIR", Path(__file__).parent.parent / "data"))
@@ -90,19 +90,9 @@ def test_criterion_03_model_rows_substituted():
 
 def test_criterion_04_distribution_invariants():
     start = time.monotonic()
-    rng = np.random.default_rng(42)
     weight_gap = 0.0
-    for _ in range(1000):
-        config = random_small_config(rng)
-        params = M.init_params(config, seed=int(rng.integers(1 << 31)))
-        for name in ("gate.b", "copy.a_raw"):
-            params[name].data[:] = rng.normal(size=params[name].data.shape) * 3
-        length = int(rng.integers(1, 10))
-        n_oov = int(rng.integers(0, 4))
-        source = list(rng.integers(4, config.vocab_size + n_oov, size=length))
+    for config, params, source, prefix in random_model_draws(seed=42, n=1000):
         stack = M.encode(source, params, config)
-        prefix = [P.BOS] + list(rng.integers(4, config.vocab_size,
-                                             size=int(rng.integers(0, 4))))
         fwd = M.forward_distributions(prefix, stack, params, config)
         p_final, p_gen = fwd.p_final.data[-1], fwd.p_gen.data[-1, 0]
         assert abs(p_final.sum() - 1.0) < 1e-6
@@ -186,6 +176,28 @@ def _copy_training(seed_base: int):
             vocab, category_vocab)
 
 
+def _full_prefix_decode(prompted, params, config, max_len):
+    """Reference greedy decoder: a full graph pass over the whole prefix at
+    every step, without the decoder cache or no-grad mode."""
+    stack = M.encode(prompted.source_ids, params, config)
+    prefix, emitted = [P.BOS], []
+    for _ in range(max_len):
+        fwd = M.forward_distributions(prefix, stack, params, config)
+        next_id = int(np.argmax(fwd.p_final.data[-1]))
+        if next_id == P.EOS:
+            break
+        emitted.append(next_id)
+        prefix.append(next_id if next_id < config.vocab_size else P.UNK)
+    return emitted
+
+
+def _decodes_like_full_prefix(prompted, params) -> bool:
+    """greedy_decode emits the reference decoder's ids on every example."""
+    return all(M.greedy_decode(p, params, DESK_MODEL)
+               == _full_prefix_decode(p, params, DESK_MODEL, DESK_MODEL.max_target_len)
+               for p in prompted)
+
+
 def _greedy_token_accuracy(prompted, params, vocab):
     """Mean per-position match rate of greedy output against gold ids."""
     scores = []
@@ -208,11 +220,14 @@ def test_criterion_07_copy_learning():
     with_oov = [p for p in held_set if p.source_oov]
     greedy_acc = _greedy_token_accuracy(with_oov, params, vocab)
     elapsed = time.monotonic() - start
+    same_ids = _decodes_like_full_prefix(held_set, params)
     ok = (steps <= 5000 and accuracy >= 0.95 and len(with_oov) > 0
-          and greedy_acc >= 0.95 and elapsed < 900.0)
+          and greedy_acc >= 0.95 and elapsed < 900.0 and same_ids)
     report(7, ok, f"{steps} steps, held-out token accuracy {accuracy:.3f} "
                   f"(>= 0.95), greedy accuracy on {len(with_oov)} OOV-bearing "
-                  f"examples {greedy_acc:.3f} (>= 0.95), {elapsed:.0f}s")
+                  f"examples {greedy_acc:.3f} (>= 0.95), {elapsed:.0f}s; greedy ids "
+                  f"{'equal' if same_ids else 'differ from'} a full-prefix decoder's "
+                  f"on all {len(held_set)} held-out examples")
 
 
 def test_criterion_08_gate_behaviour():
@@ -254,11 +269,14 @@ def test_criterion_08_gate_behaviour():
                        == P.tokenize(p.target_text))
     answer_accuracy = correct / len(gate_held)
     elapsed = time.monotonic() - start
+    same_ids = _decodes_like_full_prefix(copy_held + gate_held, params)
     ok = (gate_on_copied < gate_on_generated and answer_accuracy >= 0.95
-          and elapsed < 900.0)
+          and elapsed < 900.0 and same_ids)
     report(8, ok, f"mean gate on copied tokens {gate_on_copied:.4f} < on yes/no "
                   f"tokens {gate_on_generated:.4f}; gate answer accuracy "
-                  f"{answer_accuracy:.3f} (>= 0.95), {elapsed:.0f}s")
+                  f"{answer_accuracy:.3f} (>= 0.95), {elapsed:.0f}s; greedy ids "
+                  f"{'equal' if same_ids else 'differ from'} a full-prefix decoder's "
+                  f"on all {len(copy_held) + len(gate_held)} held-out examples")
 
 
 def test_criterion_09_prompt_golden_strings():

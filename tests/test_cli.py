@@ -257,6 +257,40 @@ class TestExitCodesAndConfig:
         assert code == 1
         assert "not_a_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,expected", [
+        ("epochs", "2", "int"),
+        ("d_model", True, "int"),
+        ("learning_rate", "0.1", "float"),
+        ("tighten", 1, "bool"),
+        ("d_k", 2.5, "int or null"),
+    ])
+    def test_ill_typed_config_value_is_data_error(self, tmp_path, capsys, key, value,
+                                                  expected):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        code = cli.run(["synthetic", "--task", "copy", "--n", "3", "--config", str(config),
+                        "--output", str(tmp_path / "s.jsonl")])
+        assert code == 2
+        assert (f"{config}: {key}: expected {expected}, got {type(value).__name__}"
+                in capsys.readouterr().err)
+
+    def test_int_config_value_taken_for_float(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"learning_rate": 1, "d_k": None}))
+        loaded = load_config(config)
+        assert loaded.learning_rate == 1.0 and isinstance(loaded.learning_rate, float)
+
+    def test_bad_checkpoint_config_is_data_error(self, trained, tmp_path, capsys):
+        data, ckpt = trained
+        payload = json.loads(ckpt.read_text())
+        payload["model_config"]["bogus"] = 1
+        bad = tmp_path / "bad-ckpt.json"
+        bad.write_text(json.dumps(payload))
+        code = cli.run(["predict", "--input", str(data), "--checkpoint", str(bad),
+                        "--output", str(tmp_path / "p.jsonl")])
+        assert code == 2
+        assert f"{bad}: model_config: unknown keys ['bogus']" in capsys.readouterr().err
+
     def test_empty_config_file_gives_defaults(self, tmp_path):
         config = tmp_path / "empty.json"
         config.write_text("{}")

@@ -2,7 +2,7 @@
 
 import csv
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from pgc.model import EncoderStack, ModelConfig
 from pgc.prompt import BOS, EOS, PAD, UNK
 from pgc.tensor import ParamStore, Tensor
 
-from helpers import make_prompted, random_small_config
+from helpers import make_prompted, random_model_draws, random_small_config
 
 
 def manual_stack(layer_arrays, ext_ids=None, extended_size=None):
@@ -319,6 +319,66 @@ class TestDecodeStep:
         with pytest.raises(ValueError):
             M.forward_distributions([BOS] * (small_config.max_target_len + 1),
                                     stack, small_params, small_config)
+        cache = M.DecoderCache()
+        for _ in range(small_config.max_target_len):
+            M.forward_distributions([BOS], stack, small_params, small_config, cache)
+        with pytest.raises(ValueError):
+            M.forward_distributions([BOS], stack, small_params, small_config, cache)
+
+
+def per_head_attention(x_query, x_keyval, w, n_heads, key_mask):
+    """Independent multi-head attention oracle: one head at a time."""
+    head_dim = x_query.shape[1] // n_heads
+    q, k, v = x_query @ w["wq"], x_keyval @ w["wk"], x_keyval @ w["wv"]
+    outputs = []
+    for h in range(n_heads):
+        cols = slice(h * head_dim, (h + 1) * head_dim)
+        logits = q[:, cols] @ k[:, cols].T / math.sqrt(head_dim)
+        logits = np.where(key_mask, -np.inf, logits)
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        outputs.append(e / e.sum(axis=1, keepdims=True) @ v[:, cols])
+    return np.concatenate(outputs, axis=1) @ w["wo"]
+
+
+class TestFusedAttention:
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    def test_matches_per_head_oracle(self, n_heads, masked):
+        rng = np.random.default_rng(n_heads)
+        config = ModelConfig(n_enc_layers=1, n_dec_layers=1, d_model=8, n_heads=n_heads,
+                             vocab_size=12, max_source_len=8, max_target_len=8)
+        params = M.init_params(config, seed=3)
+        x_query, x_keyval = rng.normal(size=(3, 8)), rng.normal(size=(5, 8))
+        key_mask = np.array([False, masked, False, False, masked])
+        keys_t, values = M._keys_values(Tensor(x_keyval), "dec0.cross", params, config)
+        out, weights = M._multi_head_attention(Tensor(x_query), keys_t, values, "dec0.cross",
+                                               params, config, key_mask[None, :])
+        w = {name: params[f"dec0.cross.{name}"].data for name in ("wq", "wk", "wv", "wo")}
+        want = per_head_attention(x_query, x_keyval, w, n_heads, key_mask)
+        assert np.max(np.abs(out.data - want)) < 1e-12
+        assert weights.shape == (n_heads, 3, 5)
+        assert np.all(weights[:, :, key_mask] == 0.0)
+
+
+class TestIncrementalDecoding:
+    def test_cached_steps_match_full_prefix_rows(self):
+        """Over criterion 4's draws, feeding one id at a time against a
+        decoder cache in no-grad mode gives the rows of the full pass."""
+        worst = 0.0
+        for config, params, source, prefix in random_model_draws(seed=42, n=1000):
+            full = M.forward_distributions(prefix, M.encode(source, params, config),
+                                           params, config)
+            with T.no_grad():
+                stack = M.encode(source, params, config)
+                cache = M.DecoderCache()
+                for t, token in enumerate(prefix):
+                    step = M.forward_distributions([token], stack, params, config, cache)
+                    for name in ("p_final", "alpha", "p_gen"):
+                        gap = np.abs(getattr(step, name).data[0] - getattr(full, name).data[t])
+                        worst = max(worst, float(gap.max()))
+            assert cache.length == len(prefix)
+            assert step.p_final._parents == ()
+        assert worst < 1e-12
 
 
 def copy_wired_params(config):
@@ -359,6 +419,18 @@ class TestGreedyDecode:
         out = M.greedy_decode(make_prompted([4, 5, 6]), small_params,
                               small_config, max_len=1)
         assert len(out) <= 1
+
+    def test_max_len_is_bounded_by_max_target_len(self, small_config, monkeypatch):
+        config = replace(small_config, max_target_len=4)
+        params = M.init_params(config, seed=0)
+        params["gate.b"].data[:] = 1e9
+        params["out.b_v"].data[EOS] = -1e4      # never stops early
+        assert len(M.greedy_decode(make_prompted([4, 5]), params, config, max_len=4)) == 4
+        encoded = []
+        monkeypatch.setattr(M, "encode", lambda *args: encoded.append(args))
+        with pytest.raises(ValueError, match="max_len 6"):
+            M.greedy_decode(make_prompted([4, 5]), params, config, max_len=6)
+        assert encoded == []
 
     def test_exact_tie_breaks_to_lowest_id(self, small_config):
         # zeroed weights make the copy attention exactly uniform; equal

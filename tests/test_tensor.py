@@ -1,12 +1,16 @@
 """Numeric kernel: op-level oracles, backward correctness, Adam, grad_check."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from pgc import tensor as T
+from pgc import model as M, prompt as P, tensor as T, train as TR
 from pgc.tensor import ParamStore, Tensor
+
+from helpers import make_prompted
 
 
 def naive_matmul(a, b):
@@ -42,6 +46,39 @@ class TestMatmul:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+        with pytest.raises(ValueError):
+            T.matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 3, 2))))
+        with pytest.raises(ValueError):
+            T.matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 2))))
+
+    def test_stacked_matches_triple_loop_oracle(self):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(3, 2, 4))
+        b = rng.normal(size=(3, 4, 5))
+        out = T.matmul(Tensor(a), Tensor(b))
+        want = np.stack([naive_matmul(a[i], b[i]) for i in range(3)])
+        assert np.max(np.abs(out.data - want)) < 1e-12
+
+
+class TestHeads:
+    def test_split_puts_column_blocks_on_the_head_axis(self):
+        x = np.arange(12.0).reshape(2, 6)
+        heads = T.split_heads(Tensor(x), 3).data
+        assert heads.shape == (3, 2, 2)
+        for h in range(3):
+            assert np.array_equal(heads[h], x[:, 2 * h:2 * h + 2])
+
+    def test_merge_inverts_split(self):
+        x = np.random.default_rng(2).normal(size=(5, 8))
+        for n_heads in (1, 2, 4):
+            merged = T.merge_heads(T.split_heads(Tensor(x), n_heads))
+            assert np.array_equal(merged.data, x)
+
+    def test_bad_shapes_rejected(self):
+        with pytest.raises(ValueError):
+            T.split_heads(Tensor(np.ones((2, 6))), 4)
+        with pytest.raises(ValueError):
+            T.merge_heads(Tensor(np.ones((2, 6))))
 
 
 class TestSoftmax:
@@ -64,6 +101,16 @@ class TestSoftmax:
     def test_fully_masked_row_rejected(self):
         with pytest.raises(ValueError):
             T.softmax(Tensor([1.0, 2.0]), mask=np.array([True, True]))
+
+    def test_last_axis_of_a_stack(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(3, 2, 5))
+        mask = np.zeros((2, 5), dtype=bool)
+        mask[0, 3:] = True
+        out = T.softmax(Tensor(x), mask).data
+        for h in range(3):
+            assert np.allclose(out[h], T.softmax(Tensor(x[h]), mask).data, atol=1e-15)
+        assert np.all(out[:, 0, 3:] == 0.0)
 
     def test_rows_sum_to_one_and_shift_invariant(self):
         rng = np.random.default_rng(3)
@@ -185,6 +232,28 @@ class TestGradCheck:
 
         assert T.grad_check(f, store) < 1e-6
 
+    @pytest.mark.parametrize("op", ["matmul3d", "split_heads", "merge_heads", "softmax3d"])
+    def test_head_ops(self, op):
+        rng = np.random.default_rng(6)
+        store = ParamStore()
+        store.add("x", rng.normal(size=(3, 4)))
+        store.add("y", rng.normal(size=(2, 3, 2)))
+        causal = np.triu(np.ones((3, 3), dtype=bool), k=1)
+
+        def f(s):
+            x, y = s["x"], s["y"]
+            if op == "matmul3d":
+                out = T.merge_heads(y @ T.split_heads(x, 2).T)        # [3, 6]
+            elif op == "split_heads":
+                out = T.merge_heads(T.split_heads(x, 2) * y)
+            elif op == "merge_heads":
+                out = T.merge_heads(y) @ x.T                             # [3, 3]
+            else:
+                out = T.merge_heads(T.softmax(y @ y.T, causal))          # [3, 6]
+            return T.sequence_nll(T.softmax(out), [0, 1, 2])
+
+        assert T.grad_check(f, store) < 1e-6
+
 
 class TestAdam:
     def test_zero_gradients_leave_parameters_unchanged(self):
@@ -247,6 +316,53 @@ class TestParamStore:
         p.grad = np.array([0.3, 0.4])
         store.clip_grad_norm(1.0)
         assert np.array_equal(p.grad, [0.3, 0.4])
+
+
+class TestGraphLifetime:
+    def test_dropped_training_graph_is_freed_without_the_cyclic_collector(self):
+        config = M.ModelConfig(n_enc_layers=2, n_dec_layers=1, d_model=8, n_heads=2,
+                               vocab_size=12, max_source_len=8, max_target_len=8, d_ff=16)
+        params = M.init_params(config, seed=0)
+        vocab = P.TokenVocab(["w"])
+        prompted = make_prompted([4, 5, 12], oov=["w9"], target_text="w w9")
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            loss = TR.teacher_forced_loss(prompted, params, config, vocab)
+            loss.backward()
+            node = weakref.ref(loss)
+            inner = weakref.ref(loss._parents[0])
+            del loss
+            assert node() is None and inner() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+
+class TestNoGrad:
+    def test_ops_record_no_graph(self):
+        x = Tensor(np.ones((2, 2)))
+        with T.no_grad():
+            out = T.softmax(x @ x + 1.0)
+        assert out._parents == () and out._backward is None
+        assert (x @ x)._parents == (x, x)
+
+    def test_mode_restored_after_an_exception(self):
+        x = Tensor([1.0])
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                with T.no_grad():
+                    pass
+                assert (x * 2.0)._parents == ()
+                raise RuntimeError("inside")
+        assert (x * 2.0)._parents != ()
+
+    def test_non_finite_values_still_rejected(self):
+        with T.no_grad():
+            with pytest.raises(ValueError):
+                Tensor([float("nan")])
+            with pytest.raises(ValueError):
+                T.log_clamped(Tensor([1.0])) * float("inf")
 
 
 class TestFiniteness:

@@ -1,5 +1,6 @@
 """Loss, training loop determinism, synthetic tasks, checkpoints."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -205,6 +206,38 @@ class TestCheckpoints:
         path = tmp_path / "bad.json"
         path.write_text("not json")
         with pytest.raises(CheckpointError):
+            checkpoint_load(path)
+
+    @pytest.mark.parametrize("damage", [
+        "unknown model key", "missing model key", "ill-typed model value",
+        "bad model value", "unknown train key", "ill-typed train value",
+        "no params", "no adam_m", "no adam_v", "adam_v entry missing", "no step",
+        "no token_vocab",
+    ])
+    def test_damaged_checkpoint_names_the_path(self, tmp_path, damage):
+        path = tmp_path / "ckpt.json"
+        checkpoint_save(path, M.init_params(TINY_MODEL, seed=0), TINY_MODEL,
+                        TrainConfig(), TokenVocab(["w"]))
+        payload = json.loads(path.read_text())
+        model, train = payload["model_config"], payload["train_config"]
+        if damage == "unknown model key":
+            model["bogus"] = 1
+        elif damage == "missing model key":
+            del model["d_model"]
+        elif damage == "ill-typed model value":
+            model["n_heads"] = "2"
+        elif damage == "bad model value":
+            model["n_heads"] = 3
+        elif damage == "unknown train key":
+            train["bogus"] = 1
+        elif damage == "ill-typed train value":
+            train["epochs"] = True
+        elif damage == "adam_v entry missing":
+            del payload["adam_v"]["embed"]
+        else:
+            del payload[damage.split()[1]]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=str(path)):
             checkpoint_load(path)
 
     def test_resume_matches_uninterrupted_run(self, tmp_path):
