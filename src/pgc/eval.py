@@ -81,7 +81,9 @@ class EvalReport:
 
     Split scores are None when the corresponding split is empty.
     ``per_category`` rows are (category, mean F1 percent, count), sorted
-    by count descending.
+    by count descending.  The scores cover ``n_overall`` of the
+    ``n_examples`` examples; ``n_missing`` of them had no prediction
+    (``n_examples`` defaults to ``n_overall + n_missing``).
     """
     o_em: float
     o_f1: float
@@ -93,6 +95,12 @@ class EvalReport:
     n_generative: int
     n_extractive: int
     per_category: list[tuple[str, float, int]] = field(default_factory=list)
+    n_examples: int | None = None
+    n_missing: int = 0
+
+    def __post_init__(self):
+        if self.n_examples is None:
+            self.n_examples = self.n_overall + self.n_missing
 
     def to_dict(self) -> dict:
         return {
@@ -102,6 +110,8 @@ class EvalReport:
             "n_overall": self.n_overall,
             "n_generative": self.n_generative,
             "n_extractive": self.n_extractive,
+            "n_examples": self.n_examples,
+            "n_missing": self.n_missing,
             "per_category": [
                 {"category": c, "f1": f, "count": n} for c, f, n in self.per_category
             ],
@@ -112,7 +122,8 @@ class EvalReport:
             return "-" if x is None else f"{x:.1f}"
 
         return [
-            f"O-EM {fmt(self.o_em)}  O-F1 {fmt(self.o_f1)}  (n={self.n_overall})",
+            f"O-EM {fmt(self.o_em)}  O-F1 {fmt(self.o_f1)}  (n={self.n_overall} of "
+            f"{self.n_examples} examples, {self.n_missing} without a prediction)",
             f"G-EM {fmt(self.g_em)}  G-F1 {fmt(self.g_f1)}  (n={self.n_generative})",
             f"E-EM {fmt(self.e_em)}  E-F1 {fmt(self.e_f1)}  (n={self.n_extractive})",
         ]
@@ -128,9 +139,11 @@ def evaluate(predictions: list[Prediction], examples, vocab=None,
              multi: bool = False, top_k: int = 10) -> EvalReport:
     """Score predictions against their examples, split by answer class.
 
-    Every prediction must match an example by (story_id, turn_id);
-    examples without predictions are ignored.  ``vocab`` is a category
-    vocabulary used for the per-category F1 breakdown (skipped if None).
+    Every prediction must match an example by (story_id, turn_id), at
+    most one per example, or ``EvalError`` is raised.  Examples without
+    a prediction are not scored; the report counts them in
+    ``n_missing``.  ``vocab`` is a category vocabulary used for the
+    per-category F1 breakdown (skipped if None).
     """
     from . import prompt as prompt_mod  # deferred: breaks the corpus->eval->prompt cycle
 
@@ -138,10 +151,14 @@ def evaluate(predictions: list[Prediction], examples, vocab=None,
     ems = {"Extractive": [], "Generative": []}
     f1s = {"Extractive": [], "Generative": []}
     cat_f1: dict[str, list[float]] = {}
+    seen: set[tuple[str, int]] = set()
     for pred in predictions:
         key = (pred.story_id, pred.turn_id)
         if key not in by_key:
             raise EvalError(f"prediction for unknown example {key[0]}/{key[1]}")
+        if key in seen:
+            raise EvalError(f"second prediction for {key[0]}/{key[1]}")
+        seen.add(key)
         ex = by_key[key]
         em_i, f1_i = score_multi(pred.text, pred.references, multi=multi)
         cls = ex.answer_class.value
@@ -168,6 +185,8 @@ def evaluate(predictions: list[Prediction], examples, vocab=None,
         n_generative=len(ems["Generative"]),
         n_extractive=len(ems["Extractive"]),
         per_category=per_category,
+        n_examples=len(by_key),
+        n_missing=len(by_key) - len(seen),
     )
 
 

@@ -12,11 +12,13 @@ top of the final decoder state sit four pieces:
     the copy-weighted context vector and the decoder state;
   * a vocabulary softmax, mixed with the copy distribution by the gate.
 
-Training and inference share one forward pass.  Inference is greedy
-(ties go to the lowest id) and incremental: it runs without a graph,
-computes the encoder-side projections once per source and feeds the
-decoder one new position per step against cached self-attention keys
-and values.
+Training and inference share one forward pass.  Every function takes
+one example or a padded mini-batch of them on a leading axis; training
+passes a whole batch at once, and greedy decoding is the batch of one.
+Inference is greedy (ties go to the lowest id) and incremental: it runs
+without a graph, computes the encoder-side projections and the
+parameter-only values once per source and feeds the decoder one new
+position per step against cached self-attention keys and values.
 """
 
 from __future__ import annotations
@@ -69,21 +71,26 @@ class ModelConfig:
 class EncoderStack:
     """Every encoder layer's output, kept for the multi-view copy head.
 
+    A stack holds one source, or a padded batch of sources on a leading
+    axis ``...``.  ``extended_size`` is the largest extended vocabulary
+    among them; the columns past an example's own size stay zero.
+
     ``cached`` keeps what depends only on the source and the parameters
-    (the copy keys, the cross-attention keys and values), so a stack
-    computes each of them once however many decoder passes read it.  A
-    stack is valid for the parameter values it was encoded with.
+    (the copy keys, the cross-attention keys and values, the layer
+    weights and the gate's weight columns), so a stack computes each of
+    them once however many decoder passes read it.  A stack is valid
+    for the parameter values it was encoded with.
     """
-    layers: list[Tensor]                  # each [source_len, d_model]
-    attn_maps: list[list[np.ndarray]]     # [layer][head] -> [L, L]
-    pad_mask: np.ndarray                  # [L] bool, True at padding
-    source_ext_ids: np.ndarray            # [L] extended-vocabulary ids
+    layers: list[Tensor]                  # each [..., source_len, d_model]
+    attn_maps: list[np.ndarray]           # per layer [..., n_heads, L, L]
+    pad_mask: np.ndarray                  # [..., L] bool, True at padding
+    source_ext_ids: np.ndarray            # [..., L] extended-vocabulary ids
     extended_size: int
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def source_len(self) -> int:
-        return int(self.source_ext_ids.shape[0])
+        return int(self.source_ext_ids.shape[-1])
 
     def cached(self, key: str, make):
         """``make()`` on the first call for ``key``, the same value after."""
@@ -96,20 +103,20 @@ class EncoderStack:
 @dataclass
 class DecoderCache:
     """Decoder self-attention keys and values of the positions decoded so
-    far, per layer: keys transposed, ``[n_heads, head_dim, length]``,
-    values ``[n_heads, length, head_dim]``."""
+    far, per layer: keys transposed, ``[..., n_heads, head_dim, length]``,
+    values ``[..., n_heads, length, head_dim]``."""
     keys_t: list[Tensor] = field(default_factory=list)
     values: list[Tensor] = field(default_factory=list)
 
     @property
     def length(self) -> int:
-        return self.values[0].data.shape[1] if self.values else 0
+        return self.values[0].data.shape[-2] if self.values else 0
 
     def extend(self, layer: int, keys_t: Tensor, values: Tensor) -> tuple[Tensor, Tensor]:
         """Append new positions to ``layer``'s keys and values; returns all of them."""
         if layer < len(self.values):
             keys_t = T.concat([self.keys_t[layer], keys_t], axis=-1)
-            values = T.concat([self.values[layer], values], axis=1)
+            values = T.concat([self.values[layer], values], axis=-2)
             self.keys_t[layer], self.values[layer] = keys_t, values
         else:
             self.keys_t.append(keys_t)
@@ -119,7 +126,8 @@ class DecoderCache:
 
 @dataclass
 class Forward:
-    """Handles for one forward pass, one row per decoder position passed."""
+    """Handles for one forward pass, one row per decoder position passed
+    (per example of a batch, on the leading axis)."""
     states: Tensor
     alpha: Tensor
     p_gen: Tensor
@@ -183,13 +191,13 @@ def init_params(config: ModelConfig, seed: int = 0) -> ParamStore:
 
 
 def _heads(x: Tensor, name: str, params: ParamStore, config: ModelConfig) -> Tensor:
-    """``x @ params[name]`` split into heads, ``[n_heads, L, head_dim]``."""
+    """``x @ params[name]`` split into heads, ``[..., n_heads, L, head_dim]``."""
     return T.split_heads(x @ params[name], config.n_heads)
 
 
 def _keys_values(x: Tensor, prefix: str, params: ParamStore,
                  config: ModelConfig) -> tuple[Tensor, Tensor]:
-    """Transposed keys ``[n_heads, head_dim, L]`` and values of ``x``."""
+    """Transposed keys ``[..., n_heads, head_dim, L]`` and values of ``x``."""
     return (_heads(x, f"{prefix}.wk", params, config).T,
             _heads(x, f"{prefix}.wv", params, config))
 
@@ -199,7 +207,7 @@ def _multi_head_attention(x_query: Tensor, keys_t: Tensor, values: Tensor, prefi
                           mask) -> tuple[Tensor, np.ndarray]:
     """Scaled dot-product attention of every head at once.
 
-    Returns the output rows and the weights ``[n_heads, L_query, L_key]``.
+    Returns the output rows and the weights ``[..., n_heads, L_query, L_key]``.
     """
     q = _heads(x_query, f"{prefix}.wq", params, config)
     weights = T.softmax((q @ keys_t) / math.sqrt(q.data.shape[-1]), mask)
@@ -218,7 +226,7 @@ def _embed_with_positions(ids: np.ndarray, params: ParamStore, config: ModelConf
     """Scaled embeddings plus the position rows ``start`` onwards."""
     x = T.embed_rows(params["embed"], ids) * math.sqrt(config.d_model)
     rows = max(config.max_source_len, config.max_target_len)
-    return x + Tensor(_position_table(rows, config.d_model)[start:start + len(ids)])
+    return x + Tensor(_position_table(rows, config.d_model)[start:start + ids.shape[-1]])
 
 
 def _ffn(x: Tensor, prefix: str, params: ParamStore) -> Tensor:
@@ -233,23 +241,24 @@ def _ln(x: Tensor, prefix: str, params: ParamStore) -> Tensor:
 def encode(source_ids, params: ParamStore, config: ModelConfig) -> EncoderStack:
     """Run the encoder, retaining every layer's output.
 
-    ``source_ids`` may be extended-vocabulary ids; ids outside the
+    ``source_ids`` is one id list, or a batch ``[B, L]`` of them padded
+    with PAD.  Ids may be extended-vocabulary ids; ids outside the
     generator vocabulary embed as UNK.  Padding positions are excluded
     from every attention support.
     """
     ext_ids = np.asarray(source_ids, dtype=np.int64)
-    if ext_ids.ndim != 1 or ext_ids.size == 0:
-        raise ValueError("encode expects a non-empty 1-D id list")
-    if ext_ids.size > config.max_source_len:
-        raise ValueError(f"source length {ext_ids.size} exceeds max_source_len "
+    if ext_ids.ndim not in (1, 2) or ext_ids.size == 0:
+        raise ValueError("encode expects a non-empty id list or [B, L] batch of them")
+    if ext_ids.shape[-1] > config.max_source_len:
+        raise ValueError(f"source length {ext_ids.shape[-1]} exceeds max_source_len "
                          f"{config.max_source_len}")
     gen_ids = np.where(ext_ids >= config.vocab_size, UNK, ext_ids)
     pad_mask = gen_ids == PAD
-    if pad_mask.all():
+    if pad_mask.all(axis=-1).any():
         raise ValueError("source is entirely padding")
 
     x = _embed_with_positions(gen_ids, params, config)
-    key_mask = pad_mask[None, :]
+    key_mask = pad_mask[..., None, None, :]
     layers, attn_maps = [], []
     for i in range(config.n_enc_layers):
         keys_t, values = _keys_values(x, f"enc{i}.self", params, config)
@@ -258,7 +267,7 @@ def encode(source_ids, params: ParamStore, config: ModelConfig) -> EncoderStack:
         x = _ln(x + attn_out, f"enc{i}.ln1", params)
         x = _ln(x + _ffn(x, f"enc{i}.ffn", params), f"enc{i}.ln2", params)
         layers.append(x)
-        attn_maps.append(list(weights))
+        attn_maps.append(weights)
     extended_size = max(config.vocab_size, int(ext_ids.max()) + 1)
     return EncoderStack(layers=layers, attn_maps=attn_maps, pad_mask=pad_mask,
                         source_ext_ids=ext_ids, extended_size=extended_size)
@@ -268,16 +277,19 @@ def decoder_states(prefix_ids, stack: EncoderStack, params: ParamStore,
                    config: ModelConfig, cache: DecoderCache | None = None) -> Tensor:
     """Decoder output states for a generator-id prefix (BOS first).
 
-    With a ``cache``, ``prefix_ids`` are only the ids that follow the
-    ``cache.length`` positions already in it: they are embedded at their
-    positions, attend to the cached positions and themselves, and are
-    added to the cache.  One row is returned per id passed.
+    ``prefix_ids`` is one id list, or a ``[B, L]`` batch of them for a
+    batched ``stack``; a padded tail is harmless, since each position
+    attends only to itself and earlier ones.  With a ``cache``,
+    ``prefix_ids`` are only the ids that follow the ``cache.length``
+    positions already in it: they are embedded at their positions, attend
+    to the cached positions and themselves, and are added to the cache.
+    One row is returned per id passed.
     """
     ids = np.asarray(prefix_ids, dtype=np.int64)
-    if ids.ndim != 1 or ids.size == 0:
-        raise ValueError("decoder prefix must be a non-empty 1-D id list")
+    if ids.ndim not in (1, 2) or ids.size == 0:
+        raise ValueError("decoder prefix must be a non-empty id list or [B, L] batch")
     start = cache.length if cache is not None else 0
-    n = ids.size
+    n = ids.shape[-1]
     if start + n > config.max_target_len:
         raise ValueError(f"prefix length {start + n} exceeds max_target_len "
                          f"{config.max_target_len}")
@@ -295,7 +307,8 @@ def decoder_states(prefix_ids, stack: EncoderStack, params: ParamStore,
             f"dec{i}.cross", lambda: _keys_values(stack.layers[-1], f"dec{i}.cross",
                                                   params, config))
         cross_out, _ = _multi_head_attention(x, cross_keys_t, cross_values, f"dec{i}.cross",
-                                             params, config, stack.pad_mask[None, :])
+                                             params, config,
+                                             stack.pad_mask[..., None, None, :])
         x = _ln(x + cross_out, f"dec{i}.ln2", params)
         x = _ln(x + _ffn(x, f"dec{i}.ffn", params), f"dec{i}.ln3", params)
     return x
@@ -320,13 +333,13 @@ def copy_attention(states, stack: EncoderStack, params: ParamStore) -> Tensor:
     s, one_dim = _as_rows(states)
     dk = params["copy.w_s"].data.shape[1]
     q = s @ params["copy.w_s"]
-    weights = layer_weights(params)
-    w_row = T.reshape(weights, (1, len(stack.layers)))
+    weights = stack.cached("copy.layer_weights",
+                           lambda: _layer_weight_cells(params, len(stack.layers)))
+    key_mask = stack.pad_mask[..., None, :]
     alpha: Tensor | None = None
-    for i, layer_out in enumerate(stack.layers):
+    for i, (layer_out, weight) in enumerate(zip(stack.layers, weights)):
         keys_t = stack.cached(f"copy.w_h{i}", lambda: (layer_out @ params[f"copy.w_h{i}"]).T)
-        view = T.softmax((q @ keys_t) / math.sqrt(dk), stack.pad_mask[None, :])
-        term = view * T.slice_cols(w_row, i, i + 1)
+        term = T.softmax((q @ keys_t) / math.sqrt(dk), key_mask) * weight
         alpha = term if alpha is None else alpha + term
     return T.reshape(alpha, (stack.source_len,)) if one_dim else alpha
 
@@ -334,6 +347,12 @@ def copy_attention(states, stack: EncoderStack, params: ParamStore) -> Tensor:
 def layer_weights(params: ParamStore) -> Tensor:
     """Simplex weights over encoder layers (softmax of the raw scores)."""
     return T.softmax(params["copy.a_raw"])
+
+
+def _layer_weight_cells(params: ParamStore, n_layers: int) -> list[Tensor]:
+    """Each encoder layer's weight as a ``[1, 1]`` tensor."""
+    row = T.reshape(layer_weights(params), (1, n_layers))
+    return [T.slice_cols(row, i, i + 1) for i in range(n_layers)]
 
 
 def scatter_copy(alpha, source_ext_ids, extended_size: int) -> Tensor:
@@ -351,11 +370,10 @@ def generation_gate(states, alpha, stack: EncoderStack, params: ParamStore) -> T
     """
     s, one_dim = _as_rows(states)
     a, _ = _as_rows(alpha)
-    d = s.data.shape[1]
+    w_c, w_s = stack.cached("gate", lambda: (T.reshape(params["gate.w_c"], (-1, 1)),
+                                             T.reshape(params["gate.w_s"], (-1, 1))))
     context = a @ stack.layers[-1]
-    logit = (context @ T.reshape(params["gate.w_c"], (d, 1))
-             + s @ T.reshape(params["gate.w_s"], (d, 1))
-             + params["gate.b"])
+    logit = context @ w_c + s @ w_s + params["gate.b"]
     gate = T.sigmoid(logit)
     return T.reshape(gate, (1,)) if one_dim else gate
 
@@ -364,7 +382,7 @@ def vocab_distribution(states, params: ParamStore) -> Tensor:
     """Softmax over the generator vocabulary, one row per decoder state."""
     s, one_dim = _as_rows(states)
     dist = T.softmax(s @ params["out.w_v"] + params["out.b_v"])
-    return T.reshape(dist, (dist.data.shape[1],)) if one_dim else dist
+    return T.reshape(dist, (dist.data.shape[-1],)) if one_dim else dist
 
 
 def mix(p_gen, p_vocab, p_copy) -> Tensor:
@@ -381,13 +399,11 @@ def mix(p_gen, p_vocab, p_copy) -> Tensor:
         pg = T.reshape(pg, (1, 1))
     elif pg.data.ndim == 1:
         pg = T.reshape(pg, (pg.data.shape[0], 1))
-    n_vocab = pv.data.shape[1]
-    n_ext = pc.data.shape[1]
+    n_vocab = pv.data.shape[-1]
+    n_ext = pc.data.shape[-1]
     if n_ext < n_vocab:
         raise ValueError("extended size smaller than vocabulary size")
-    if n_ext > n_vocab:
-        pv = T.concat([pv, T.zeros((pv.data.shape[0], n_ext - n_vocab))])
-    out = pg * pv + (1.0 - pg) * pc
+    out = pg * T.pad_cols(pv, n_ext) + (1.0 - pg) * pc
     return T.reshape(out, (n_ext,)) if pv_1d else out
 
 
@@ -397,7 +413,9 @@ def forward_distributions(prefix_ids, stack: EncoderStack, params: ParamStore,
 
     Without a cache this is the full teacher-forced pass over the prefix;
     with one, ``prefix_ids`` are the new positions only (see
-    ``decoder_states``).
+    ``decoder_states``).  Raises ``ValueError`` when ``p_final`` or
+    ``p_gen`` holds NaN or inf: op results are not scanned one by one,
+    so this is where a non-finite parameter or input shows.
     """
     states = decoder_states(prefix_ids, stack, params, config, cache)
     alpha = copy_attention(states, stack, params)
@@ -405,6 +423,8 @@ def forward_distributions(prefix_ids, stack: EncoderStack, params: ParamStore,
     p_gen = generation_gate(states, alpha, stack, params)
     p_vocab = vocab_distribution(states, params)
     p_final = mix(p_gen, p_vocab, p_copy)
+    if not (np.isfinite(p_final.data).all() and np.isfinite(p_gen.data).all()):
+        raise ValueError("non-finite output distributions")
     return Forward(states=states, alpha=alpha, p_gen=p_gen,
                    p_vocab=p_vocab, p_copy=p_copy, p_final=p_final)
 
@@ -413,28 +433,29 @@ def greedy_decode(prompted: PromptedExample, params: ParamStore, config: ModelCo
                   max_len: int | None = None) -> list[int]:
     """Greedy argmax decoding; returns emitted extended-vocabulary ids.
 
-    Runs without a graph.  Each step passes only the newest id to
-    ``forward_distributions``, against a decoder cache holding the
-    earlier positions.  Stops at EOS or after ``max_len`` tokens, which
-    may not exceed ``config.max_target_len``.  Emitted ids map back to
-    surface tokens via the token vocabulary plus ``prompted.source_oov``.
+    Runs without a graph, as a batch of one.  Each step passes only the
+    newest id to ``forward_distributions``, against a decoder cache
+    holding the earlier positions.  Stops at EOS or after ``max_len``
+    tokens, which may not exceed ``config.max_target_len``.  Emitted ids
+    map back to surface tokens via the token vocabulary plus
+    ``prompted.source_oov``.
     """
     limit = max_len if max_len is not None else config.max_target_len
     if limit > config.max_target_len:
         raise ValueError(f"max_len {limit} exceeds max_target_len {config.max_target_len}")
     emitted: list[int] = []
     with T.no_grad():
-        stack = encode(prompted.source_ids, params, config)
+        stack = encode([prompted.source_ids], params, config)
         cache = DecoderCache()
-        next_ids = [BOS]
+        next_ids = [[BOS]]
         for _ in range(limit):
             p_next = forward_distributions(next_ids, stack, params, config,
-                                           cache).p_final.data[-1]
+                                           cache).p_final.data[0, -1]
             next_id = int(np.argmax(p_next))
             if next_id == EOS:
                 break
             emitted.append(next_id)
-            next_ids = [next_id if next_id < config.vocab_size else UNK]
+            next_ids = [[next_id if next_id < config.vocab_size else UNK]]
     return emitted
 
 

@@ -1,17 +1,23 @@
 """Dense numeric kernel with reverse-mode differentiation.
 
 Covers exactly what the encoder-decoder and its copy head need: linear
-maps (2-D, or stacked 3-D with one matrix per attention head), masked
-softmax over the last axis, head split/merge, elementwise
+maps (against one shared matrix, or stacked with one matrix per leading
+index), masked softmax over the last axis, head split/merge, elementwise
 nonlinearities, layer normalisation, gather/scatter for embeddings and
 copy distributions, the sequence negative log-likelihood, gradient
-checking, and a bias-corrected Adam step.  Everything runs in float64
-so analytic gradients can be validated against central finite
-differences.
+checking, and a bias-corrected Adam step.  Every op takes any number of
+leading axes (a mini-batch, attention heads, or both).  Everything runs
+in float64 so analytic gradients can be validated against central
+finite differences.
 
 Each op's backward closure holds its inputs but not its output, so a
 graph has no reference cycles and is freed as soon as its last handle
 goes.  Inside ``no_grad()`` ops record no inputs and no closure at all.
+
+Values are checked for NaN/inf where they enter: a public ``Tensor(...)``
+rejects them.  Op results are not scanned; the model checks its output
+distributions once per forward pass and training checks the loss and
+the gradients once per step.
 """
 
 from __future__ import annotations
@@ -50,16 +56,16 @@ class Tensor:
     ``data`` is a float64 ndarray.  ``grad`` is filled by ``backward``
     and accumulates across calls for leaf tensors (parameters), which is
     what batch-level gradient accumulation relies on.  Non-finite values
-    are rejected at construction, i.e. at every operation boundary.
-    ``_backward(g)`` adds this node's share of the output gradient ``g``
-    to each parent.
+    are rejected at construction; op results (``_check=False``) skip
+    that scan.  ``_backward(g)`` adds this node's share of the output
+    gradient ``g`` to each parent.
     """
 
     __slots__ = ("data", "grad", "_parents", "_backward", "__weakref__")
 
-    def __init__(self, data, _parents=(), _backward=None):
+    def __init__(self, data, _parents=(), _backward=None, _check=True):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.isfinite(arr).all():
+        if _check and not np.isfinite(arr).all():
             raise ValueError("non-finite values entering the computation graph")
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -84,6 +90,8 @@ class Tensor:
 
         Gradients of leaves are accumulated (+=) so separate losses can
         share parameters; call ``ParamStore.zero_grad`` between batches.
+        An interior node's gradient is dropped once it has been passed
+        on to the node's parents.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar node")
@@ -106,6 +114,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # -- operator sugar --
 
@@ -146,15 +155,12 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape))
-
-
 def _result(data, parents: tuple[Tensor, ...], backward) -> Tensor:
-    """An op's output: a graph node, or a plain value inside ``no_grad``."""
+    """An op's output, not scanned for NaN/inf: a graph node, or a plain
+    value inside ``no_grad``."""
     if _recording:
-        return Tensor(data, parents, backward)
-    return Tensor(data)
+        return Tensor(data, parents, backward, False)
+    return Tensor(data, (), None, False)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -193,22 +199,26 @@ def _swap_last(x: np.ndarray) -> np.ndarray:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product of 2-D operands, or of two stacks of matrices
-    ``[n, i, k] @ [n, k, j]`` (one product per leading index)."""
+    """Matrix product over the last two axes: ``[..., i, k] @ [k, j]``
+    against one shared matrix, or ``[..., i, k] @ [..., k, j]`` with one
+    product per leading index."""
     a, b = as_tensor(a), as_tensor(b)
-    ndim = a.data.ndim
-    if ndim not in (2, 3) or b.data.ndim != ndim:
-        raise ValueError(f"matmul expects two 2-D or two 3-D operands, "
-                         f"got {a.data.shape} @ {b.data.shape}")
-    if (a.data.shape[-1] != b.data.shape[-2]
-            or a.data.shape[:-2] != b.data.shape[:-2]):
-        raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
+    x, w = a.data, b.data
+    shared = w.ndim == 2
+    if x.ndim < 2 or not (shared or w.shape[:-2] == x.shape[:-2]):
+        raise ValueError(f"matmul expects [..., i, k] @ [k, j] or stacks with equal "
+                         f"leading axes, got {x.shape} @ {w.shape}")
+    if x.shape[-1] != w.shape[-2]:
+        raise ValueError(f"matmul shape mismatch: {x.shape} @ {w.shape}")
 
     def backward(g):
-        a.accumulate_grad(g @ _swap_last(b.data))
-        b.accumulate_grad(_swap_last(a.data) @ g)
+        a.accumulate_grad(g @ _swap_last(w))
+        if shared:   # sum over every leading index
+            b.accumulate_grad(x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+        else:
+            b.accumulate_grad(_swap_last(x) @ g)
 
-    return _result(a.data @ b.data, (a, b), backward)
+    return _result(x @ w, (a, b), backward)
 
 
 def transpose(a) -> Tensor:
@@ -231,20 +241,20 @@ def reshape(a, shape) -> Tensor:
 
 
 def _split_array(x: np.ndarray, n_heads: int) -> np.ndarray:
-    rows, width = x.shape
-    return x.reshape(rows, n_heads, width // n_heads).transpose(1, 0, 2)
+    *lead, rows, width = x.shape
+    return np.swapaxes(x.reshape(*lead, rows, n_heads, width // n_heads), -3, -2)
 
 
 def _merge_array(x: np.ndarray) -> np.ndarray:
-    n_heads, rows, head_dim = x.shape
-    return x.transpose(1, 0, 2).reshape(rows, n_heads * head_dim)
+    *lead, n_heads, rows, head_dim = x.shape
+    return np.swapaxes(x, -3, -2).reshape(*lead, rows, n_heads * head_dim)
 
 
 def split_heads(x, n_heads: int) -> Tensor:
-    """``[L, n_heads * dh] -> [n_heads, L, dh]``: head h holds columns
-    ``h * dh`` to ``(h + 1) * dh``."""
+    """``[..., L, n_heads * dh] -> [..., n_heads, L, dh]``: head h holds
+    columns ``h * dh`` to ``(h + 1) * dh``."""
     x = as_tensor(x)
-    if x.data.ndim != 2 or x.data.shape[1] % n_heads:
+    if x.data.ndim < 2 or x.data.shape[-1] % n_heads:
         raise ValueError(f"cannot split shape {x.data.shape} into {n_heads} heads")
 
     def backward(g):
@@ -254,11 +264,12 @@ def split_heads(x, n_heads: int) -> Tensor:
 
 
 def merge_heads(x) -> Tensor:
-    """``[n_heads, L, dh] -> [L, n_heads * dh]``, the inverse of ``split_heads``."""
+    """``[..., n_heads, L, dh] -> [..., L, n_heads * dh]``, the inverse of
+    ``split_heads``."""
     x = as_tensor(x)
-    if x.data.ndim != 3:
-        raise ValueError(f"merge_heads expects a 3-D input, got shape {x.data.shape}")
-    n_heads = x.data.shape[0]
+    if x.data.ndim < 3:
+        raise ValueError(f"merge_heads expects at least 3 axes, got shape {x.data.shape}")
+    n_heads = x.data.shape[-3]
 
     def backward(g):
         x.accumulate_grad(_split_array(g, n_heads))
@@ -364,57 +375,78 @@ def slice_cols(x, lo: int, hi: int) -> Tensor:
     return _result(x.data[:, lo:hi], (x,), backward)
 
 
+def pad_cols(x, n_cols: int) -> Tensor:
+    """Zero columns appended on the last axis up to ``n_cols`` in all."""
+    x = as_tensor(x)
+    width = x.data.shape[-1]
+    if n_cols < width:
+        raise ValueError(f"cannot pad {width} columns to {n_cols}")
+    if n_cols == width:
+        return x
+    data = np.zeros(x.data.shape[:-1] + (n_cols,))
+    data[..., :width] = x.data
+
+    def backward(g):
+        x.accumulate_grad(g[..., :width])
+
+    return _result(data, (x,), backward)
+
+
 def embed_rows(table, ids) -> Tensor:
-    """Gather rows of an embedding table: out[i] = table[ids[i]]."""
+    """Gather rows of an embedding table: out[..., i] = table[ids[..., i]]."""
     table = as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ValueError("embed_rows expects a 1-D id list")
+    if ids.ndim == 0:
+        raise ValueError("embed_rows expects an id list")
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise ValueError("embedding id out of range")
 
     def backward(g):
         full = np.zeros_like(table.data)
-        np.add.at(full, ids, g)
+        np.add.at(full, ids.reshape(-1), g.reshape(-1, full.shape[-1]))
         table.accumulate_grad(full)
 
     return _result(table.data[ids], (table,), backward)
 
 
 def scatter_add_cols(weights, col_ids, n_cols: int) -> Tensor:
-    """Sum each row's weights into columns: out[r, col_ids[c]] += w[r, c]."""
+    """Sum each row's weights into columns: out[..., r, col_ids[..., c]] +=
+    w[..., r, c], adding in column order.  ``weights`` is ``[..., R, C]``
+    and ``col_ids`` ``[..., C]``, one id list per leading index."""
     weights = as_tensor(weights)
     col_ids = np.asarray(col_ids, dtype=np.int64)
-    rows, cols = weights.data.shape
-    if col_ids.shape != (cols,):
+    *lead, rows, cols = weights.data.shape
+    if col_ids.shape != (*lead, cols):
         raise ValueError("col_ids length must match the number of weight columns")
     if col_ids.size and (col_ids.min() < 0 or col_ids.max() >= n_cols):
         raise ValueError("scatter column id out of range")
-    data = np.zeros((rows, n_cols))
-    np.add.at(data, (slice(None), col_ids), weights.data)
+    ids = np.broadcast_to(col_ids[..., None, :], weights.data.shape)
+    slots = np.arange(ids.size // cols).reshape(*lead, rows, 1) * n_cols + ids
+    data = np.bincount(slots.reshape(-1), weights.data.reshape(-1),
+                       minlength=slots.size // cols * n_cols)
 
     def backward(g):
-        weights.accumulate_grad(g[:, col_ids])
+        weights.accumulate_grad(np.take_along_axis(g, ids, axis=-1))
 
-    return _result(data, (weights,), backward)
+    return _result(data.reshape(*lead, rows, n_cols), (weights,), backward)
 
 
 def pick_cols(p, ids) -> Tensor:
-    """One entry per row: out[r] = p[r, ids[r]]."""
+    """One entry per row: out[..., r] = p[..., r, ids[..., r]]."""
     p = as_tensor(p)
     ids = np.asarray(ids, dtype=np.int64)
-    rows = np.arange(p.data.shape[0])
-    if ids.shape != (p.data.shape[0],):
+    if ids.shape != p.data.shape[:-1]:
         raise ValueError("pick_cols needs one id per row")
-    if ids.size and (ids.min() < 0 or ids.max() >= p.data.shape[1]):
+    if ids.size and (ids.min() < 0 or ids.max() >= p.data.shape[-1]):
         raise ValueError("pick_cols id out of range")
+    index = ids[..., None]
 
     def backward(g):
         full = np.zeros_like(p.data)
-        full[rows, ids] = g
+        np.put_along_axis(full, index, g[..., None], axis=-1)
         p.accumulate_grad(full)
 
-    return _result(p.data[rows, ids], (p,), backward)
+    return _result(np.take_along_axis(p.data, index, axis=-1)[..., 0], (p,), backward)
 
 
 def log_clamped(x, floor: float = _LOG_FLOOR) -> Tensor:
@@ -438,9 +470,26 @@ def vmean(x) -> Tensor:
     return _result(x.data.mean(), (x,), backward)
 
 
-def sequence_nll(p_rows, gold_ids, floor: float = _LOG_FLOOR) -> Tensor:
-    """Mean negative log-probability of gold ids, one per distribution row."""
-    return vmean(-log_clamped(pick_cols(p_rows, gold_ids), floor))
+def weighted_sum(x, weights) -> Tensor:
+    """sum(x * weights) for a constant array ``weights`` of ``x``'s shape."""
+    x = as_tensor(x)
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != x.data.shape:
+        raise ValueError(f"weights of shape {weights.shape} for values of shape "
+                         f"{x.data.shape}")
+
+    def backward(g):
+        x.accumulate_grad(g * weights)
+
+    return _result((x.data * weights).sum(), (x,), backward)
+
+
+def sequence_nll(p_rows, gold_ids, weights=None, floor: float = _LOG_FLOOR) -> Tensor:
+    """Negative log-probability of gold ids, one per distribution row:
+    the mean over the rows, or the sum weighted by ``weights`` (one per
+    row; weight 0 leaves a row out)."""
+    nll = -log_clamped(pick_cols(p_rows, gold_ids), floor)
+    return vmean(nll) if weights is None else weighted_sum(nll, weights)
 
 
 class ParamStore:

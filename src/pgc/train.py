@@ -1,12 +1,14 @@
 """Teacher-forced training, synthetic verification tasks, checkpoints.
 
-The loss is the mean step-wise negative log-likelihood of the gold
-answer tokens under the mixed output distribution, with the gold prefix
-fed to the decoder.  Two generated task families make the copy path and
-the gate observable at desk scale: a copy task whose answers repeat the
-rationale verbatim (including generator-OOV words, so only the copy
-path can solve it) and a gate task whose yes/no answers never occur in
-the source (so only the generation path can solve it).
+The loss of a mini-batch is the mean over its examples of each one's
+mean step-wise negative log-likelihood of the gold answer tokens under
+the mixed output distribution, with the gold prefix fed to the decoder.
+A mini-batch runs as one graph, padded to ``[B, L]``.  Two generated
+task families make the copy path and the gate observable at desk scale:
+a copy task whose answers repeat the rationale verbatim (including
+generator-OOV words, so only the copy path can solve it) and a gate
+task whose yes/no answers never occur in the source (so only the
+generation path can solve it).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from . import model as M
 from . import tensor as T
 from .corpus import ConversationTurn, DialogueExample, classify_answer
 from .model import ModelConfig
-from .prompt import BOS, EOS, SPECIAL_TOKENS, UNK, PromptedExample, TokenVocab, tokenize
+from .prompt import BOS, EOS, PAD, SPECIAL_TOKENS, UNK, PromptedExample, TokenVocab, tokenize
 from .tensor import ParamStore
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -121,30 +123,60 @@ def target_ids(prompted: PromptedExample, vocab: TokenVocab) -> list[int]:
     return vocab.encode_target(tokens, prompted.source_oov) + [EOS]
 
 
-def _teacher_forced(prompted: PromptedExample, params: ParamStore, config: ModelConfig,
-                    vocab: TokenVocab) -> tuple[M.Forward, list[int]]:
-    """The pass with the gold prefix fed to the decoder, plus the gold ids."""
-    gold = target_ids(prompted, vocab)
-    stack = M.encode(prompted.source_ids, params, config)
-    prefix = [BOS] + vocab.to_generator_ids(gold[:-1])
-    return M.forward_distributions(prefix, stack, params, config), gold
+# Examples per teacher-forced pass in ``token_accuracy``/``gate_statistics``.
+_EVAL_BATCH = 32
 
 
-def teacher_forced_loss(prompted: PromptedExample, params: ParamStore,
+def _padded(rows: list[list[int]]) -> np.ndarray:
+    """Id lists as one ``[B, L]`` array, each padded with PAD to the longest."""
+    out = np.full((len(rows), max(len(r) for r in rows)), PAD, dtype=np.int64)
+    for b, row in enumerate(rows):
+        out[b, :len(row)] = row
+    return out
+
+
+def _teacher_forced(batch: list[PromptedExample], params: ParamStore, config: ModelConfig,
+                    vocab: TokenVocab) -> tuple[M.Forward, np.ndarray, np.ndarray]:
+    """One pass over a padded batch with the gold prefixes fed to the decoder.
+
+    Returns the pass, the gold ids ``[B, L]`` (PAD past each example's
+    end) and the mask ``[B, L]`` of real target steps.
+    """
+    golds = [target_ids(p, vocab) for p in batch]
+    stack = M.encode(_padded([p.source_ids for p in batch]), params, config)
+    prefix = _padded([[BOS] + vocab.to_generator_ids(gold[:-1]) for gold in golds])
+    gold = _padded(golds)
+    mask = np.arange(gold.shape[1]) < np.array([len(g) for g in golds])[:, None]
+    return M.forward_distributions(prefix, stack, params, config), gold, mask
+
+
+def teacher_forced_loss(batch: list[PromptedExample], params: ParamStore,
                         config: ModelConfig, vocab: TokenVocab) -> T.Tensor:
-    """Mean step loss with the gold prefix fed to the decoder."""
-    fwd, gold = _teacher_forced(prompted, params, config, vocab)
-    return T.sequence_nll(fwd.p_final, gold)
+    """The batch's mean of per-example mean step losses, with the gold
+    prefixes fed to the decoder: step t of example b is weighted by
+    1 / (B * len_b)."""
+    fwd, gold, mask = _teacher_forced(batch, params, config, vocab)
+    weights = mask / (len(batch) * mask.sum(axis=1, keepdims=True))
+    return T.sequence_nll(fwd.p_final, gold, weights)
+
+
+def _teacher_forced_rows(prompted_examples: list[PromptedExample], params: ParamStore,
+                         config: ModelConfig, vocab: TokenVocab):
+    """Per batch of ``_EVAL_BATCH``: (its examples, pass, gold ids, step mask)."""
+    for lo in range(0, len(prompted_examples), _EVAL_BATCH):
+        batch = prompted_examples[lo:lo + _EVAL_BATCH]
+        with T.no_grad():
+            rows = _teacher_forced(batch, params, config, vocab)
+        yield (batch, *rows)
 
 
 def token_accuracy(prompted_examples: list[PromptedExample], params: ParamStore,
                    config: ModelConfig, vocab: TokenVocab) -> float:
     """Teacher-forced next-token accuracy over all target steps."""
     hits = total = 0
-    for prompted in prompted_examples:
-        fwd, gold = _teacher_forced(prompted, params, config, vocab)
-        hits += int(np.sum(np.argmax(fwd.p_final.data, axis=1) == gold))
-        total += len(gold)
+    for _, fwd, gold, mask in _teacher_forced_rows(prompted_examples, params, config, vocab):
+        hits += int(np.sum((np.argmax(fwd.p_final.data, axis=-1) == gold) & mask))
+        total += int(mask.sum())
     return hits / total if total else 0.0
 
 
@@ -155,13 +187,15 @@ def gate_statistics(prompted_examples: list[PromptedExample], params: ParamStore
     EOS steps are excluded from both groups.
     """
     copied, generated = [], []
-    for prompted in prompted_examples:
-        fwd, gold = _teacher_forced(prompted, params, config, vocab)
-        source = set(prompted.source_ids)
-        for p_gen, gold_id in zip(fwd.p_gen.data[:, 0], gold):
-            if gold_id == EOS:
-                continue
-            (copied if gold_id in source else generated).append(float(p_gen))
+    for batch, fwd, gold, mask in _teacher_forced_rows(prompted_examples, params, config,
+                                                       vocab):
+        for prompted, p_gen, gold_ids, n in zip(batch, fwd.p_gen.data[..., 0], gold,
+                                                mask.sum(axis=1)):
+            source = set(prompted.source_ids)
+            for gate, gold_id in zip(p_gen[:n], gold_ids[:n]):
+                if gold_id == EOS:
+                    continue
+                (copied if gold_id in source else generated).append(float(gate))
     mean = lambda xs: float(np.mean(xs)) if xs else float("nan")
     return mean(copied), mean(generated)
 
@@ -200,8 +234,13 @@ def train_loop(prompted_examples: list[PromptedExample], store: ParamStore,
                log=None) -> TrainResult:
     """Shuffled mini-batch training with gradient clipping and Adam.
 
-    The shuffle order is a pure function of (seed, epoch), so resuming
-    from a checkpoint at an epoch boundary replays the exact run.
+    Each mini-batch is one ``teacher_forced_loss`` graph.  Before the
+    gradients are clipped and Adam writes any parameter, the loss and
+    every gradient must be finite, or ``ValueError`` is raised.  The
+    shuffle order is a pure function of (seed, epoch), so resuming from
+    a checkpoint at an epoch boundary replays the exact run.  ``log``
+    gets one line per epoch: the mean loss, the largest pre-clip
+    gradient norm and how many steps were clipped.
     """
     if not prompted_examples:
         raise ValueError("no training examples")
@@ -210,31 +249,39 @@ def train_loop(prompted_examples: list[PromptedExample], store: ParamStore,
     step = store.step
     for epoch in range(start_epoch, config.epochs):
         order = np.random.default_rng([config.seed, epoch]).permutation(len(prompted_examples))
-        batch_losses = []
+        batch_losses, max_norm, clipped = [], 0.0, 0
         for lo in range(0, len(order), config.batch_size):
             batch = [prompted_examples[j] for j in order[lo:lo + config.batch_size]]
-            losses = [teacher_forced_loss(p, store, model_config, vocab) for p in batch]
-            total = losses[0]
-            for extra in losses[1:]:
-                total = total + extra
-            mean_loss = total / len(losses)
+            loss = teacher_forced_loss(batch, store, model_config, vocab)
             store.zero_grad()
-            mean_loss.backward()
-            store.clip_grad_norm(config.clip_norm)
+            loss.backward()
+            _check_finite(loss, store, step + 1)
+            norm = store.clip_grad_norm(config.clip_norm)
+            max_norm, clipped = max(max_norm, norm), clipped + (norm > config.clip_norm)
             T.adam_step(store, config.learning_rate)
             step += 1
-            value = float(mean_loss.data)
+            value = loss.item()
             curve.append((epoch, step, value))
             batch_losses.append(value)
         epoch_mean = float(np.mean(batch_losses))
         epoch_losses.append(epoch_mean)
         if log is not None:
-            log(f"epoch {epoch}: mean loss {epoch_mean:.4f}")
+            log(f"epoch {epoch}: mean loss {epoch_mean:.4f}, max grad norm {max_norm:.4f}, "
+                f"clipped {clipped}/{len(batch_losses)} steps")
         if (checkpoint_path is not None and config.checkpoint_interval
                 and (epoch + 1) % config.checkpoint_interval == 0):
             checkpoint_save(checkpoint_path, store, model_config, config, vocab,
                             epochs_completed=epoch + 1)
     return TrainResult(curve=curve, epoch_losses=epoch_losses)
+
+
+def _check_finite(loss: T.Tensor, store: ParamStore, step: int) -> None:
+    """Raise ``ValueError`` unless the loss and every gradient are finite."""
+    if not np.isfinite(loss.data).all():
+        raise ValueError(f"step {step}: non-finite loss {loss.item()}")
+    for name, param in store.items():
+        if param.grad is not None and not np.isfinite(param.grad).all():
+            raise ValueError(f"step {step}: non-finite gradient for {name}")
 
 
 def write_loss_curve(curve: list[tuple[int, int, float]], path: str | Path) -> None:

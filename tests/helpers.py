@@ -116,3 +116,26 @@ def random_model_draws(seed: int, n: int):
         prefix = [prompt.BOS] + list(rng.integers(4, config.vocab_size,
                                                   size=int(rng.integers(0, 4))))
         yield config, params, source, prefix
+
+
+def random_copy_batch(rng: np.random.Generator, vocab: prompt.TokenVocab,
+                      max_source: int, max_target: int) -> list:
+    """A batch of 1-4 examples of mixed source and target lengths.
+
+    Each source mixes generator ids with 0-3 copy-only words (extended
+    ids past ``vocab.size``, so extended sizes differ between examples);
+    each target draws from the vocabulary words and the example's own
+    copy-only words.
+    """
+    words = vocab.tokens[len(prompt.SPECIAL_TOKENS):]
+    batch = []
+    for _ in range(int(rng.integers(1, 5))):
+        oov = [f"x{j}" for j in range(int(rng.integers(0, 4)))]
+        n_known = int(rng.integers(0 if oov else 1, max_source - len(oov) + 1))
+        source = [int(i) for i in rng.integers(len(prompt.SPECIAL_TOKENS), vocab.size,
+                                               size=n_known)]
+        source += [vocab.size + j for j in range(len(oov))]
+        source = [source[i] for i in rng.permutation(len(source))]
+        target = rng.choice(words + oov, size=int(rng.integers(1, max_target)))
+        batch.append(make_prompted(source, oov=oov, target_text=" ".join(target)))
+    return batch

@@ -21,7 +21,7 @@ from pgc import train as TR
 from pgc.model import ModelConfig
 from pgc.prompt import PromptVersion, PromptVersionId, TokenVocab
 
-from helpers import random_model_draws
+from helpers import make_prompted, random_model_draws
 from test_model import plain_attention
 
 DATA_DIR = Path(os.environ.get("PGC_COQA_DIR", Path(__file__).parent.parent / "data"))
@@ -151,6 +151,23 @@ def test_criterion_06_gradient_check():
     ok = error < 1e-4 and elapsed < 30.0
     report(6, ok, f"full sweep over {n_values} coordinates, max relative "
                   f"error {error:.2e} (< 1e-4), {elapsed:.1f}s")
+
+
+def test_criterion_06_gradient_check_on_a_padded_batch():
+    """Criterion 6's full sweep on a padded batch of two examples with
+    different source, target and extended-vocabulary sizes."""
+    start = time.monotonic()
+    config = ModelConfig(n_enc_layers=2, n_dec_layers=1, d_model=8, n_heads=2,
+                         vocab_size=12, max_source_len=8, max_target_len=8, d_ff=16)
+    vocab = TokenVocab([f"w{i}" for i in range(8)])
+    batch = [make_prompted([4, 13, 6, 7, 12], oov=["x0", "x1"], target_text="w1 x1"),
+             make_prompted([5, 12, 8], oov=["x0"], target_text="x0 w3 w2 w0")]
+    store = M.init_params(config, seed=0)
+    error = T.grad_check(lambda s: TR.teacher_forced_loss(batch, s, config, vocab), store)
+    elapsed = time.monotonic() - start
+    ok = error < 1e-4 and elapsed < 30.0
+    report(6, ok, f"padded batch of two, full sweep over {store.n_values()} coordinates, "
+                  f"max relative error {error:.2e} (< 1e-4), {elapsed:.1f}s")
 
 
 def _prompted_dataset(examples, vocab, category_vocab):

@@ -131,6 +131,26 @@ class TestEvaluate:
         with pytest.raises(EvalError):
             evaluate([bad], examples)
 
+    def five_examples(self):
+        return [make_example("red kite", "a red kite flew", question="What flew?",
+                             story_id=f"s{i}") for i in range(5)]
+
+    def test_duplicate_prediction_rejected(self):
+        examples = self.five_examples()
+        preds = predictions_for(examples[:1], ["red kite"]) * 3
+        with pytest.raises(EvalError, match="second prediction for s0/1"):
+            evaluate(preds, examples)
+
+    def test_examples_without_a_prediction_are_counted(self):
+        examples = self.five_examples()
+        report = evaluate(predictions_for(examples[:2], ["red kite", "red kite"]), examples)
+        assert (report.o_em, report.n_overall) == (100.0, 2)
+        assert (report.n_examples, report.n_missing) == (5, 3)
+        assert report.to_dict()["n_examples"] == 5 and report.to_dict()["n_missing"] == 3
+        assert "(n=2 of 5 examples, 3 without a prediction)" in report.summary_lines()[0]
+        full = evaluate(predictions_for(examples, ["red kite"] * 5), examples)
+        assert (full.n_examples, full.n_missing) == (5, 0)
+
     def test_overall_is_count_weighted_mean_of_splits(self):
         base = self.examples() * 3
         texts = ["red kite", "no", "kite", "yes", "dune", "maybe yes"]

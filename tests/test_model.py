@@ -443,6 +443,18 @@ class TestGreedyDecode:
         out = M.greedy_decode(make_prompted([6, 9]), params, small_config, max_len=3)
         assert out == [6, 6, 6]
 
+    def test_parameter_only_values_computed_once_per_decode(self, small_config,
+                                                            monkeypatch):
+        params = M.init_params(small_config, seed=0)
+        params["gate.b"].data[:] = 1e9
+        params["out.b_v"].data[EOS] = -1e4      # never stops early
+        calls = []
+        original = M.layer_weights
+        monkeypatch.setattr(M, "layer_weights", lambda p: calls.append(1) or original(p))
+        out = M.greedy_decode(make_prompted([4, 5, 6]), params, small_config)
+        assert len(out) == small_config.max_target_len
+        assert len(calls) == 1
+
     def test_stops_at_eos(self, small_config):
         params = M.init_params(small_config, seed=0)
         params["gate.b"].data[:] = 1e9

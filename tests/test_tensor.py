@@ -49,7 +49,9 @@ class TestMatmul:
         with pytest.raises(ValueError):
             T.matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 3, 2))))
         with pytest.raises(ValueError):
-            T.matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 2))))
+            T.matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((4, 2))))
+        with pytest.raises(ValueError):
+            T.matmul(Tensor(np.ones((3, 2))), Tensor(np.ones((2, 2, 3))))
 
     def test_stacked_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(8)
@@ -255,6 +257,29 @@ class TestGradCheck:
         assert T.grad_check(f, store) < 1e-6
 
 
+    def test_batch_axis_ops(self):
+        """Shared-weight matmul, 4-D heads, 2-D embedding ids, per-example
+        scatter, zero-padded columns and a weighted per-row pick."""
+        rng = np.random.default_rng(9)
+        store = ParamStore()
+        store.add("x", rng.normal(size=(2, 3, 4)))
+        store.add("w", rng.normal(size=(4, 4)))
+        store.add("table", rng.normal(size=(5, 4)))
+        ids = np.array([[0, 4, 4], [2, 1, 0]])
+        cols = np.array([[0, 5, 0], [1, 2, 3]])
+        gold = np.array([[5, 0, 1], [3, 3, 2]])
+        weights = rng.uniform(size=(2, 3))
+
+        def f(s):
+            h = T.split_heads((s["x"] + T.embed_rows(s["table"], ids)) @ s["w"], 2)
+            y = T.merge_heads(T.softmax(h @ h.T) @ h)                    # [2, 3, 4]
+            alpha = T.softmax(y @ s["x"].T)                              # [2, 3, 3]
+            mixed = T.pad_cols(T.softmax(y), 6) * 0.5 + T.scatter_add_cols(alpha, cols, 6) * 0.5
+            return T.sequence_nll(mixed, gold, weights)
+
+        assert T.grad_check(f, store) < 1e-6
+
+
 class TestAdam:
     def test_zero_gradients_leave_parameters_unchanged(self):
         store = ParamStore()
@@ -328,7 +353,7 @@ class TestGraphLifetime:
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            loss = TR.teacher_forced_loss(prompted, params, config, vocab)
+            loss = TR.teacher_forced_loss([prompted], params, config, vocab)
             loss.backward()
             node = weakref.ref(loss)
             inner = weakref.ref(loss._parents[0])

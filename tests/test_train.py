@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgc import model as M
 from pgc import prompt as P
@@ -19,6 +21,8 @@ from pgc.train import (CheckpointError, SyntheticSpec, TrainConfig,
                        checkpoint_load, checkpoint_save, make_synthetic,
                        teacher_forced_loss, token_accuracy,
                        train_loop)
+
+from helpers import random_copy_batch
 
 TINY_MODEL = ModelConfig(n_enc_layers=1, n_dec_layers=1, d_model=16, n_heads=2,
                          vocab_size=40, max_source_len=24, max_target_len=16,
@@ -90,14 +94,14 @@ class TestLoss:
         prompted[0].target_text = ""
         params = M.init_params(TINY_MODEL, seed=0)
         with pytest.raises(ValueError):
-            teacher_forced_loss(prompted[0], params, TINY_MODEL, vocab)
+            teacher_forced_loss([prompted[0]], params, TINY_MODEL, vocab)
 
     def test_loss_matches_stepwise_hand_computation(self):
         # independent route: per-step distributions, then NLL by hand
         prompted, vocab = tiny_setup(n=3)
         params = M.init_params(TINY_MODEL, seed=1)
         for p in prompted[:3]:
-            loss = teacher_forced_loss(p, params, TINY_MODEL, vocab).item()
+            loss = teacher_forced_loss([p], params, TINY_MODEL, vocab).item()
             gold = TR.target_ids(p, vocab)
             prefix = [P.BOS] + [g if g < vocab.size else P.UNK for g in gold[:-1]]
             stack = M.encode(p.source_ids, params, TINY_MODEL)
@@ -110,7 +114,7 @@ class TestLoss:
         prompted, vocab = tiny_setup(n=2)
         for seed in range(5):
             params = M.init_params(TINY_MODEL, seed=seed)
-            value = teacher_forced_loss(prompted[0], params, TINY_MODEL, vocab).item()
+            value = teacher_forced_loss([prompted[0]], params, TINY_MODEL, vocab).item()
             assert math.isfinite(value)
 
     def test_gold_tokens_in_source_use_extended_ids(self):
@@ -126,7 +130,7 @@ class TestLoss:
         params = M.init_params(TINY_MODEL, seed=2)
 
         def f(store):
-            return teacher_forced_loss(prompted[0], store, TINY_MODEL, vocab)
+            return teacher_forced_loss([prompted[0]], store, TINY_MODEL, vocab)
 
         err = T.grad_check(f, params, max_coords_per_param=3,
                            rng=np.random.default_rng(0))
@@ -277,3 +281,176 @@ class TestAccuracyAndGate:
         # copy-task gold tokens all occur in the source
         assert not math.isnan(mean_copy)
         assert 0.0 < mean_copy < 1.0
+
+    def test_batched_scores_match_a_per_example_recount(self):
+        prompted, vocab = tiny_setup(n=40, lexicon=80)   # two evaluation batches
+        params = M.init_params(TINY_MODEL, seed=11)
+        hits = total = 0
+        copied, generated = [], []
+        for p in prompted:
+            gold = TR.target_ids(p, vocab)
+            prefix = [P.BOS] + vocab.to_generator_ids(gold[:-1])
+            fwd = M.forward_distributions(prefix, M.encode(p.source_ids, params, TINY_MODEL),
+                                          params, TINY_MODEL)
+            hits += int(np.sum(np.argmax(fwd.p_final.data, axis=1) == gold))
+            total += len(gold)
+            for gate, g in zip(fwd.p_gen.data[:, 0], gold[:-1]):
+                (copied if g in p.source_ids else generated).append(gate)
+        assert token_accuracy(prompted, params, TINY_MODEL, vocab) == hits / total
+        got = TR.gate_statistics(prompted, params, TINY_MODEL, vocab)
+        assert abs(got[0] - np.mean(copied)) < 1e-12
+        assert (math.isnan(got[1]) and not generated) or abs(got[1] - np.mean(generated)) < 1e-12
+
+
+BATCH_MODEL = ModelConfig(n_enc_layers=2, n_dec_layers=1, d_model=8, n_heads=2,
+                          vocab_size=12, max_source_len=8, max_target_len=6, d_ff=16)
+BATCH_VOCAB = TokenVocab([f"w{i}" for i in range(BATCH_MODEL.vocab_size - 4)])
+
+
+def gradients(params):
+    return {name: params.gradient(name).copy() for name in params.names()}
+
+
+class TestBatchedLoss:
+    """A padded mini-batch is one graph with the per-example results."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_batch_equals_mean_of_single_examples(self, seed):
+        rng = np.random.default_rng(seed)
+        batch = random_copy_batch(rng, BATCH_VOCAB, BATCH_MODEL.max_source_len,
+                                  BATCH_MODEL.max_target_len)
+        params = M.init_params(BATCH_MODEL, seed=int(rng.integers(1 << 31)))
+        for name in ("gate.b", "copy.a_raw"):
+            params[name].data[:] = rng.normal(size=params[name].data.shape) * 3
+        losses, grads = [], []
+        for p in batch:
+            params.zero_grad()
+            loss = teacher_forced_loss([p], params, BATCH_MODEL, BATCH_VOCAB)
+            loss.backward()
+            losses.append(loss.item())
+            grads.append(gradients(params))
+        params.zero_grad()
+        loss = teacher_forced_loss(batch, params, BATCH_MODEL, BATCH_VOCAB)
+        loss.backward()
+        assert abs(loss.item() - np.mean(losses)) < 1e-12
+        for name, g in gradients(params).items():
+            want = np.mean([single[name] for single in grads], axis=0)
+            assert np.max(np.abs(g - want), initial=0.0) < 1e-12, name
+
+    def test_padded_rows_match_single_rows_and_extra_columns_are_zero(self):
+        params = M.init_params(BATCH_MODEL, seed=3)
+        sources = [[4, 13, 6, 12, 7], [5, 12, 0, 0, 0]]   # extended sizes 14 and 13
+        prefixes = [[P.BOS, 5, P.UNK], [P.BOS, 0, 0]]
+        batched = M.forward_distributions(prefixes, M.encode(sources, params, BATCH_MODEL),
+                                          params, BATCH_MODEL)
+        assert batched.p_final.data.shape == (2, 3, 14)
+        for b, (source, prefix, n_source, n_prefix) in enumerate(
+                zip(sources, prefixes, (5, 2), (3, 1))):
+            single = M.forward_distributions(
+                prefix[:n_prefix], M.encode(source[:n_source], params, BATCH_MODEL),
+                params, BATCH_MODEL)
+            width = single.p_final.data.shape[1]
+            for name in ("p_final", "p_copy"):
+                rows = getattr(batched, name).data[b, :n_prefix]
+                assert np.max(np.abs(rows[:, :width] - getattr(single, name).data)) < 1e-12
+                assert np.all(rows[:, width:] == 0.0)
+            for name in ("p_vocab", "p_gen"):
+                gap = getattr(batched, name).data[b, :n_prefix] - getattr(single, name).data
+                assert np.max(np.abs(gap)) < 1e-12
+            assert np.max(np.abs(batched.alpha.data[b, :n_prefix, :n_source]
+                                 - single.alpha.data)) < 1e-12
+            assert np.all(batched.alpha.data[b, :, n_source:] == 0.0)
+
+    def test_same_seed_runs_write_byte_identical_checkpoints(self, tmp_path):
+        paths = []
+        for run in range(2):
+            prompted, vocab = tiny_setup(n=12)
+            params = M.init_params(TINY_MODEL, seed=4)
+            config = TrainConfig(learning_rate=1e-3, batch_size=4, epochs=2, seed=7)
+            train_loop(prompted, params, config, TINY_MODEL, vocab)
+            paths.append(tmp_path / f"run{run}.json")
+            checkpoint_save(paths[-1], params, TINY_MODEL, config, vocab, epochs_completed=2)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def state_bytes(params):
+    return (params.step, [(params[name].data.tobytes(), params.adam_m[name].tobytes(),
+                           params.adam_v[name].tobytes()) for name in params.names()])
+
+
+class TestFiniteStep:
+    """Op results are not scanned one by one; a non-finite value still
+    stops a training step before Adam and fails decoding."""
+
+    def trained_one_epoch(self):
+        prompted, vocab = tiny_setup(n=8)
+        params = M.init_params(TINY_MODEL, seed=6)
+        train_loop(prompted, params, TrainConfig(batch_size=4, epochs=1), TINY_MODEL, vocab)
+        return prompted, vocab, params
+
+    def assert_step_refused(self, prompted, vocab, params, match):
+        before = state_bytes(params)
+        with pytest.raises(ValueError, match=match):
+            train_loop(prompted, params, TrainConfig(batch_size=4, epochs=2), TINY_MODEL,
+                       vocab, start_epoch=1)
+        assert state_bytes(params) == before
+
+    def test_nan_parameter(self):
+        prompted, vocab, params = self.trained_one_epoch()
+        params["out.w_v"].data[3, 5] = float("nan")
+        self.assert_step_refused(prompted, vocab, params, "non-finite")
+        with pytest.raises(ValueError):
+            M.greedy_decode(prompted[0], params, TINY_MODEL)
+
+    def test_nan_input(self, monkeypatch):
+        prompted, vocab, params = self.trained_one_epoch()
+        table = M.sinusoidal_positions(TINY_MODEL.max_source_len, TINY_MODEL.d_model)
+        table[0, 0] = float("nan")
+        monkeypatch.setattr(M, "_position_table", lambda n, d: table)
+        self.assert_step_refused(prompted, vocab, params, "non-finite")
+        with pytest.raises(ValueError):
+            M.greedy_decode(prompted[0], params, TINY_MODEL)
+
+    def test_non_finite_gradient_of_a_finite_loss(self, monkeypatch):
+        prompted, vocab, params = self.trained_one_epoch()
+        loss_of = TR.teacher_forced_loss
+        gate = params["gate.b"]
+
+        def with_bad_gradient(*args):
+            spike = Tensor(0.0, (gate,), lambda g: gate.accumulate_grad(np.full(1, np.inf)))
+            return loss_of(*args) + spike
+
+        monkeypatch.setattr(TR, "teacher_forced_loss", with_bad_gradient)
+        self.assert_step_refused(prompted, vocab, params, "non-finite gradient for gate.b")
+
+
+class TestTelemetry:
+    def epoch_lines(self, monkeypatch, clip_norm):
+        """The epoch lines of a run, and the pre-clip norm of each step."""
+        norms = []
+        clip = T.ParamStore.clip_grad_norm
+        monkeypatch.setattr(T.ParamStore, "clip_grad_norm",
+                            lambda store, max_norm: norms.append(clip(store, max_norm))
+                            or norms[-1])
+        prompted, vocab = tiny_setup(n=8)
+        params = M.init_params(TINY_MODEL, seed=6)
+        lines = []
+        config = TrainConfig(batch_size=4, epochs=2, clip_norm=clip_norm)
+        result = train_loop(prompted, params, config, TINY_MODEL, vocab, log=lines.append)
+        return lines, result, norms
+
+    def test_epoch_line_reports_max_pre_clip_norm_and_clipped_steps(self, monkeypatch):
+        lines, result, norms = self.epoch_lines(monkeypatch, clip_norm=3.35)
+        assert len(lines) == 2 and len(norms) == 4
+        for epoch, line in enumerate(lines):
+            losses = [loss for e, _, loss in result.curve if e == epoch]
+            steps = norms[2 * epoch:2 * epoch + 2]
+            clipped = sum(norm > 3.35 for norm in steps)
+            assert line == (f"epoch {epoch}: mean loss {np.mean(losses):.4f}, max grad norm "
+                            f"{max(steps):.4f}, clipped {clipped}/2 steps")
+        assert [line[-17:] for line in lines] == ["clipped 1/2 steps", "clipped 0/2 steps"]
+
+    def test_epoch_lines_are_deterministic(self, monkeypatch):
+        assert (self.epoch_lines(monkeypatch, clip_norm=1.0)[0]
+                == self.epoch_lines(monkeypatch, clip_norm=1.0)[0])
