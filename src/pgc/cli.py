@@ -24,7 +24,6 @@ from pathlib import Path
 from . import corpus, eval as evalmod, model as M, prompt, train as trainmod
 from .corpus import CorpusError
 from .eval import EvalError
-from .train import CheckpointError
 
 
 class UsageError(Exception):
@@ -103,9 +102,10 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**settings)
 
 
-def _write_sidecar(artifact_path: str | Path, config: RunConfig) -> None:
+def _write_sidecar(artifact_path: str | Path, config: RunConfig, extra=None) -> None:
     sidecar = Path(str(artifact_path) + ".run.json")
-    sidecar.write_text(json.dumps(asdict(config), indent=2) + "\n", encoding="utf-8")
+    sidecar.write_text(json.dumps({**asdict(config), **(extra or {})}, indent=2) + "\n",
+                       encoding="utf-8")
 
 
 def _load_examples_any(path: str | Path) -> list[corpus.DialogueExample]:
@@ -268,11 +268,11 @@ def _cmd_predict(args) -> int:
     config, store, model_config, token_vocab, category_vocab, _ = \
         _open_checkpoint(args.checkpoint, config, args, examples)
     prompted = _build_prompts(examples, config, category_vocab, token_vocab)
-    skipped = 0
+    skipped = []
     with open(args.output, "w", encoding="utf-8") as fh:
         for p in prompted:
             if len(p.source_tokens) > model_config.max_source_len:
-                skipped += 1
+                skipped.append([p.origin.story_id, p.origin.turn.turn_id])
                 continue
             ids = M.greedy_decode(p, store, model_config)
             tokens = token_vocab.decode_extended(ids, p.source_oov)
@@ -282,8 +282,9 @@ def _cmd_predict(args) -> int:
                 "text": prompt.detokenize(tokens),
             }, ensure_ascii=False) + "\n")
     if skipped:
-        print(f"skipped {skipped} over-length examples", file=sys.stderr)
-    _write_sidecar(args.output, config)
+        print(f"skipped {len(skipped)} over-length examples", file=sys.stderr)
+    # Named only when there are some, so an unskipped run's sidecar is unchanged.
+    _write_sidecar(args.output, config, {"skipped_over_length": skipped} if skipped else None)
     print(f"wrote predictions to {args.output}")
     return 0
 
@@ -506,13 +507,7 @@ def run(argv=None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    except (CorpusError, EvalError, CheckpointError) as err:
-        print(f"data error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
-        print(f"data error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except (FileNotFoundError, ValueError) as err:   # CorpusError, EvalError, CheckpointError
         print(f"data error: {err}", file=sys.stderr)
         return 2
 

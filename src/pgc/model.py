@@ -76,10 +76,10 @@ class EncoderStack:
     among them; the columns past an example's own size stay zero.
 
     ``cached`` keeps what depends only on the source and the parameters
-    (the copy keys, the cross-attention keys and values, the layer
-    weights and the gate's weight columns), so a stack computes each of
-    them once however many decoder passes read it.  A stack is valid
-    for the parameter values it was encoded with.
+    (all copy keys as one stack, the cross-attention keys and values, the
+    layer weights, the gate's weight columns), so a stack computes each
+    once however many decoder passes read it.  A stack is valid for the
+    parameter values it was encoded with.
     """
     layers: list[Tensor]                  # each [..., source_len, d_model]
     attn_maps: list[np.ndarray]           # per layer [..., n_heads, L, L]
@@ -141,8 +141,7 @@ def sinusoidal_positions(n: int, d_model: int) -> np.ndarray:
     positions = np.arange(n)[:, None].astype(np.float64)
     dims = np.arange(d_model)[None, :].astype(np.float64)
     angles = positions / np.power(10000.0, 2.0 * (dims // 2) / d_model)
-    table = np.where(dims % 2 == 0, np.sin(angles), np.cos(angles))
-    return table
+    return np.where(dims % 2 == 0, np.sin(angles), np.cos(angles))
 
 
 def _glorot(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
@@ -210,8 +209,8 @@ def _multi_head_attention(x_query: Tensor, keys_t: Tensor, values: Tensor, prefi
     Returns the output rows and the weights ``[..., n_heads, L_query, L_key]``.
     """
     q = _heads(x_query, f"{prefix}.wq", params, config)
-    weights = T.softmax((q @ keys_t) / math.sqrt(q.data.shape[-1]), mask)
-    return T.merge_heads(weights @ values) @ params[f"{prefix}.wo"], weights.data
+    out, weights = T.attention(q, keys_t, values, mask, 1.0 / math.sqrt(q.data.shape[-1]))
+    return T.merge_heads(out) @ params[f"{prefix}.wo"], weights
 
 
 @functools.lru_cache(maxsize=None)
@@ -226,7 +225,8 @@ def _embed_with_positions(ids: np.ndarray, params: ParamStore, config: ModelConf
     """Scaled embeddings plus the position rows ``start`` onwards."""
     x = T.embed_rows(params["embed"], ids) * math.sqrt(config.d_model)
     rows = max(config.max_source_len, config.max_target_len)
-    return x + Tensor(_position_table(rows, config.d_model)[start:start + ids.shape[-1]])
+    positions = _position_table(rows, config.d_model)[start:start + ids.shape[-1]]
+    return x + Tensor(positions, _check=False)   # read-only rows; a NaN shows in the output
 
 
 def _ffn(x: Tensor, prefix: str, params: ParamStore) -> Tensor:
@@ -324,35 +324,30 @@ def _as_rows(x) -> tuple[Tensor, bool]:
 def copy_attention(states, stack: EncoderStack, params: ParamStore) -> Tensor:
     """Copy attention over source positions, one row per decoder state.
 
-    Each encoder layer contributes a masked scaled dot-product attention
-    view; the views are mixed by a softmax-constrained weight vector, so
-    every row is itself a probability distribution.
+    Each encoder layer contributes a masked attention view (one op reads
+    the stacked keys of all layers); the views are mixed by a simplex
+    weight vector, so every row is itself a probability distribution.
     """
     if not stack.layers:
         raise ValueError("encoder stack is empty")
     s, one_dim = _as_rows(states)
-    dk = params["copy.w_s"].data.shape[1]
-    q = s @ params["copy.w_s"]
-    weights = stack.cached("copy.layer_weights",
-                           lambda: _layer_weight_cells(params, len(stack.layers)))
-    key_mask = stack.pad_mask[..., None, :]
-    alpha: Tensor | None = None
-    for i, (layer_out, weight) in enumerate(zip(stack.layers, weights)):
-        keys_t = stack.cached(f"copy.w_h{i}", lambda: (layer_out @ params[f"copy.w_h{i}"]).T)
-        term = T.softmax((q @ keys_t) / math.sqrt(dk), key_mask) * weight
-        alpha = term if alpha is None else alpha + term
+    keys_t = stack.cached("copy.keys", lambda: _copy_keys(stack, params))
+    views, _ = T.attention(s @ params["copy.w_s"], keys_t, None, stack.pad_mask[..., None, :],
+                           1.0 / math.sqrt(keys_t.data.shape[-2]))
+    alpha = T.contract_first(stack.cached("copy.layer_weights",
+                                          lambda: layer_weights(params)), views)
     return T.reshape(alpha, (stack.source_len,)) if one_dim else alpha
+
+
+def _copy_keys(stack: EncoderStack, params: ParamStore) -> Tensor:
+    """Every encoder layer's copy keys, transposed: ``[n_layers, ..., dk, L]``."""
+    keys = [(layer @ params[f"copy.w_h{i}"]).T for i, layer in enumerate(stack.layers)]
+    return T.concat([T.reshape(k, (1,) + k.data.shape) for k in keys], axis=0)
 
 
 def layer_weights(params: ParamStore) -> Tensor:
     """Simplex weights over encoder layers (softmax of the raw scores)."""
     return T.softmax(params["copy.a_raw"])
-
-
-def _layer_weight_cells(params: ParamStore, n_layers: int) -> list[Tensor]:
-    """Each encoder layer's weight as a ``[1, 1]`` tensor."""
-    row = T.reshape(layer_weights(params), (1, n_layers))
-    return [T.slice_cols(row, i, i + 1) for i in range(n_layers)]
 
 
 def scatter_copy(alpha, source_ext_ids, extended_size: int) -> Tensor:
@@ -395,13 +390,10 @@ def mix(p_gen, p_vocab, p_copy) -> Tensor:
     pv, pv_1d = _as_rows(p_vocab)
     pc, _ = _as_rows(p_copy)
     pg = T.as_tensor(p_gen)
-    if pg.data.ndim == 0:
-        pg = T.reshape(pg, (1, 1))
-    elif pg.data.ndim == 1:
-        pg = T.reshape(pg, (pg.data.shape[0], 1))
-    n_vocab = pv.data.shape[-1]
+    if pg.data.ndim < 2:
+        pg = T.reshape(pg, (-1, 1))
     n_ext = pc.data.shape[-1]
-    if n_ext < n_vocab:
+    if n_ext < pv.data.shape[-1]:
         raise ValueError("extended size smaller than vocabulary size")
     out = pg * T.pad_cols(pv, n_ext) + (1.0 - pg) * pc
     return T.reshape(out, (n_ext,)) if pv_1d else out

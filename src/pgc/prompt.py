@@ -139,9 +139,7 @@ class TokenVocab:
     def build(cls, token_lists: Iterable[Iterable[str]], max_size: int) -> "TokenVocab":
         if max_size <= len(SPECIAL_TOKENS):
             raise ValueError(f"max_size must exceed {len(SPECIAL_TOKENS)}")
-        counts = Counter()
-        for tokens in token_lists:
-            counts.update(tokens)
+        counts = Counter(t for tokens in token_lists for t in tokens)
         ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
         budget = max_size - len(SPECIAL_TOKENS)
         return cls(word for word, _ in ranked[:budget])
@@ -180,13 +178,7 @@ class TokenVocab:
         return [i if i < self.size else UNK for i in extended_ids]
 
     def decode_extended(self, ids: Iterable[int], source_oov: list[str]) -> list[str]:
-        out = []
-        for i in ids:
-            if i < self.size:
-                out.append(self.tokens[i])
-            else:
-                out.append(source_oov[i - self.size])
-        return out
+        return [self.tokens[i] if i < self.size else source_oov[i - self.size] for i in ids]
 
 
 def _turn_segment(category: str, question: str, rationale: str, answer: str | None) -> str:
@@ -220,9 +212,7 @@ def build_prompt(example: DialogueExample, version: PromptVersion,
         text = " ".join(segments)
 
     tokens = tokenizer(text)
-    if token_vocab is None:
-        token_vocab = TokenVocab.empty()
-    ids, oov = token_vocab.encode_source(tokens)
+    ids, oov = (token_vocab or TokenVocab.empty()).encode_source(tokens)
     return PromptedExample(
         source_text=text,
         target_text=example.turn.answer,

@@ -2,22 +2,22 @@
 
 Covers exactly what the encoder-decoder and its copy head need: linear
 maps (against one shared matrix, or stacked with one matrix per leading
-index), masked softmax over the last axis, head split/merge, elementwise
-nonlinearities, layer normalisation, gather/scatter for embeddings and
-copy distributions, the sequence negative log-likelihood, gradient
-checking, and a bias-corrected Adam step.  Every op takes any number of
-leading axes (a mini-batch, attention heads, or both).  Everything runs
-in float64 so analytic gradients can be validated against central
-finite differences.
+index), softmax, masked attention as one op, a weighted sum over a
+leading axis, head split/merge, elementwise nonlinearities, layer
+normalisation, gather/scatter for embeddings and copy distributions,
+the sequence negative log-likelihood, gradient checking, and a
+bias-corrected Adam step.  Every op takes any number of leading axes (a
+mini-batch, attention heads, or both).  Everything runs in float64 so
+analytic gradients can be validated against central finite differences.
 
 Each op's backward closure holds its inputs but not its output, so a
 graph has no reference cycles and is freed as soon as its last handle
 goes.  Inside ``no_grad()`` ops record no inputs and no closure at all.
 
-Values are checked for NaN/inf where they enter: a public ``Tensor(...)``
-rejects them.  Op results are not scanned; the model checks its output
-distributions once per forward pass and training checks the loss and
-the gradients once per step.
+NaN/inf is rejected where values enter: by a public ``Tensor(...)``, and
+by ``add``/``mul`` for a Python number, which stays a plain float.  Op
+results are not scanned; the model checks its output distributions once
+per forward pass and training checks the loss and gradients each step.
 """
 
 from __future__ import annotations
@@ -71,10 +71,6 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = _parents
         self._backward: Callable[[np.ndarray], None] | None = _backward
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
 
     def item(self) -> float:
         return self.data.item()
@@ -132,13 +128,10 @@ class Tensor:
         return mul(self, -1.0)
 
     def __sub__(self, other):
-        return add(self, -as_tensor(other))
+        return add(self, -other)
 
     def __rsub__(self, other):
-        return add(as_tensor(other), -self)
-
-    def __truediv__(self, scalar):
-        return mul(self, 1.0 / float(scalar))
+        return add(-self, other)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -158,9 +151,7 @@ def as_tensor(x) -> Tensor:
 def _result(data, parents: tuple[Tensor, ...], backward) -> Tensor:
     """An op's output, not scanned for NaN/inf: a graph node, or a plain
     value inside ``no_grad``."""
-    if _recording:
-        return Tensor(data, parents, backward, False)
-    return Tensor(data, (), None, False)
+    return Tensor(data, parents, backward, False) if _recording else Tensor(data, (), None, False)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -174,8 +165,21 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _operands(a, b) -> tuple[Tensor, Tensor | float]:
+    """A commutative op's operands, Tensor first; a Python number stays a float."""
+    if isinstance(a, (int, float)):
+        a, b = b, a
+    if not isinstance(b, (int, float)):
+        return as_tensor(a), as_tensor(b)
+    if not math.isfinite(b):
+        raise ValueError("non-finite values entering the computation graph")
+    return as_tensor(a), float(b)
+
+
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
+    if isinstance(b, float):
+        return _result(a.data + b, (a,), a.accumulate_grad)
 
     def backward(g):
         a.accumulate_grad(_unbroadcast(g, a.data.shape))
@@ -185,7 +189,9 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
+    if isinstance(b, float):
+        return _result(a.data * b, (a,), lambda g: a.accumulate_grad(g * b))
 
     def backward(g):
         a.accumulate_grad(_unbroadcast(g * b.data, a.data.shape))
@@ -298,46 +304,78 @@ def sigmoid(a) -> Tensor:
     return _result(y, (a,), backward)
 
 
-def softmax(x, mask=None) -> Tensor:
-    """Softmax over the last axis with max-subtraction; masked entries are
-    exactly 0.
-
-    ``mask`` is boolean with ``x``'s shape (or broadcastable to it);
-    True marks positions excluded from the distribution.  Every row must
-    keep at least one unmasked entry.
-    """
+def softmax(x) -> Tensor:
+    """Softmax over the last axis with max-subtraction."""
     x = as_tensor(x)
-    data = x.data
-    if data.ndim == 0:
+    if x.data.ndim == 0:
         raise ValueError("softmax needs at least one axis")
-    if mask is not None:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), data.shape)
-        if mask.all(axis=-1).any():
-            raise ValueError("softmax row is fully masked")
-        shifted = np.where(mask, -np.inf, data)
-        shifted = shifted - shifted.max(axis=-1, keepdims=True)
-        e = np.where(mask, 0.0, np.exp(np.where(mask, 0.0, shifted)))
-    else:
-        shifted = data - data.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
+    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
     y = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        dx = y * (g - (g * y).sum(axis=-1, keepdims=True))
-        if mask is not None:
-            dx = np.where(mask, 0.0, dx)
-        x.accumulate_grad(dx)
+        x.accumulate_grad(y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
     return _result(y, (x,), backward)
+
+
+def attention(q, keys_t, values=None, mask=None, scale: float = 1.0
+              ) -> tuple[Tensor, np.ndarray]:
+    """``softmax(q @ keys_t * scale, mask) @ values`` as one op; returns it
+    and the weights array.  With ``values=None`` the output is the weights.
+
+    ``q`` is ``[..., R, dk]``, ``keys_t`` ``[..., dk, L]``, ``values``
+    ``[..., L, dv]``; leading axes broadcast, so one ``q`` can read a stack
+    of key sets.  ``mask`` (bool, broadcastable to ``[..., R, L]``) gives
+    True keys weight exactly 0; every row must keep one key.
+    """
+    q, keys_t = as_tensor(q), as_tensor(keys_t)
+    values = None if values is None else as_tensor(values)
+    logits = (q.data @ keys_t.data) * scale
+    if mask is not None:
+        logits = np.where(mask, -np.inf, logits)
+    top = logits.max(axis=-1, keepdims=True)
+    if np.isneginf(top).any():
+        raise ValueError("attention row is fully masked")
+    e = np.exp(logits - top)
+    w = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        if values is not None:
+            values.accumulate_grad(_unbroadcast(_swap_last(w) @ g, values.data.shape))
+            g = g @ _swap_last(values.data)
+        dl = w * (g - (g * w).sum(axis=-1, keepdims=True)) * scale
+        q.accumulate_grad(_unbroadcast(dl @ _swap_last(keys_t.data), q.data.shape))
+        keys_t.accumulate_grad(_unbroadcast(_swap_last(q.data) @ dl, keys_t.data.shape))
+
+    if values is None:
+        return _result(w, (q, keys_t), backward), w
+    return _result(w @ values.data, (q, keys_t, values), backward), w
+
+
+def contract_first(weights, x) -> Tensor:
+    """``sum_i weights[i] * x[i]`` over the first axis of ``x``, in index order."""
+    weights, x = as_tensor(weights), as_tensor(x)
+    if x.data.ndim == 0 or x.data.shape[:1] != weights.data.shape:
+        raise ValueError(f"cannot contract {weights.data.shape} with {x.data.shape}")
+    w = weights.data.reshape((-1,) + (1,) * (x.data.ndim - 1))
+
+    def backward(g):
+        prod = x.data * g
+        if prod.ndim > 3:   # batch axes, then rows: the order a per-slice scalar sums in
+            prod = prod.reshape(len(w), -1, *prod.shape[-2:]).sum(axis=1)
+        weights.accumulate_grad(prod.reshape(len(w), -1).sum(axis=1))
+        x.accumulate_grad(w * g)
+
+    return _result((w * x.data).sum(axis=0), (weights, x), backward)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Per-row normalisation with learnable gain and bias."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    n = x.data.shape[-1]
+    centred = x.data - x.data.sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt((centred * centred).sum(axis=-1, keepdims=True) / n + eps)
+    xhat = centred * inv
 
     def backward(g):
         dxhat = g * gain.data
@@ -362,17 +400,6 @@ def concat(parts: Iterable[Tensor], axis: int = -1) -> Tensor:
 
     return _result(np.concatenate([p.data for p in parts], axis=axis), tuple(parts),
                    backward)
-
-
-def slice_cols(x, lo: int, hi: int) -> Tensor:
-    x = as_tensor(x)
-
-    def backward(g):
-        full = np.zeros_like(x.data)
-        full[:, lo:hi] = g
-        x.accumulate_grad(full)
-
-    return _result(x.data[:, lo:hi], (x,), backward)
 
 
 def pad_cols(x, n_cols: int) -> Tensor:
@@ -513,9 +540,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def names(self) -> list[str]:
         return list(self._params)
 
@@ -578,8 +602,7 @@ def grad_check(f: Callable[[ParamStore], Tensor], store: ParamStore,
     store.zero_grad()
     f(store).backward()
     analytic = {name: store.gradient(name).copy() for name in store.names()}
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = rng or np.random.default_rng(0)
     worst = 0.0
     for name, param in store.items():
         size = param.data.size

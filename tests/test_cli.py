@@ -126,6 +126,29 @@ class TestTrainPredictEval:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_predict_names_skipped_examples(self, trained, tmp_path, capsys):
+        data, ckpt = trained
+        long_record = json.loads(data.read_text().splitlines()[0])
+        long_record["story_id"] = "long-001"
+        long_record["turn"]["rationale"] = " ".join(["w001"] * 30)   # max_source_len 24
+        with_long = tmp_path / "with-long.jsonl"
+        with_long.write_text(data.read_text() + json.dumps(long_record) + "\n")
+        preds = tmp_path / "preds.jsonl"
+        assert cli.run(["predict", "--input", str(with_long), "--checkpoint", str(ckpt),
+                        "--output", str(preds)]) == 0
+        assert "skipped 1 over-length examples" in capsys.readouterr().err
+        sidecar = json.loads((tmp_path / "preds.jsonl.run.json").read_text())
+        assert sidecar["skipped_over_length"] == [["long-001", 1]]
+        assert "long-001" not in preds.read_text()
+
+        plain = tmp_path / "plain.jsonl"
+        assert cli.run(["predict", "--input", str(data), "--checkpoint", str(ckpt),
+                        "--output", str(plain)]) == 0
+        plain_sidecar = json.loads((tmp_path / "plain.jsonl.run.json").read_text())
+        assert set(plain_sidecar) == {f.name for f in fields(RunConfig)}
+        del sidecar["skipped_over_length"]
+        assert plain_sidecar == sidecar
+
     def test_resume_flag_continues_training(self, trained, tmp_path, capsys):
         data, ckpt = trained
         resumed = tmp_path / "resumed.json"

@@ -100,6 +100,23 @@ def plain_attention(state, hidden, w_s, w_h, pad_mask):
     return e / e.sum()
 
 
+def per_layer_copy_attention(states, stack, params):
+    """The copy head as a loop over encoder layers from separate ops: one
+    masked softmax per layer (a masked key gets a -1e30 logit), weighted
+    by that layer's entry of ``layer_weights`` and summed in layer order."""
+    n = len(stack.layers)
+    q = states @ params["copy.w_s"]
+    weights = T.reshape(M.layer_weights(params), (1, n))
+    bias = Tensor(np.where(stack.pad_mask[..., None, :], -1e30, 0.0))
+    alpha = None
+    for i, layer in enumerate(stack.layers):
+        keys_t = (layer @ params[f"copy.w_h{i}"]).T
+        logits = (q @ keys_t) * (1.0 / math.sqrt(keys_t.data.shape[-2])) + bias
+        term = T.softmax(logits) * T.reshape(T.pick_cols(weights, [i]), (1, 1))
+        alpha = term if alpha is None else alpha + term
+    return alpha
+
+
 class TestCopyAttention:
     def test_single_layer_reduces_to_plain_attention(self):
         rng = np.random.default_rng(0)
@@ -154,6 +171,41 @@ class TestCopyAttention:
             w = M.layer_weights(store).data
             assert np.all(w >= 0)
             assert abs(w.sum() - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3, 4])
+    def test_stacked_head_matches_the_per_layer_sum(self, n_layers):
+        """One attention op over the stacked keys and one contraction give
+        the per-layer loop's rows within 1e-12 relative, and gradients
+        within 1e-12 of the largest; only the order of the sum over
+        layers may differ."""
+        rng = np.random.default_rng(20 + n_layers)
+        d, dk, batch, rows, length = 6, 3, 3, 2, 5
+        pad_mask = np.zeros((batch, length), dtype=bool)
+        pad_mask[1, 3:] = pad_mask[2, 4] = True
+        upstream = rng.normal(size=(batch, rows, length))
+        arrays = {"copy.w_s": rng.normal(size=(d, dk)), "copy.a_raw": rng.normal(size=n_layers),
+                  **{f"copy.w_h{i}": rng.normal(size=(d, dk)) for i in range(n_layers)}}
+        hidden = rng.normal(size=(n_layers, batch, length, d))
+        states = rng.normal(size=(batch, rows, d))
+        results = []
+        for head in (M.copy_attention, per_layer_copy_attention):
+            store = ParamStore()
+            for name, a in arrays.items():
+                store.add(name, a)
+            stack = EncoderStack(layers=[Tensor(h) for h in hidden], attn_maps=[],
+                                 pad_mask=pad_mask, source_ext_ids=np.full((batch, length), 4),
+                                 extended_size=5)
+            s = Tensor(states)
+            alpha = head(s, stack, store)
+            T.weighted_sum(alpha, upstream).backward()
+            grads = [store.gradient(name) for name in arrays] + [s.grad]
+            results.append((alpha.data, grads + [layer.grad for layer in stack.layers]))
+        (got, got_grads), (want, want_grads) = results
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.all(got[pad_mask[:, None, :].repeat(rows, axis=1)] == 0.0)
+        scale = max(np.max(np.abs(g)) for g in want_grads)
+        for a, b in zip(got_grads, want_grads):
+            assert np.max(np.abs(a - b)) <= 1e-12 * scale
 
     def test_empty_stack_rejected(self, small_params):
         empty = EncoderStack(layers=[], attn_maps=[], pad_mask=np.zeros(0, bool),
@@ -448,12 +500,37 @@ class TestGreedyDecode:
         params = M.init_params(small_config, seed=0)
         params["gate.b"].data[:] = 1e9
         params["out.b_v"].data[EOS] = -1e4      # never stops early
-        calls = []
-        original = M.layer_weights
+        calls, key_stacks = [], []
+        original, original_keys = M.layer_weights, M._copy_keys
         monkeypatch.setattr(M, "layer_weights", lambda p: calls.append(1) or original(p))
+        monkeypatch.setattr(M, "_copy_keys",
+                            lambda *args: key_stacks.append(1) or original_keys(*args))
         out = M.greedy_decode(make_prompted([4, 5, 6]), params, small_config)
         assert len(out) == small_config.max_target_len
-        assert len(calls) == 1
+        assert len(calls) == 1 and len(key_stacks) == 1
+
+    def test_cached_step_builds_few_tensors_and_scans_none(self, monkeypatch):
+        """One cached greedy step of a 2-encoder-layer model, counted by
+        wrapping ``Tensor.__init__`` as the benchmark tracer does."""
+        config = ModelConfig(n_enc_layers=2, n_dec_layers=1, d_model=32, n_heads=2,
+                             vocab_size=64, max_source_len=24, max_target_len=14)
+        params = M.init_params(config, seed=0)
+        built, scanned = [], []
+        init = Tensor.__init__
+
+        def counting_init(obj, data, _parents=(), _backward=None, _check=True):
+            built.append(1)
+            scanned.extend([1] if _check else [])
+            init(obj, data, _parents, _backward, _check)
+
+        with T.no_grad():
+            stack = M.encode([[5, 6, 7, 70, 8, 9]], params, config)
+            cache = M.DecoderCache()
+            M.forward_distributions([[BOS]], stack, params, config, cache)
+            monkeypatch.setattr(Tensor, "__init__", counting_init)
+            M.forward_distributions([[9]], stack, params, config, cache)
+        assert 0 < len(built) <= 56
+        assert scanned == []
 
     def test_stops_at_eos(self, small_config):
         params = M.init_params(small_config, seed=0)

@@ -84,6 +84,8 @@ class TestHeads:
 
 
 class TestSoftmax:
+    """Softmax, and the masked softmax that is the attention op's weights."""
+
     def test_symmetry(self):
         out = T.softmax(Tensor([0.0, 0.0]))
         assert np.allclose(out.data, [0.5, 0.5], atol=1e-12)
@@ -95,23 +97,28 @@ class TestSoftmax:
         assert out.data[1] < 1e-6
 
     def test_masked_row_by_hand(self):
-        out = T.softmax(Tensor([1.0, 2.0, 3.0]), mask=np.array([False, False, True]))
+        out, _ = T.attention(Tensor([[1.0]]), Tensor([[1.0, 2.0, 3.0]]), None,
+                             np.array([False, False, True]))
         e = math.e
-        assert np.allclose(out.data, [1 / (1 + e), e / (1 + e), 0.0], atol=1e-12)
-        assert out.data[2] == 0.0
+        assert np.allclose(out.data[0], [1 / (1 + e), e / (1 + e), 0.0], atol=1e-12)
+        assert out.data[0, 2] == 0.0
 
     def test_fully_masked_row_rejected(self):
-        with pytest.raises(ValueError):
-            T.softmax(Tensor([1.0, 2.0]), mask=np.array([True, True]))
+        with pytest.raises(ValueError, match="fully masked"):
+            T.attention(Tensor([[1.0]]), Tensor([[1.0, 2.0]]), None, np.array([True, True]))
 
     def test_last_axis_of_a_stack(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(3, 2, 5))
         mask = np.zeros((2, 5), dtype=bool)
         mask[0, 3:] = True
-        out = T.softmax(Tensor(x), mask).data
+        eye = Tensor(np.eye(5))      # x @ I = x: the weights are the masked softmax of x
+        out = T.attention(Tensor(x), eye, None, mask)[1]
         for h in range(3):
-            assert np.allclose(out[h], T.softmax(Tensor(x[h]), mask).data, atol=1e-15)
+            assert np.allclose(out[h], T.attention(Tensor(x[h]), eye, None, mask)[1],
+                               atol=1e-15)
+            assert np.allclose(T.softmax(Tensor(x)).data[h], T.softmax(Tensor(x[h])).data,
+                               atol=1e-15)
         assert np.all(out[:, 0, 3:] == 0.0)
 
     def test_rows_sum_to_one_and_shift_invariant(self):
@@ -123,6 +130,180 @@ class TestSoftmax:
             assert np.all(out.data >= 0)
             shifted = T.softmax(Tensor(x + 13.7))
             assert np.allclose(out.data, shifted.data, atol=1e-12)
+
+
+def composed_attention(q, keys_t, values, mask, scale):
+    """The chain the attention op replaces, built from separate ops.  A
+    masked key gets a -1e30 logit, whose exponential is exactly 0."""
+    logits = (q @ keys_t) * scale
+    if mask is not None:
+        logits = logits + Tensor(np.where(mask, -1e30, 0.0))
+    weights = T.softmax(logits)
+    return weights if values is None else weights @ values
+
+
+def attention_case(name, rng):
+    """(q, keys_t, values or None, mask) arrays for one shape of use."""
+    if name == "self_causal":        # decoder self-attention: 2 heads, 3 steps
+        q, k, v = rng.normal(size=(2, 3, 2)), rng.normal(size=(2, 2, 3)), rng.normal(size=(2, 3, 2))
+        return q, k, v, np.triu(np.ones((3, 3), dtype=bool), k=1)
+    pad = np.array([[False] * 4, [False, False, True, True]])
+    if name == "cross_padded":       # a padded batch of 2, 2 heads, 3 queries, 4 keys
+        q, k, v = (rng.normal(size=(2, 2, 3, 2)), rng.normal(size=(2, 2, 2, 4)),
+                   rng.normal(size=(2, 2, 4, 3)))
+        return q, k, v, pad[:, None, None, :]
+    # copy views: one q [B, R, dk] against a stack of 3 key sets [3, B, dk, L]
+    return rng.normal(size=(2, 3, 2)), rng.normal(size=(3, 2, 2, 4)), None, pad[:, None, :]
+
+
+ATTENTION_CASES = ["self_causal", "cross_padded", "views"]
+
+
+class TestAttention:
+    @pytest.mark.parametrize("case", ATTENTION_CASES)
+    def test_matches_composed_ops(self, case):
+        """The value form is bit-identical to the composed chain, output and
+        gradients; the weights-only form over a stack of key sets matches
+        one composed softmax per key set within 1e-12."""
+        rng = np.random.default_rng(11)
+        q, k, v, mask = attention_case(case, rng)
+        scale = 1.0 / math.sqrt(q.shape[-1])
+        fused = [Tensor(a) for a in (q, k, v) if a is not None]
+        out, weights = T.attention(*fused[:2], fused[2] if v is not None else None, mask, scale)
+        composed = [Tensor(a) for a in (q, k, v) if a is not None]
+        if v is not None:
+            want = composed_attention(*composed[:2], composed[2], mask, scale)
+        else:   # one view per key set; q's gradient is the sum over them
+            key_sets = [Tensor(keys) for keys in k]
+            views = [composed_attention(composed[0], keys, None, mask, scale)
+                     for keys in key_sets]
+            want = T.concat([T.reshape(view, (1,) + view.data.shape) for view in views], axis=0)
+        assert np.all(weights[np.broadcast_to(mask, weights.shape)] == 0.0)
+        upstream = rng.normal(size=out.data.shape)
+        T.weighted_sum(out, upstream).backward()
+        T.weighted_sum(want, upstream).backward()
+        if v is not None:
+            assert np.array_equal(out.data, want.data)
+            for a, b in zip(fused, composed):
+                assert np.array_equal(a.grad, b.grad)
+        else:
+            assert np.max(np.abs(out.data - want.data)) < 1e-12
+            assert np.max(np.abs(fused[0].grad - composed[0].grad)) < 1e-12
+            key_grads = np.stack([keys.grad for keys in key_sets])
+            assert np.max(np.abs(fused[1].grad - key_grads)) < 1e-12
+
+    @pytest.mark.parametrize("case", ATTENTION_CASES)
+    def test_gradient_check(self, case):
+        rng = np.random.default_rng(12)
+        arrays = attention_case(case, rng)
+        mask = arrays[3]
+        store = ParamStore()
+        for name, a in zip("qkv", arrays[:3]):
+            if a is not None:
+                store.add(name, a)
+        upstream = rng.normal(size=T.attention(*arrays[:3], mask)[0].data.shape)
+
+        def f(s):
+            out, _ = T.attention(s["q"], s["k"], s["v"] if "v" in s.names() else None,
+                                 mask, 0.7)
+            return T.weighted_sum(T.sigmoid(out * 3.0), upstream)
+
+        assert T.grad_check(f, store) < 1e-4
+
+    def test_fully_masked_row_in_a_batch_rejected(self):
+        q, k, v, mask = attention_case("cross_padded", np.random.default_rng(13))
+        mask = mask.copy()
+        mask[1] = True
+        with pytest.raises(ValueError, match="fully masked"):
+            T.attention(Tensor(q), Tensor(k), Tensor(v), mask)
+
+
+class TestContractFirst:
+    def test_matches_an_in_order_loop(self):
+        rng = np.random.default_rng(14)
+        for n in (1, 2, 3, 5):
+            w, x = rng.dirichlet(np.ones(n)), rng.normal(size=(n, 2, 3, 4))
+            want = w[0] * x[0]
+            for i in range(1, n):
+                want = want + w[i] * x[i]
+            assert np.array_equal(T.contract_first(Tensor(w), Tensor(x)).data, want)
+
+    def test_gradient_check(self):
+        rng = np.random.default_rng(15)
+        store = ParamStore()
+        store.add("w", rng.normal(size=3))
+        store.add("x", rng.normal(size=(3, 2, 4)))
+
+        def f(s):
+            mixed = T.contract_first(T.softmax(s["w"]), s["x"])
+            return T.sequence_nll(T.softmax(mixed), [0, 3])
+
+        assert T.grad_check(f, store) < 1e-6
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            T.contract_first(Tensor(np.ones(2)), Tensor(np.ones((3, 4))))
+        with pytest.raises(ValueError):
+            T.contract_first(Tensor(np.ones((2, 1))), Tensor(np.ones((2, 4))))
+
+
+def two_pass_layer_norm(x, gain, bias, g, eps=1e-5):
+    """The former formula (mean and variance each taking the mean), with its
+    gradients for an upstream gradient ``g``: (out, dx, dgain, dbias)."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    dxhat = g * gain
+    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    axes = tuple(range(g.ndim - 1))
+    return xhat * gain + bias, dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+
+class TestLayerNorm:
+    def test_single_pass_is_byte_equal_to_the_two_pass_formula(self):
+        rng = np.random.default_rng(16)
+        for _ in range(30):
+            shape = (int(rng.integers(1, 5)), int(rng.integers(1, 9)), int(rng.integers(2, 17)))
+            x, gain, bias = (Tensor(rng.normal(size=shape) * rng.uniform(0.1, 10)),
+                             Tensor(rng.normal(size=shape[-1])), Tensor(rng.normal(size=shape[-1])))
+            g = rng.normal(size=shape)
+            out = T.layer_norm(x, gain, bias)
+            T.weighted_sum(out, g).backward()
+            want = two_pass_layer_norm(x.data, gain.data, bias.data, g)
+            for got, expected in zip((out.data, x.grad, gain.grad, bias.grad), want):
+                assert got.tobytes() == expected.tobytes()
+
+
+class TestScalarOperands:
+    def test_numbers_stay_plain_floats(self, monkeypatch):
+        """An op with a number builds one Tensor, its unscanned result
+        (``1.0 - x`` is two ops: ``-x``, then ``+ 1.0``)."""
+        scans = []
+        init = Tensor.__init__
+
+        def counting_init(obj, data, _parents=(), _backward=None, _check=True):
+            scans.append(_check)
+            init(obj, data, _parents, _backward, _check)
+
+        x = Tensor([1.0, -2.0])
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        outs = [x * 2.0, 3.0 * x, x + 1.5, 0.5 + x, x - 0.25, 1.0 - x]
+        assert scans == [False] * 7
+        assert all(out._parents == (x,) for out in outs[:5])
+        assert np.array_equal(np.stack([out.data for out in outs]),
+                              [[2, -4], [3, -6], [2.5, -0.5], [1.5, -1.5], [0.75, -2.25],
+                               [0, 3]])
+        T.vmean(outs[0] + outs[1] + outs[2] + outs[3] + outs[4] + outs[5]).backward()
+        assert np.array_equal(x.grad, np.full(2, (2 + 3 + 1 + 1 + 1 - 1) / 2))
+
+    def test_non_finite_number_rejected(self):
+        x = Tensor([1.0])
+        for op in (lambda: x + float("nan"), lambda: float("inf") * x,
+                   lambda: x - float("inf"), lambda: float("-inf") + x):
+            with pytest.raises(ValueError, match="non-finite"):
+                op()
 
 
 class TestSigmoid:
@@ -251,7 +432,7 @@ class TestGradCheck:
             elif op == "merge_heads":
                 out = T.merge_heads(y) @ x.T                             # [3, 3]
             else:
-                out = T.merge_heads(T.softmax(y @ y.T, causal))          # [3, 6]
+                out = T.merge_heads(T.attention(y, y.T, None, causal)[0])  # [3, 6]
             return T.sequence_nll(T.softmax(out), [0, 1, 2])
 
         assert T.grad_check(f, store) < 1e-6
