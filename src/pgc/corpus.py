@@ -136,10 +136,13 @@ def _require(condition: bool, message: str) -> None:
         raise CorpusError(message)
 
 
-def _build_turn(question: dict, answer: dict, story_id: str) -> ConversationTurn:
-    _require(question.get("turn_id") == answer.get("turn_id"),
-             f"story {story_id}: question/answer turn_id mismatch "
-             f"({question.get('turn_id')} vs {answer.get('turn_id')})")
+def _build_turn(question, answer) -> ConversationTurn:
+    _require(isinstance(question, dict) and isinstance(answer, dict),
+             "a question or answer is not an object")
+    _require("turn_id" in question, "a question lacks turn_id")
+    _require(question["turn_id"] == answer.get("turn_id"),
+             f"question/answer turn_id mismatch "
+             f"({question['turn_id']} vs {answer.get('turn_id')})")
     span_start = int(answer.get("span_start", -1))
     rationale = str(answer.get("span_text", ""))
     if span_start == -1:
@@ -155,35 +158,50 @@ def _build_turn(question: dict, answer: dict, story_id: str) -> ConversationTurn
     )
 
 
-def ingest(path: str | Path) -> list[DialogueExample]:
-    """Read a CoQA-format JSON file into per-turn examples with history."""
-    raw = Path(path).read_text(encoding="utf-8")
+def _per_story(path: str | Path, read_story) -> list:
+    """``read_story(story_id, entry)``'s items for every story of a
+    CoQA-format JSON file, in file order.  A malformed field is a
+    ``CorpusError`` naming the file and the story."""
     try:
-        payload = json.loads(raw)
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise CorpusError(f"{path}: malformed JSON at byte offset {err.pos}: {err.msg}") from err
     _require(isinstance(payload, dict) and isinstance(payload.get("data"), list),
              f"{path}: expected a top-level 'data' array")
+    items = []
+    for index, entry in enumerate(payload["data"]):
+        _require(isinstance(entry, dict), f"{path}: data entry {index} is not an object")
+        story_id = str(entry.get("id", ""))
+        try:
+            items += read_story(story_id, entry)
+        except (TypeError, ValueError) as err:   # CorpusError is a ValueError
+            raise CorpusError(f"{path}: story {story_id}: {err}") from err
+    return items
 
-    examples: list[DialogueExample] = []
-    for item in payload["data"]:
-        story_id = str(item.get("id", ""))
-        _require("questions" in item and "answers" in item,
-                 f"story {story_id}: missing questions or answers")
-        questions, answers = item["questions"], item["answers"]
-        _require(len(questions) == len(answers),
-                 f"story {story_id}: {len(questions)} questions vs {len(answers)} answers")
-        turns: list[ConversationTurn] = []
-        for question, answer in zip(questions, answers):
-            turns.append(_build_turn(question, answer, story_id))
-        for i, turn in enumerate(turns):
-            examples.append(DialogueExample(
-                story_id=story_id,
-                turn=turn,
-                history=tuple(turns[:i]),
-                answer_class=classify_answer(turn.answer, turn.rationale),
-            ))
-    return examples
+
+def _story_examples(story_id: str, entry: dict) -> list[DialogueExample]:
+    _require("questions" in entry and "answers" in entry, "missing questions or answers")
+    questions, answers = entry["questions"], entry["answers"]
+    _require(len(questions) == len(answers),
+             f"{len(questions)} questions vs {len(answers)} answers")
+    turns = [_build_turn(question, answer) for question, answer in zip(questions, answers)]
+    return [DialogueExample(story_id=story_id, turn=turn, history=tuple(turns[:i]),
+                            answer_class=classify_answer(turn.answer, turn.rationale))
+            for i, turn in enumerate(turns)]
+
+
+def ingest(path: str | Path) -> list[DialogueExample]:
+    """Read a CoQA-format JSON file into per-turn examples with history."""
+    return _per_story(path, _story_examples)
+
+
+def _story_additional_answers(story_id: str, entry: dict) -> list:
+    extra = entry.get("additional_answers") or {}
+    _require(isinstance(extra, dict), "additional_answers is not an object")
+    answers = [answer for answer_set in extra.values() for answer in answer_set]
+    _require(all(isinstance(a, dict) and "turn_id" in a for a in answers),
+             "an additional answer lacks turn_id")
+    return [((story_id, int(a["turn_id"])), str(a.get("input_text", ""))) for a in answers]
 
 
 def load_additional_answers(path: str | Path) -> dict[tuple[str, int], list[str]]:
@@ -192,14 +210,9 @@ def load_additional_answers(path: str | Path) -> dict[tuple[str, int], list[str]
     These never enter the example store; they are extra references for
     multi-reference scoring only.
     """
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
     refs: dict[tuple[str, int], list[str]] = {}
-    for item in payload.get("data", []):
-        story_id = str(item.get("id", ""))
-        for answer_set in (item.get("additional_answers") or {}).values():
-            for answer in answer_set:
-                key = (story_id, int(answer["turn_id"]))
-                refs.setdefault(key, []).append(str(answer.get("input_text", "")))
+    for key, text in _per_story(path, _story_additional_answers):
+        refs.setdefault(key, []).append(text)
     return refs
 
 

@@ -12,9 +12,11 @@ top of the final decoder state sit four pieces:
     the copy-weighted context vector and the decoder state;
   * a vocabulary softmax, mixed with the copy distribution by the gate.
 
-Training and inference share one forward pass.  Every function takes
-one example or a padded mini-batch of them on a leading axis; training
-passes a whole batch at once, and greedy decoding is the batch of one.
+Training and inference share one forward pass.  ``encode`` and
+``forward_distributions`` take one id list or a padded mini-batch of
+them; every other function takes Tensor rows ``[..., R, width]``, one
+per position.  Training passes a whole batch at once, and greedy
+decoding is the batch of one.
 Inference is greedy (ties go to the lowest id) and incremental: it runs
 without a graph, computes the encoder-side projections and the
 parameter-only values once per source and feeds the decoder one new
@@ -76,10 +78,11 @@ class EncoderStack:
     among them; the columns past an example's own size stay zero.
 
     ``cached`` keeps what depends only on the source and the parameters
-    (all copy keys as one stack, the cross-attention keys and values, the
-    layer weights, the gate's weight columns), so a stack computes each
-    once however many decoder passes read it.  A stack is valid for the
-    parameter values it was encoded with.
+    (the copy key rows of all layers as one ``[n_enc_layers, ..., L, dk]``
+    stack, the cross-attention key and value rows, the layer weights, the
+    gate's weight columns), so a stack computes each once however many
+    decoder passes read it.  It is valid for the parameters it was
+    encoded with.
     """
     layers: list[Tensor]                  # each [..., source_len, d_model]
     attn_maps: list[np.ndarray]           # per layer [..., n_heads, L, L]
@@ -102,26 +105,22 @@ class EncoderStack:
 
 @dataclass
 class DecoderCache:
-    """Decoder self-attention keys and values of the positions decoded so
-    far, per layer: keys transposed, ``[..., n_heads, head_dim, length]``,
-    values ``[..., n_heads, length, head_dim]``."""
-    keys_t: list[Tensor] = field(default_factory=list)
-    values: list[Tensor] = field(default_factory=list)
+    """Per layer, the self-attention ``(keys, values)`` rows ``[..., length,
+    d_model]`` of the positions decoded so far."""
+    layers: list[tuple[Tensor, Tensor]] = field(default_factory=list)
 
     @property
     def length(self) -> int:
-        return self.values[0].data.shape[-2] if self.values else 0
+        return self.layers[0][0].data.shape[-2] if self.layers else 0
 
-    def extend(self, layer: int, keys_t: Tensor, values: Tensor) -> tuple[Tensor, Tensor]:
+    def extend(self, layer: int, keys: Tensor, values: Tensor) -> tuple[Tensor, Tensor]:
         """Append new positions to ``layer``'s keys and values; returns all of them."""
-        if layer < len(self.values):
-            keys_t = T.concat([self.keys_t[layer], keys_t], axis=-1)
-            values = T.concat([self.values[layer], values], axis=-2)
-            self.keys_t[layer], self.values[layer] = keys_t, values
+        if layer == len(self.layers):
+            self.layers.append((keys, values))
         else:
-            self.keys_t.append(keys_t)
-            self.values.append(values)
-        return keys_t, values
+            self.layers[layer] = tuple(T.concat([old, new], axis=-2)
+                                       for old, new in zip(self.layers[layer], (keys, values)))
+        return self.layers[layer]
 
 
 @dataclass
@@ -189,28 +188,19 @@ def init_params(config: ModelConfig, seed: int = 0) -> ParamStore:
     return store
 
 
-def _heads(x: Tensor, name: str, params: ParamStore, config: ModelConfig) -> Tensor:
-    """``x @ params[name]`` split into heads, ``[..., n_heads, L, head_dim]``."""
-    return T.split_heads(x @ params[name], config.n_heads)
+def _keys_values(x: Tensor, prefix: str, params: ParamStore) -> tuple[Tensor, Tensor]:
+    """Key and value rows of ``x``, each ``[..., L, d_model]``."""
+    return x @ params[f"{prefix}.wk"], x @ params[f"{prefix}.wv"]
 
 
-def _keys_values(x: Tensor, prefix: str, params: ParamStore,
-                 config: ModelConfig) -> tuple[Tensor, Tensor]:
-    """Transposed keys ``[..., n_heads, head_dim, L]`` and values of ``x``."""
-    return (_heads(x, f"{prefix}.wk", params, config).T,
-            _heads(x, f"{prefix}.wv", params, config))
-
-
-def _multi_head_attention(x_query: Tensor, keys_t: Tensor, values: Tensor, prefix: str,
+def _multi_head_attention(x_query: Tensor, keys: Tensor, values: Tensor, prefix: str,
                           params: ParamStore, config: ModelConfig,
                           mask) -> tuple[Tensor, np.ndarray]:
-    """Scaled dot-product attention of every head at once.
-
-    Returns the output rows and the weights ``[..., n_heads, L_query, L_key]``.
-    """
-    q = _heads(x_query, f"{prefix}.wq", params, config)
-    out, weights = T.attention(q, keys_t, values, mask, 1.0 / math.sqrt(q.data.shape[-1]))
-    return T.merge_heads(out) @ params[f"{prefix}.wo"], weights
+    """Attention of every head at once: output rows and the weights
+    ``[..., n_heads, L_query, L_key]``."""
+    out, weights = T.attention(x_query @ params[f"{prefix}.wq"], keys, values, mask,
+                               config.n_heads)
+    return out @ params[f"{prefix}.wo"], weights
 
 
 @functools.lru_cache(maxsize=None)
@@ -258,11 +248,11 @@ def encode(source_ids, params: ParamStore, config: ModelConfig) -> EncoderStack:
         raise ValueError("source is entirely padding")
 
     x = _embed_with_positions(gen_ids, params, config)
-    key_mask = pad_mask[..., None, None, :]
+    key_mask = pad_mask[..., None, :]
     layers, attn_maps = [], []
     for i in range(config.n_enc_layers):
-        keys_t, values = _keys_values(x, f"enc{i}.self", params, config)
-        attn_out, weights = _multi_head_attention(x, keys_t, values, f"enc{i}.self",
+        keys, values = _keys_values(x, f"enc{i}.self", params)
+        attn_out, weights = _multi_head_attention(x, keys, values, f"enc{i}.self",
                                                   params, config, key_mask)
         x = _ln(x + attn_out, f"enc{i}.ln1", params)
         x = _ln(x + _ffn(x, f"enc{i}.ffn", params), f"enc{i}.ln2", params)
@@ -297,31 +287,22 @@ def decoder_states(prefix_ids, stack: EncoderStack, params: ParamStore,
     causal = np.triu(np.ones((n, start + n), dtype=bool), k=start + 1) if n > 1 else None
     x = _embed_with_positions(ids, params, config, start)
     for i in range(config.n_dec_layers):
-        keys_t, values = _keys_values(x, f"dec{i}.self", params, config)
+        keys, values = _keys_values(x, f"dec{i}.self", params)
         if cache is not None:
-            keys_t, values = cache.extend(i, keys_t, values)
-        self_out, _ = _multi_head_attention(x, keys_t, values, f"dec{i}.self",
+            keys, values = cache.extend(i, keys, values)
+        self_out, _ = _multi_head_attention(x, keys, values, f"dec{i}.self",
                                             params, config, causal)
         x = _ln(x + self_out, f"dec{i}.ln1", params)
-        cross_keys_t, cross_values = stack.cached(
-            f"dec{i}.cross", lambda: _keys_values(stack.layers[-1], f"dec{i}.cross",
-                                                  params, config))
-        cross_out, _ = _multi_head_attention(x, cross_keys_t, cross_values, f"dec{i}.cross",
-                                             params, config,
-                                             stack.pad_mask[..., None, None, :])
+        cross_keys, cross_values = stack.cached(
+            f"dec{i}.cross", lambda: _keys_values(stack.layers[-1], f"dec{i}.cross", params))
+        cross_out, _ = _multi_head_attention(x, cross_keys, cross_values, f"dec{i}.cross",
+                                             params, config, stack.pad_mask[..., None, :])
         x = _ln(x + cross_out, f"dec{i}.ln2", params)
         x = _ln(x + _ffn(x, f"dec{i}.ffn", params), f"dec{i}.ln3", params)
     return x
 
 
-def _as_rows(x) -> tuple[Tensor, bool]:
-    t = T.as_tensor(x)
-    if t.data.ndim == 1:
-        return T.reshape(t, (1, t.data.shape[0])), True
-    return t, False
-
-
-def copy_attention(states, stack: EncoderStack, params: ParamStore) -> Tensor:
+def copy_attention(states: Tensor, stack: EncoderStack, params: ParamStore) -> Tensor:
     """Copy attention over source positions, one row per decoder state.
 
     Each encoder layer contributes a masked attention view (one op reads
@@ -330,18 +311,18 @@ def copy_attention(states, stack: EncoderStack, params: ParamStore) -> Tensor:
     """
     if not stack.layers:
         raise ValueError("encoder stack is empty")
-    s, one_dim = _as_rows(states)
-    keys_t = stack.cached("copy.keys", lambda: _copy_keys(stack, params))
-    views, _ = T.attention(s @ params["copy.w_s"], keys_t, None, stack.pad_mask[..., None, :],
-                           1.0 / math.sqrt(keys_t.data.shape[-2]))
-    alpha = T.contract_first(stack.cached("copy.layer_weights",
-                                          lambda: layer_weights(params)), views)
-    return T.reshape(alpha, (stack.source_len,)) if one_dim else alpha
+    keys = stack.cached("copy.keys", lambda: _copy_keys(stack, params))
+    views, _ = T.attention(states @ params["copy.w_s"], keys, None,
+                           stack.pad_mask[..., None, :])
+    shape = views.data.shape   # [n_layers, ..., 1, R, L]: drop the one head axis
+    views = T.reshape(views, shape[:-3] + shape[-2:])
+    return T.contract_first(stack.cached("copy.layer_weights",
+                                         lambda: layer_weights(params)), views)
 
 
 def _copy_keys(stack: EncoderStack, params: ParamStore) -> Tensor:
-    """Every encoder layer's copy keys, transposed: ``[n_layers, ..., dk, L]``."""
-    keys = [(layer @ params[f"copy.w_h{i}"]).T for i, layer in enumerate(stack.layers)]
+    """Every encoder layer's copy key rows: ``[n_layers, ..., L, dk]``."""
+    keys = [layer @ params[f"copy.w_h{i}"] for i, layer in enumerate(stack.layers)]
     return T.concat([T.reshape(k, (1,) + k.data.shape) for k in keys], axis=0)
 
 
@@ -350,53 +331,40 @@ def layer_weights(params: ParamStore) -> Tensor:
     return T.softmax(params["copy.a_raw"])
 
 
-def scatter_copy(alpha, source_ext_ids, extended_size: int) -> Tensor:
-    """Sum attention mass per extended-vocabulary id."""
-    a, one_dim = _as_rows(alpha)
-    out = T.scatter_add_cols(a, np.asarray(source_ext_ids, dtype=np.int64), extended_size)
-    return T.reshape(out, (extended_size,)) if one_dim else out
+def scatter_copy(alpha: Tensor, source_ext_ids, extended_size: int) -> Tensor:
+    """Sum attention mass per extended-vocabulary id, row by row."""
+    return T.scatter_add_cols(alpha, source_ext_ids, extended_size)
 
 
-def generation_gate(states, alpha, stack: EncoderStack, params: ParamStore) -> Tensor:
-    """Probability of generating (vs copying), one row per decoder state.
+def generation_gate(states: Tensor, alpha: Tensor, stack: EncoderStack,
+                    params: ParamStore) -> Tensor:
+    """Probability of generating (vs copying), one row ``[..., R, 1]`` per
+    decoder state.
 
     The gate reads the copy-weighted context over the last encoder
     layer's outputs together with the decoder state.
     """
-    s, one_dim = _as_rows(states)
-    a, _ = _as_rows(alpha)
     w_c, w_s = stack.cached("gate", lambda: (T.reshape(params["gate.w_c"], (-1, 1)),
                                              T.reshape(params["gate.w_s"], (-1, 1))))
-    context = a @ stack.layers[-1]
-    logit = context @ w_c + s @ w_s + params["gate.b"]
-    gate = T.sigmoid(logit)
-    return T.reshape(gate, (1,)) if one_dim else gate
+    return T.sigmoid((alpha @ stack.layers[-1]) @ w_c + states @ w_s + params["gate.b"])
 
 
-def vocab_distribution(states, params: ParamStore) -> Tensor:
+def vocab_distribution(states: Tensor, params: ParamStore) -> Tensor:
     """Softmax over the generator vocabulary, one row per decoder state."""
-    s, one_dim = _as_rows(states)
-    dist = T.softmax(s @ params["out.w_v"] + params["out.b_v"])
-    return T.reshape(dist, (dist.data.shape[-1],)) if one_dim else dist
+    return T.softmax(states @ params["out.w_v"] + params["out.b_v"])
 
 
-def mix(p_gen, p_vocab, p_copy) -> Tensor:
-    """Gate-weighted mixture over the extended vocabulary.
+def mix(p_gen: Tensor, p_vocab: Tensor, p_copy: Tensor) -> Tensor:
+    """Gate-weighted mixture over the extended vocabulary, row by row.
 
-    The vocabulary distribution is zero-padded on the extended slots, so
-    generation never places mass on source-only ids and copying never
-    places mass outside the source.
+    ``p_gen`` is ``[..., R, 1]``.  The vocabulary distribution is
+    zero-padded on the extended slots, so generation never places mass
+    on source-only ids and copying never places mass outside the source.
     """
-    pv, pv_1d = _as_rows(p_vocab)
-    pc, _ = _as_rows(p_copy)
-    pg = T.as_tensor(p_gen)
-    if pg.data.ndim < 2:
-        pg = T.reshape(pg, (-1, 1))
-    n_ext = pc.data.shape[-1]
-    if n_ext < pv.data.shape[-1]:
+    n_ext = p_copy.data.shape[-1]
+    if n_ext < p_vocab.data.shape[-1]:
         raise ValueError("extended size smaller than vocabulary size")
-    out = pg * T.pad_cols(pv, n_ext) + (1.0 - pg) * pc
-    return T.reshape(out, (n_ext,)) if pv_1d else out
+    return p_gen * T.pad_cols(p_vocab, n_ext) + (1.0 - p_gen) * p_copy
 
 
 def forward_distributions(prefix_ids, stack: EncoderStack, params: ParamStore,

@@ -2,13 +2,14 @@
 
 Covers exactly what the encoder-decoder and its copy head need: linear
 maps (against one shared matrix, or stacked with one matrix per leading
-index), softmax, masked attention as one op, a weighted sum over a
-leading axis, head split/merge, elementwise nonlinearities, layer
+index), softmax, masked multi-head attention on rows as one op, a
+weighted sum over a leading axis, elementwise nonlinearities, layer
 normalisation, gather/scatter for embeddings and copy distributions,
 the sequence negative log-likelihood, gradient checking, and a
 bias-corrected Adam step.  Every op takes any number of leading axes (a
-mini-batch, attention heads, or both).  Everything runs in float64 so
-analytic gradients can be validated against central finite differences.
+mini-batch, a stack of encoder layers, or both).  Everything runs in
+float64 so analytic gradients can be validated against central finite
+differences.
 
 Each op's backward closure holds its inputs but not its output, so a
 graph has no reference cycles and is freed as soon as its last handle
@@ -130,15 +131,13 @@ class Tensor:
     def __sub__(self, other):
         return add(self, -other)
 
-    def __rsub__(self, other):
-        return add(-self, other)
+    def __rsub__(self, c):
+        """``c - self`` for a number ``c``, one op whose backward passes ``-g``."""
+        x, c = _operands(self, c)
+        return _result(c - x.data, (x,), lambda g: x.accumulate_grad(-g))
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
@@ -201,7 +200,7 @@ def mul(a, b) -> Tensor:
 
 
 def _swap_last(x: np.ndarray) -> np.ndarray:
-    return np.swapaxes(x, -1, -2)
+    return x.swapaxes(-1, -2)
 
 
 def matmul(a, b) -> Tensor:
@@ -227,16 +226,6 @@ def matmul(a, b) -> Tensor:
     return _result(x @ w, (a, b), backward)
 
 
-def transpose(a) -> Tensor:
-    """Swap the last two axes (the matrix transpose of each stacked matrix)."""
-    a = as_tensor(a)
-
-    def backward(g):
-        a.accumulate_grad(_swap_last(g))
-
-    return _result(_swap_last(a.data), (a,), backward)
-
-
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
 
@@ -244,43 +233,6 @@ def reshape(a, shape) -> Tensor:
         a.accumulate_grad(g.reshape(a.data.shape))
 
     return _result(a.data.reshape(shape), (a,), backward)
-
-
-def _split_array(x: np.ndarray, n_heads: int) -> np.ndarray:
-    *lead, rows, width = x.shape
-    return np.swapaxes(x.reshape(*lead, rows, n_heads, width // n_heads), -3, -2)
-
-
-def _merge_array(x: np.ndarray) -> np.ndarray:
-    *lead, n_heads, rows, head_dim = x.shape
-    return np.swapaxes(x, -3, -2).reshape(*lead, rows, n_heads * head_dim)
-
-
-def split_heads(x, n_heads: int) -> Tensor:
-    """``[..., L, n_heads * dh] -> [..., n_heads, L, dh]``: head h holds
-    columns ``h * dh`` to ``(h + 1) * dh``."""
-    x = as_tensor(x)
-    if x.data.ndim < 2 or x.data.shape[-1] % n_heads:
-        raise ValueError(f"cannot split shape {x.data.shape} into {n_heads} heads")
-
-    def backward(g):
-        x.accumulate_grad(_merge_array(g))
-
-    return _result(_split_array(x.data, n_heads), (x,), backward)
-
-
-def merge_heads(x) -> Tensor:
-    """``[..., n_heads, L, dh] -> [..., L, n_heads * dh]``, the inverse of
-    ``split_heads``."""
-    x = as_tensor(x)
-    if x.data.ndim < 3:
-        raise ValueError(f"merge_heads expects at least 3 axes, got shape {x.data.shape}")
-    n_heads = x.data.shape[-3]
-
-    def backward(g):
-        x.accumulate_grad(_split_array(g, n_heads))
-
-    return _result(_merge_array(x.data), (x,), backward)
 
 
 def relu(a) -> Tensor:
@@ -318,21 +270,38 @@ def softmax(x) -> Tensor:
     return _result(y, (x,), backward)
 
 
-def attention(q, keys_t, values=None, mask=None, scale: float = 1.0
-              ) -> tuple[Tensor, np.ndarray]:
-    """``softmax(q @ keys_t * scale, mask) @ values`` as one op; returns it
-    and the weights array.  With ``values=None`` the output is the weights.
+def _split_array(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """``[..., R, n_heads * dh] -> [..., n_heads, R, dh]``, a view."""
+    return x.reshape(x.shape[:-1] + (n_heads, x.shape[-1] // n_heads)).swapaxes(-3, -2)
 
-    ``q`` is ``[..., R, dk]``, ``keys_t`` ``[..., dk, L]``, ``values``
-    ``[..., L, dv]``; leading axes broadcast, so one ``q`` can read a stack
-    of key sets.  ``mask`` (bool, broadcastable to ``[..., R, L]``) gives
-    True keys weight exactly 0; every row must keep one key.
-    """
-    q, keys_t = as_tensor(q), as_tensor(keys_t)
-    values = None if values is None else as_tensor(values)
-    logits = (q.data @ keys_t.data) * scale
+
+def _merge_array(x: np.ndarray) -> np.ndarray:
+    """``[..., n_heads, R, dh] -> [..., R, n_heads * dh]``."""
+    return x.swapaxes(-3, -2).reshape(x.shape[:-3] + (x.shape[-2], x.shape[-3] * x.shape[-1]))
+
+
+def attention(q, k, v=None, mask=None, n_heads: int = 1) -> tuple[Tensor, np.ndarray]:
+    """Scaled dot-product attention of ``n_heads`` heads as one op: the
+    output rows, and the weights array ``[..., n_heads, R, L]``.
+
+    ``q`` is ``[..., R, n_heads * dh]``, ``k`` ``[..., L, n_heads * dh]``,
+    ``v`` ``[..., L, n_heads * dv]``; head h takes columns ``h * dh`` to
+    ``(h + 1) * dh`` into ``softmax(q_h @ k_h^T / sqrt(dh)) @ v_h``, joined
+    back into rows.  With ``v=None`` the output is the weights.  Leading
+    axes broadcast, so one ``q`` can read a stack of key sets.  ``mask``
+    (bool, broadcastable to ``[..., R, L]``) gives True keys weight 0;
+    every row must keep one key."""
+    q, k = as_tensor(q), as_tensor(k)
+    v = None if v is None else as_tensor(v)
+    if q.data.shape[-1] % n_heads or k.data.shape[-1] != q.data.shape[-1]:
+        raise ValueError(f"cannot attend {q.data.shape} to {k.data.shape} with {n_heads} heads")
+    scale = 1.0 / math.sqrt(q.data.shape[-1] // n_heads)
+    qh, kh = _split_array(q.data, n_heads), _split_array(k.data, n_heads)
+    vh = None if v is None else _split_array(v.data, n_heads)
+    logits = (qh @ _swap_last(kh)) * scale
     if mask is not None:
-        logits = np.where(mask, -np.inf, logits)
+        mask = np.asarray(mask)
+        logits = np.where(mask[..., None, :, :] if mask.ndim > 1 else mask, -np.inf, logits)
     top = logits.max(axis=-1, keepdims=True)
     if np.isneginf(top).any():
         raise ValueError("attention row is fully masked")
@@ -340,16 +309,18 @@ def attention(q, keys_t, values=None, mask=None, scale: float = 1.0
     w = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        if values is not None:
-            values.accumulate_grad(_unbroadcast(_swap_last(w) @ g, values.data.shape))
-            g = g @ _swap_last(values.data)
+        if v is not None:
+            g = _split_array(g, n_heads)
+            v.accumulate_grad(_merge_array(_unbroadcast(_swap_last(w) @ g, vh.shape)))
+            g = g @ _swap_last(vh)
         dl = w * (g - (g * w).sum(axis=-1, keepdims=True)) * scale
-        q.accumulate_grad(_unbroadcast(dl @ _swap_last(keys_t.data), q.data.shape))
-        keys_t.accumulate_grad(_unbroadcast(_swap_last(q.data) @ dl, keys_t.data.shape))
+        q.accumulate_grad(_merge_array(_unbroadcast(dl @ kh, qh.shape)))
+        dk = _swap_last(_swap_last(qh) @ dl)
+        k.accumulate_grad(_merge_array(_unbroadcast(dk, kh.shape)))
 
-    if values is None:
-        return _result(w, (q, keys_t), backward), w
-    return _result(w @ values.data, (q, keys_t, values), backward), w
+    if v is None:
+        return _result(w, (q, k), backward), w
+    return _result(_merge_array(w @ vh), (q, k, v), backward), w
 
 
 def contract_first(weights, x) -> Tensor:

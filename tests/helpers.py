@@ -4,9 +4,30 @@ Kept apart from ``conftest.py`` under a name no other test directory
 uses, so ``from helpers import ...`` always resolves here.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from pgc import corpus, model as M, prompt
+from pgc.tensor import Tensor
+
+
+@contextmanager
+def tensor_constructions():
+    """Yields a list that gets one entry per Tensor built inside the block:
+    whether it was scanned for NaN/inf (``_check``)."""
+    built = []
+    init = Tensor.__init__
+
+    def counting_init(obj, data, _parents=(), _backward=None, _check=True):
+        built.append(_check)
+        init(obj, data, _parents, _backward, _check)
+
+    Tensor.__init__ = counting_init
+    try:
+        yield built
+    finally:
+        Tensor.__init__ = init
 
 
 def tiny_coqa_dict() -> dict:

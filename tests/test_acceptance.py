@@ -117,7 +117,7 @@ def test_criterion_05_oracle_equivalence():
             width = int(rng.integers(4, 12))
             ids = rng.integers(0, width, size=length)
             alpha = rng.dirichlet(np.ones(length))
-            got = M.scatter_copy(alpha, ids, width).data
+            got = M.scatter_copy(T.Tensor(alpha[None]), ids, width).data[0]
             want = np.array([sum(alpha[l] for l in range(length) if ids[l] == v)
                              for v in range(width)])
             assert np.array_equal(got, want)
@@ -135,7 +135,7 @@ def test_criterion_05_oracle_equivalence():
                                pad_mask=np.zeros(length, bool),
                                source_ext_ids=np.arange(4, 4 + length),
                                extended_size=4 + length)
-        got = M.copy_attention(state, stack, store).data
+        got = M.copy_attention(T.Tensor(state[None]), stack, store).data[0]
         want = plain_attention(state, hidden, w_s.data, w_h.data, stack.pad_mask)
         worst = max(worst, float(np.max(np.abs(got - want))))
     elapsed = time.monotonic() - start

@@ -10,6 +10,8 @@ from pgc.cli import RunConfig, load_config
 from pgc.model import ModelConfig
 from pgc.train import TrainConfig
 
+from helpers import tiny_coqa_dict
+
 
 TINY_MODEL_FLAGS = [
     "--n-enc-layers", "1", "--n-dec-layers", "1", "--d-model", "16",
@@ -208,6 +210,57 @@ class TestEvalInput:
         assert cli.run(["eval", "--predictions", str(preds),
                         "--examples", str(store_path)]) == 2
         assert f"{preds}:2: " in capsys.readouterr().err
+
+
+def _drop_turn_ids(payload):
+    for side in ("questions", "answers"):
+        del payload["data"][0][side][1]["turn_id"]
+    return payload
+
+
+def _add_non_object_story(payload):
+    payload["data"].append("lab-003")
+    return payload
+
+
+def _bad_span_start(payload):
+    payload["data"][0]["answers"][0]["span_start"] = "x"
+    return payload
+
+
+def _drop_additional_turn_id(payload):
+    del payload["data"][0]["additional_answers"]["0"][1]["turn_id"]
+    return payload
+
+
+class TestMalformedCoqa:
+    """A malformed CoQA file ends in exit 2 with a message naming the file
+    (and the story, where the fault is inside one), never in a traceback.
+    The first three are read by ingestion, the last two by the loader of
+    additional answers behind ``eval --multi-ref --coqa``."""
+
+    @pytest.mark.parametrize("damage,reader,story", [
+        (_drop_turn_ids, "ingest", "beach-001"),
+        (_add_non_object_story, "ingest", "data entry 2"),
+        (_bad_span_start, "ingest", "beach-001"),
+        (_drop_additional_turn_id, "multi-ref", "beach-001"),
+        (lambda payload: payload["data"], "multi-ref", ""),
+    ], ids=["turn-without-turn_id", "story-not-object", "span_start-not-int",
+            "additional-answer-without-turn_id", "top-level-array"])
+    def test_exit_2_names_the_file(self, store_path, tmp_path, capsys, damage, reader,
+                                   story):
+        bad = tmp_path / "bad_coqa.json"
+        bad.write_text(json.dumps(damage(tiny_coqa_dict())))
+        if reader == "ingest":
+            argv = ["ingest", "--input", str(bad), "--output", str(tmp_path / "s.jsonl")]
+        else:
+            preds = tmp_path / "preds.jsonl"
+            preds.write_text(json.dumps(TestEvalInput.GOOD) + "\n")
+            argv = ["eval", "--predictions", str(preds), "--examples", str(store_path),
+                    "--multi-ref", "--coqa", str(bad)]
+        assert cli.run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {bad}: " in err and story in err
 
 
 class TestRawBaseline:

@@ -10,7 +10,7 @@ import pytest
 from pgc import model as M, prompt as P, tensor as T, train as TR
 from pgc.tensor import ParamStore, Tensor
 
-from helpers import make_prompted
+from helpers import make_prompted, tensor_constructions
 
 
 def naive_matmul(a, b):
@@ -62,27 +62,6 @@ class TestMatmul:
         assert np.max(np.abs(out.data - want)) < 1e-12
 
 
-class TestHeads:
-    def test_split_puts_column_blocks_on_the_head_axis(self):
-        x = np.arange(12.0).reshape(2, 6)
-        heads = T.split_heads(Tensor(x), 3).data
-        assert heads.shape == (3, 2, 2)
-        for h in range(3):
-            assert np.array_equal(heads[h], x[:, 2 * h:2 * h + 2])
-
-    def test_merge_inverts_split(self):
-        x = np.random.default_rng(2).normal(size=(5, 8))
-        for n_heads in (1, 2, 4):
-            merged = T.merge_heads(T.split_heads(Tensor(x), n_heads))
-            assert np.array_equal(merged.data, x)
-
-    def test_bad_shapes_rejected(self):
-        with pytest.raises(ValueError):
-            T.split_heads(Tensor(np.ones((2, 6))), 4)
-        with pytest.raises(ValueError):
-            T.merge_heads(Tensor(np.ones((2, 6))))
-
-
 class TestSoftmax:
     """Softmax, and the masked softmax that is the attention op's weights."""
 
@@ -97,29 +76,31 @@ class TestSoftmax:
         assert out.data[1] < 1e-6
 
     def test_masked_row_by_hand(self):
-        out, _ = T.attention(Tensor([[1.0]]), Tensor([[1.0, 2.0, 3.0]]), None,
+        out, _ = T.attention(Tensor([[1.0]]), Tensor([[1.0], [2.0], [3.0]]), None,
                              np.array([False, False, True]))
         e = math.e
-        assert np.allclose(out.data[0], [1 / (1 + e), e / (1 + e), 0.0], atol=1e-12)
-        assert out.data[0, 2] == 0.0
+        assert out.data.shape == (1, 1, 3)       # one head, one row, three keys
+        assert np.allclose(out.data[0, 0], [1 / (1 + e), e / (1 + e), 0.0], atol=1e-12)
+        assert out.data[0, 0, 2] == 0.0
 
     def test_fully_masked_row_rejected(self):
         with pytest.raises(ValueError, match="fully masked"):
-            T.attention(Tensor([[1.0]]), Tensor([[1.0, 2.0]]), None, np.array([True, True]))
+            T.attention(Tensor([[1.0]]), Tensor([[1.0], [2.0]]), None, np.array([True, True]))
 
     def test_last_axis_of_a_stack(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(3, 2, 5))
         mask = np.zeros((2, 5), dtype=bool)
         mask[0, 3:] = True
-        eye = Tensor(np.eye(5))      # x @ I = x: the weights are the masked softmax of x
+        eye = Tensor(np.eye(5))      # keys I: the weights are the masked softmax of x / sqrt(5)
         out = T.attention(Tensor(x), eye, None, mask)[1]
+        assert out.shape == (3, 1, 2, 5)
         for h in range(3):
             assert np.allclose(out[h], T.attention(Tensor(x[h]), eye, None, mask)[1],
                                atol=1e-15)
             assert np.allclose(T.softmax(Tensor(x)).data[h], T.softmax(Tensor(x[h])).data,
                                atol=1e-15)
-        assert np.all(out[:, 0, 3:] == 0.0)
+        assert np.all(out[:, 0, 0, 3:] == 0.0)
 
     def test_rows_sum_to_one_and_shift_invariant(self):
         rng = np.random.default_rng(3)
@@ -132,28 +113,64 @@ class TestSoftmax:
             assert np.allclose(out.data, shifted.data, atol=1e-12)
 
 
-def composed_attention(q, keys_t, values, mask, scale):
-    """The chain the attention op replaces, built from separate ops.  A
-    masked key gets a -1e30 logit, whose exponential is exactly 0."""
-    logits = (q @ keys_t) * scale
-    if mask is not None:
-        logits = logits + Tensor(np.where(mask, -1e30, 0.0))
-    weights = T.softmax(logits)
-    return weights if values is None else weights @ values
+HEAD_COUNTS = (1, 2, 4)
 
 
-def attention_case(name, rng):
-    """(q, keys_t, values or None, mask) arrays for one shape of use."""
-    if name == "self_causal":        # decoder self-attention: 2 heads, 3 steps
-        q, k, v = rng.normal(size=(2, 3, 2)), rng.normal(size=(2, 2, 3)), rng.normal(size=(2, 3, 2))
+def split_heads(x, n_heads):
+    """``[..., R, n_heads * dh] -> [..., n_heads, R, dh]``, as a numpy view."""
+    *lead, rows, width = x.shape
+    return np.swapaxes(x.reshape(*lead, rows, n_heads, width // n_heads), -3, -2)
+
+
+def merge_heads(x):
+    """The inverse of ``split_heads``."""
+    *lead, n_heads, rows, head_dim = x.shape
+    return np.swapaxes(x, -3, -2).reshape(*lead, rows, n_heads * head_dim)
+
+
+def per_head_oracle(q, k, v, mask, n_heads):
+    """Independent multi-head attention, one head at a time on its column
+    block: the output (the weights when ``v`` is None) and the weights
+    ``[..., n_heads, R, L]``."""
+    dh = q.shape[-1] // n_heads
+    dv = 0 if v is None else v.shape[-1] // n_heads
+    outputs, weights = [], []
+    for h in range(n_heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        logits = q[..., cols] @ np.swapaxes(k[..., cols], -1, -2) / math.sqrt(dh)
+        if mask is not None:
+            logits = np.where(mask, -np.inf, logits)
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        weights.append(e / e.sum(axis=-1, keepdims=True))
+        if v is not None:
+            outputs.append(weights[-1] @ v[..., h * dv:(h + 1) * dv])
+    weights = np.stack(weights, axis=-3)
+    return (weights if v is None else np.concatenate(outputs, axis=-1)), weights
+
+
+def composed_attention(qh, keys_t, values, mask, scale):
+    """The chain the attention op replaces, built from separate ops on
+    head-layout Tensors.  A masked key gets a -1e30 logit, whose
+    exponential is exactly 0."""
+    logits = (qh @ keys_t) * scale + Tensor(np.where(mask, -1e30, 0.0))
+    return T.softmax(logits) @ values
+
+
+def attention_case(name, rng, n_heads=1):
+    """(q, k, values or None, mask) row arrays for one shape of use, with
+    ``n_heads`` heads of 2 columns each; masks broadcast to ``[..., R, L]``."""
+    width = 2 * n_heads
+    if name == "self_causal":        # decoder self-attention: 3 steps
+        q, k, v = (rng.normal(size=(3, width)) for _ in range(3))
         return q, k, v, np.triu(np.ones((3, 3), dtype=bool), k=1)
     pad = np.array([[False] * 4, [False, False, True, True]])
-    if name == "cross_padded":       # a padded batch of 2, 2 heads, 3 queries, 4 keys
-        q, k, v = (rng.normal(size=(2, 2, 3, 2)), rng.normal(size=(2, 2, 2, 4)),
-                   rng.normal(size=(2, 2, 4, 3)))
-        return q, k, v, pad[:, None, None, :]
-    # copy views: one q [B, R, dk] against a stack of 3 key sets [3, B, dk, L]
-    return rng.normal(size=(2, 3, 2)), rng.normal(size=(3, 2, 2, 4)), None, pad[:, None, :]
+    if name == "cross_padded":       # a padded batch of 2, 3 queries, 4 keys
+        q, k, v = (rng.normal(size=(2, 3, width)), rng.normal(size=(2, 4, width)),
+                   rng.normal(size=(2, 4, 3 * n_heads)))
+        return q, k, v, pad[:, None, :]
+    # copy views: one q [B, R, dk] against a stack of 3 key sets [3, B, L, dk]
+    return (rng.normal(size=(2, 3, width)), rng.normal(size=(3, 2, 4, width)), None,
+            pad[:, None, :])
 
 
 ATTENTION_CASES = ["self_causal", "cross_padded", "views"]
@@ -162,60 +179,60 @@ ATTENTION_CASES = ["self_causal", "cross_padded", "views"]
 class TestAttention:
     @pytest.mark.parametrize("case", ATTENTION_CASES)
     def test_matches_composed_ops(self, case):
-        """The value form is bit-identical to the composed chain, output and
-        gradients; the weights-only form over a stack of key sets matches
-        one composed softmax per key set within 1e-12."""
-        rng = np.random.default_rng(11)
-        q, k, v, mask = attention_case(case, rng)
-        scale = 1.0 / math.sqrt(q.shape[-1])
-        fused = [Tensor(a) for a in (q, k, v) if a is not None]
-        out, weights = T.attention(*fused[:2], fused[2] if v is not None else None, mask, scale)
-        composed = [Tensor(a) for a in (q, k, v) if a is not None]
-        if v is not None:
-            want = composed_attention(*composed[:2], composed[2], mask, scale)
-        else:   # one view per key set; q's gradient is the sum over them
-            key_sets = [Tensor(keys) for keys in k]
-            views = [composed_attention(composed[0], keys, None, mask, scale)
-                     for keys in key_sets]
-            want = T.concat([T.reshape(view, (1,) + view.data.shape) for view in views], axis=0)
-        assert np.all(weights[np.broadcast_to(mask, weights.shape)] == 0.0)
-        upstream = rng.normal(size=out.data.shape)
-        T.weighted_sum(out, upstream).backward()
-        T.weighted_sum(want, upstream).backward()
-        if v is not None:
-            assert np.array_equal(out.data, want.data)
-            for a, b in zip(fused, composed):
-                assert np.array_equal(a.grad, b.grad)
-        else:
-            assert np.max(np.abs(out.data - want.data)) < 1e-12
-            assert np.max(np.abs(fused[0].grad - composed[0].grad)) < 1e-12
-            key_grads = np.stack([keys.grad for keys in key_sets])
-            assert np.max(np.abs(fused[1].grad - key_grads)) < 1e-12
+        """For 1, 2 and 4 heads, both forms match the per-head numpy loop
+        within 1e-12, and the value form is bit-identical to the composed
+        chain on the head-layout arrays, output and gradients."""
+        for n_heads in HEAD_COUNTS:
+            rng = np.random.default_rng(11 + n_heads)
+            q, k, v, mask = attention_case(case, rng, n_heads)
+            fused = [Tensor(a) for a in (q, k, v) if a is not None]
+            out, weights = T.attention(*fused[:2], fused[2] if v is not None else None,
+                                       mask, n_heads)
+            want, want_weights = per_head_oracle(q, k, v, mask, n_heads)
+            assert out.data.shape == want.shape
+            assert np.max(np.abs(out.data - want)) < 1e-12
+            assert np.max(np.abs(weights - want_weights)) < 1e-12
+            assert np.all(weights[np.broadcast_to(mask[..., None, :, :], weights.shape)] == 0.0)
+            if v is None:
+                continue
+            qh, keys_t, vh = (Tensor(split_heads(q, n_heads)),
+                              Tensor(np.swapaxes(split_heads(k, n_heads), -1, -2)),
+                              Tensor(split_heads(v, n_heads)))
+            composed = composed_attention(qh, keys_t, vh, mask[..., None, :, :],
+                                          1.0 / math.sqrt(q.shape[-1] // n_heads))
+            upstream = rng.normal(size=out.data.shape)
+            T.weighted_sum(out, upstream).backward()
+            T.weighted_sum(composed, split_heads(upstream, n_heads)).backward()
+            assert np.array_equal(out.data, merge_heads(composed.data))
+            assert np.array_equal(fused[0].grad, merge_heads(qh.grad))
+            assert np.array_equal(fused[1].grad, merge_heads(np.swapaxes(keys_t.grad, -1, -2)))
+            assert np.array_equal(fused[2].grad, merge_heads(vh.grad))
 
     @pytest.mark.parametrize("case", ATTENTION_CASES)
     def test_gradient_check(self, case):
-        rng = np.random.default_rng(12)
-        arrays = attention_case(case, rng)
-        mask = arrays[3]
-        store = ParamStore()
-        for name, a in zip("qkv", arrays[:3]):
-            if a is not None:
-                store.add(name, a)
-        upstream = rng.normal(size=T.attention(*arrays[:3], mask)[0].data.shape)
+        for n_heads in HEAD_COUNTS:
+            rng = np.random.default_rng(12 + n_heads)
+            arrays = attention_case(case, rng, n_heads)
+            mask = arrays[3]
+            store = ParamStore()
+            for name, a in zip("qkv", arrays[:3]):
+                if a is not None:
+                    store.add(name, a)
+            upstream = rng.normal(size=T.attention(*arrays[:3], mask, n_heads)[0].data.shape)
 
-        def f(s):
-            out, _ = T.attention(s["q"], s["k"], s["v"] if "v" in s.names() else None,
-                                 mask, 0.7)
-            return T.weighted_sum(T.sigmoid(out * 3.0), upstream)
+            def f(s):
+                out, _ = T.attention(s["q"], s["k"], s["v"] if "v" in s.names() else None,
+                                     mask, n_heads)
+                return T.weighted_sum(T.sigmoid(out * 3.0), upstream)
 
-        assert T.grad_check(f, store) < 1e-4
+            assert T.grad_check(f, store) < 1e-4
 
     def test_fully_masked_row_in_a_batch_rejected(self):
-        q, k, v, mask = attention_case("cross_padded", np.random.default_rng(13))
+        q, k, v, mask = attention_case("cross_padded", np.random.default_rng(13), 2)
         mask = mask.copy()
         mask[1] = True
         with pytest.raises(ValueError, match="fully masked"):
-            T.attention(Tensor(q), Tensor(k), Tensor(v), mask)
+            T.attention(Tensor(q), Tensor(k), Tensor(v), mask, 2)
 
 
 class TestContractFirst:
@@ -277,21 +294,14 @@ class TestLayerNorm:
 
 
 class TestScalarOperands:
-    def test_numbers_stay_plain_floats(self, monkeypatch):
+    def test_numbers_stay_plain_floats(self):
         """An op with a number builds one Tensor, its unscanned result
-        (``1.0 - x`` is two ops: ``-x``, then ``+ 1.0``)."""
-        scans = []
-        init = Tensor.__init__
-
-        def counting_init(obj, data, _parents=(), _backward=None, _check=True):
-            scans.append(_check)
-            init(obj, data, _parents, _backward, _check)
-
+        (``1.0 - x`` too)."""
         x = Tensor([1.0, -2.0])
-        monkeypatch.setattr(Tensor, "__init__", counting_init)
-        outs = [x * 2.0, 3.0 * x, x + 1.5, 0.5 + x, x - 0.25, 1.0 - x]
-        assert scans == [False] * 7
-        assert all(out._parents == (x,) for out in outs[:5])
+        with tensor_constructions() as scans:
+            outs = [x * 2.0, 3.0 * x, x + 1.5, 0.5 + x, x - 0.25, 1.0 - x]
+        assert scans == [False] * 6
+        assert all(out._parents == (x,) for out in outs)
         assert np.array_equal(np.stack([out.data for out in outs]),
                               [[2, -4], [3, -6], [2.5, -0.5], [1.5, -1.5], [0.75, -2.25],
                                [0, 3]])
@@ -356,14 +366,14 @@ class TestBackward:
         rng = np.random.default_rng(5)
         data = rng.normal(size=(3, 3))
         x1 = Tensor(data)
-        T.vmean(T.relu(x1 @ x1.T)).backward()
+        T.vmean(T.relu(x1 @ x1)).backward()
         g_first = x1.grad.copy()
         x2 = Tensor(data)
         T.vmean(T.sigmoid(x2) * 2.0).backward()
         g_second = x2.grad.copy()
 
         x3 = Tensor(data)
-        combined = T.vmean(T.relu(x3 @ x3.T)) + T.vmean(T.sigmoid(x3) * 2.0)
+        combined = T.vmean(T.relu(x3 @ x3)) + T.vmean(T.sigmoid(x3) * 2.0)
         combined.backward()
         assert np.max(np.abs(x3.grad - (g_first + g_second))) < 1e-10
 
@@ -395,7 +405,7 @@ class TestGradCheck:
         x = np.array([[0.3], [-1.2], [0.7], [2.0]])
 
         def f(s):
-            logits = (s["w"].T @ Tensor(x)).T
+            logits = Tensor(x.T) @ s["w"]
             return T.sequence_nll(T.softmax(logits), [1])
 
         assert T.grad_check(f, store) < 1e-6
@@ -417,6 +427,9 @@ class TestGradCheck:
 
     @pytest.mark.parametrize("op", ["matmul3d", "split_heads", "merge_heads", "softmax3d"])
     def test_head_ops(self, op):
+        """Stacked matmul, and attention splitting rows into two heads and
+        joining them (value form), two heads of weights, and a stack of
+        one-head weights."""
         rng = np.random.default_rng(6)
         store = ParamStore()
         store.add("x", rng.normal(size=(3, 4)))
@@ -426,21 +439,22 @@ class TestGradCheck:
         def f(s):
             x, y = s["x"], s["y"]
             if op == "matmul3d":
-                out = T.merge_heads(y @ T.split_heads(x, 2).T)        # [3, 6]
+                out = T.reshape(y @ T.reshape(x, (2, 2, 3)), (3, 6))
             elif op == "split_heads":
-                out = T.merge_heads(T.split_heads(x, 2) * y)
+                out = T.attention(x, x, x, causal, 2)[0] @ T.reshape(y, (4, 3))   # [3, 3]
             elif op == "merge_heads":
-                out = T.merge_heads(y) @ x.T                             # [3, 3]
+                out = T.reshape(T.attention(x, T.reshape(y, (3, 4)), None, causal, 2)[0],
+                                (3, 6))
             else:
-                out = T.merge_heads(T.attention(y, y.T, None, causal)[0])  # [3, 6]
+                out = T.reshape(T.attention(y, y, None, causal)[0], (3, 6))
             return T.sequence_nll(T.softmax(out), [0, 1, 2])
 
         assert T.grad_check(f, store) < 1e-6
 
-
     def test_batch_axis_ops(self):
-        """Shared-weight matmul, 4-D heads, 2-D embedding ids, per-example
-        scatter, zero-padded columns and a weighted per-row pick."""
+        """Shared-weight matmul, two-head attention on a batch, 2-D
+        embedding ids, per-example scatter, zero-padded columns and a
+        weighted per-row pick."""
         rng = np.random.default_rng(9)
         store = ParamStore()
         store.add("x", rng.normal(size=(2, 3, 4)))
@@ -452,9 +466,9 @@ class TestGradCheck:
         weights = rng.uniform(size=(2, 3))
 
         def f(s):
-            h = T.split_heads((s["x"] + T.embed_rows(s["table"], ids)) @ s["w"], 2)
-            y = T.merge_heads(T.softmax(h @ h.T) @ h)                    # [2, 3, 4]
-            alpha = T.softmax(y @ s["x"].T)                              # [2, 3, 3]
+            h = (s["x"] + T.embed_rows(s["table"], ids)) @ s["w"]
+            y, _ = T.attention(h, h, h, None, 2)                         # [2, 3, 4]
+            alpha = T.reshape(T.attention(y, s["x"])[0], (2, 3, 3))
             mixed = T.pad_cols(T.softmax(y), 6) * 0.5 + T.scatter_add_cols(alpha, cols, 6) * 0.5
             return T.sequence_nll(mixed, gold, weights)
 

@@ -1,5 +1,7 @@
 """Loss, training loop determinism, synthetic tasks, checkpoints."""
 
+import functools
+import inspect
 import json
 import math
 from dataclasses import replace
@@ -22,7 +24,7 @@ from pgc.train import (CheckpointError, SyntheticSpec, TrainConfig,
                        teacher_forced_loss, token_accuracy,
                        train_loop)
 
-from helpers import random_copy_batch
+from helpers import make_prompted, random_copy_batch, tensor_constructions
 
 TINY_MODEL = ModelConfig(n_enc_layers=1, n_dec_layers=1, d_model=16, n_heads=2,
                          vocab_size=40, max_source_len=24, max_target_len=16,
@@ -362,6 +364,26 @@ class TestBatchedLoss:
                                  - single.alpha.data)) < 1e-12
             assert np.all(batched.alpha.data[b, :, n_source:] == 0.0)
 
+    def test_batch_of_eight_builds_few_tensors_and_scans_none(self):
+        """One training graph of a batch of 8 on the benchmark copy model's
+        shape, counted by wrapping ``Tensor.__init__``.  Copy-only source
+        words widen the extended vocabulary past the generator's, which
+        costs one ``pad_cols`` node more."""
+        config = ModelConfig(n_enc_layers=2, n_dec_layers=1, d_model=32, n_heads=2,
+                             vocab_size=64, max_source_len=24, max_target_len=14)
+        params = M.init_params(config, seed=0)
+        vocab = TokenVocab([f"w{i}" for i in range(60)])
+        rng = np.random.default_rng(0)
+        for oov, cap in (([], 87), (["z"], 88)):
+            batch = [make_prompted([int(i) for i in rng.integers(4, 64, size=6)]
+                                   + [64] * len(oov), oov=oov,
+                                   target_text=" ".join(["w3", "w5"] + oov))
+                     for _ in range(8)]
+            with tensor_constructions() as built:
+                teacher_forced_loss(batch, params, config, vocab)
+            assert 0 < len(built) <= cap
+            assert not any(built)
+
     def test_same_seed_runs_write_byte_identical_checkpoints(self, tmp_path):
         paths = []
         for run in range(2):
@@ -454,3 +476,32 @@ class TestTelemetry:
     def test_epoch_lines_are_deterministic(self, monkeypatch):
         assert (self.epoch_lines(monkeypatch, clip_norm=1.0)[0]
                 == self.epoch_lines(monkeypatch, clip_norm=1.0)[0])
+
+
+class TestKernelCoverage:
+    def test_every_public_kernel_function_is_reached(self, monkeypatch):
+        """One training step, one greedy decode and a sampled gradient
+        check call every public function of ``pgc.tensor``; a function
+        none of them reaches is dead code."""
+        called = set()
+
+        def recording(name, fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                called.add(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        public = [name for name, fn in vars(T).items()
+                  if inspect.isfunction(fn) and fn.__module__ == T.__name__
+                  and not name.startswith("_")]
+        for name in public:
+            monkeypatch.setattr(T, name, recording(name, getattr(T, name)))
+        prompted, vocab = tiny_setup(n=4)
+        params = M.init_params(TINY_MODEL, seed=0)
+        train_loop(prompted, params, TrainConfig(learning_rate=1e-3, batch_size=4, epochs=1),
+                   TINY_MODEL, vocab)
+        M.greedy_decode(prompted[0], params, TINY_MODEL)
+        TR.gradcheck(0, max_coords_per_param=1)
+        assert len(public) > 20
+        assert sorted(set(public) - called) == []
