@@ -149,13 +149,7 @@ def _cmd_ingest(args) -> int:
 def _cmd_stats(args) -> int:
     effective_config(args)  # validates --config before any data is read
     examples = _load_examples_any(args.input)
-    stats = corpus.compute_stats(examples)
-    print(json.dumps({
-        "n_examples": stats.n_examples,
-        "n_extractive": stats.n_extractive,
-        "n_generative": stats.n_generative,
-        "extractive_fraction": stats.extractive_fraction,
-    }))
+    print(json.dumps(asdict(corpus.compute_stats(examples))))
     return 0
 
 
@@ -303,10 +297,10 @@ def _read_predictions(path, examples, multi_ref, coqa_path):
                 record = json.loads(line)
                 if not isinstance(record, dict):
                     raise EvalError("expected a JSON object")
-                key = (record["story_id"], int(record["turn_id"]))
+                key = (record["story_id"], record["turn_id"])
                 text = record["text"]
-                if not isinstance(text, str):
-                    raise EvalError("text is not a string")
+                if (type(key[0]), type(key[1]), type(text)) != (str, int, str):
+                    raise EvalError("story_id and text must be strings, turn_id an int")
                 if key not in by_key:
                     raise EvalError(f"prediction for unknown example {key[0]}/{key[1]}")
                 if key in seen:

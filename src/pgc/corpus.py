@@ -1,22 +1,34 @@
-"""CoQA-format ingestion and answer-class bookkeeping.
+"""CoQA-format ingestion, answer normalisation and classification, and
+the example store.
 
 Each conversation turn becomes one example carrying its full prior
-history.  An answer is extractive when its normalised token sequence
-appears contiguously inside the normalised rationale; everything else
-(including unanswerable turns, which have no rationale) is generative.
+history.  Answers are normalised as the official CoQA/SQuAD scorer does
+(``normalize``).  An answer is extractive when its normalised token
+sequence appears contiguously inside the normalised rationale;
+everything else (including unanswerable turns, which have no rationale)
+is generative.
+
+The store holds one JSON object per line: a ``DialogueExample``'s
+fields in declaration order, its turns as their ``ConversationTurn``
+fields and its answer class as the value.  Each record checks its own
+field types, so a line that is not exactly such a record is a
+``CorpusError`` naming ``path:line``.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import string
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cache
 from pathlib import Path
-
-from .eval import normalize
+from typing import get_type_hints
 
 _WHITESPACE_TOKEN = re.compile(r"\S+")
+_ARTICLES = re.compile(r"\b(a|an|the)\b")
+_PUNCT = set(string.punctuation)
 
 
 class CorpusError(ValueError):
@@ -28,6 +40,19 @@ class AnswerClass(Enum):
     GENERATIVE = "Generative"
 
 
+@cache
+def _plain_fields(cls) -> tuple[tuple[str, type], ...]:
+    return tuple((name, t) for name, t in get_type_hints(cls).items() if t in (int, str))
+
+
+def _check_types(record) -> None:
+    """Each ``int`` or ``str`` field holds exactly that type (a bool is no int)."""
+    for name, kind in _plain_fields(type(record)):
+        value = getattr(record, name)
+        if type(value) is not kind:
+            raise CorpusError(f"{name} must be {kind.__name__}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ConversationTurn:
     """One question/answer pair with its annotated evidence span."""
@@ -35,9 +60,10 @@ class ConversationTurn:
     question: str
     rationale: str
     answer: str
-    span_start: int = 0
+    span_start: int
 
     def __post_init__(self):
+        _check_types(self)
         if self.turn_id < 1:
             raise CorpusError(f"turn_id must be >= 1, got {self.turn_id}")
         if (self.rationale == "") != (self.span_start == -1):
@@ -55,6 +81,7 @@ class DialogueExample:
     answer_class: AnswerClass
 
     def __post_init__(self):
+        _check_types(self)
         ids = [t.turn_id for t in self.history] + [self.turn.turn_id]
         if any(a >= b for a, b in zip(ids, ids[1:])):
             raise CorpusError(f"{self.story_id}: history turn_ids must strictly increase")
@@ -66,6 +93,14 @@ class CorpusStats:
     n_extractive: int
     n_generative: int
     extractive_fraction: float
+
+
+def normalize(text: str) -> str:
+    """Lowercase, strip punctuation, drop the articles a/an/the, collapse whitespace."""
+    text = text.lower()
+    text = "".join(ch for ch in text if ch not in _PUNCT)
+    text = _ARTICLES.sub(" ", text)
+    return " ".join(text.split())
 
 
 def _normalized_word_spans(text: str) -> list[tuple[int, int, str]]:
@@ -168,10 +203,12 @@ def _per_story(path: str | Path, read_story) -> list:
         raise CorpusError(f"{path}: malformed JSON at byte offset {err.pos}: {err.msg}") from err
     _require(isinstance(payload, dict) and isinstance(payload.get("data"), list),
              f"{path}: expected a top-level 'data' array")
-    items = []
+    items, seen = [], set()
     for index, entry in enumerate(payload["data"]):
         _require(isinstance(entry, dict), f"{path}: data entry {index} is not an object")
         story_id = str(entry.get("id", ""))
+        _require(story_id not in seen, f"{path}: story {story_id} appears twice")
+        seen.add(story_id)
         try:
             items += read_story(story_id, entry)
         except (TypeError, ValueError) as err:   # CorpusError is a ValueError
@@ -218,61 +255,33 @@ def load_additional_answers(path: str | Path) -> dict[tuple[str, int], list[str]
 
 # -- line-delimited JSON example store --
 
-def _turn_to_dict(turn: ConversationTurn) -> dict:
-    return {
-        "turn_id": turn.turn_id,
-        "question": turn.question,
-        "rationale": turn.rationale,
-        "answer": turn.answer,
-        "span_start": turn.span_start,
-    }
-
-
-def _turn_from_dict(d: dict) -> ConversationTurn:
-    return ConversationTurn(
-        turn_id=int(d["turn_id"]),
-        question=d["question"],
-        rationale=d["rationale"],
-        answer=d["answer"],
-        span_start=int(d["span_start"]),
-    )
-
-
-def example_to_dict(example: DialogueExample) -> dict:
-    return {
-        "story_id": example.story_id,
-        "turn": _turn_to_dict(example.turn),
-        "history": [_turn_to_dict(t) for t in example.history],
-        "answer_class": example.answer_class.value,
-    }
-
-
-def example_from_dict(d: dict) -> DialogueExample:
-    return DialogueExample(
-        story_id=d["story_id"],
-        turn=_turn_from_dict(d["turn"]),
-        history=tuple(_turn_from_dict(t) for t in d["history"]),
-        answer_class=AnswerClass(d["answer_class"]),
-    )
-
-
 def save_examples(examples: list[DialogueExample], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for example in examples:
-            fh.write(json.dumps(example_to_dict(example), ensure_ascii=False) + "\n")
+        for ex in examples:
+            record = {**vars(ex), "turn": vars(ex.turn),
+                      "history": [vars(t) for t in ex.history],
+                      "answer_class": ex.answer_class.value}
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def load_examples(path: str | Path) -> list[DialogueExample]:
-    examples = []
+    """The examples of a store in file order; a line that repeats an
+    earlier line's (story_id, turn_id) is a ``CorpusError`` too."""
+    by_key = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise TypeError("expected a JSON object")
-                examples.append(example_from_dict(record))
+                _require(isinstance(record, dict), "expected a JSON object")
+                example = DialogueExample(**{
+                    **record, "turn": ConversationTurn(**record["turn"]),
+                    "history": tuple(ConversationTurn(**t) for t in record["history"]),
+                    "answer_class": AnswerClass(record["answer_class"])})
+                key = (example.story_id, example.turn.turn_id)
+                _require(key not in by_key, f"a second record for {key[0]}/{key[1]}")
             except (KeyError, TypeError, ValueError) as err:
                 raise CorpusError(f"{path}:{line_no}: bad example record: {err}") from err
-    return examples
+            by_key[key] = example
+    return list(by_key.values())

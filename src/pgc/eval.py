@@ -1,35 +1,26 @@
-"""CoQA-style scoring: normalisation, EM, F1, and the O/G/E report splits.
+"""CoQA-style scoring: EM, F1, and the O/G/E report splits.
 
-Normalisation follows the official CoQA/SQuAD scorer: lowercase, strip
-punctuation, drop the articles a/an/the as whole tokens, collapse
-whitespace.  Scores are kept at full precision internally and rounded
-to one decimal only for display.
+Answers are compared after ``normalize`` (defined in ``pgc.corpus``,
+which classifies answers with it, and importable from here).  Scores
+are kept at full precision internally and rounded to one decimal only
+for display.  A report's JSON form is its fields in declaration order,
+with ``per_category`` rows as objects.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import re
-import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-_ARTICLES = re.compile(r"\b(a|an|the)\b")
-_PUNCT = set(string.punctuation)
+from .corpus import normalize, tighten_rationale
+from .prompt import categorize
 
 
 class EvalError(ValueError):
     """A prediction set that cannot be scored against the given examples."""
-
-
-def normalize(text: str) -> str:
-    """Lowercase, strip punctuation, drop articles, collapse whitespace."""
-    text = text.lower()
-    text = "".join(ch for ch in text if ch not in _PUNCT)
-    text = _ARTICLES.sub(" ", text)
-    return " ".join(text.split())
 
 
 def em(pred: str, gold: str) -> int:
@@ -94,28 +85,17 @@ class EvalReport:
     n_overall: int
     n_generative: int
     n_extractive: int
-    per_category: list[tuple[str, float, int]] = field(default_factory=list)
     n_examples: int | None = None
     n_missing: int = 0
+    per_category: list[tuple[str, float, int]] = field(default_factory=list)
 
     def __post_init__(self):
         if self.n_examples is None:
             self.n_examples = self.n_overall + self.n_missing
 
     def to_dict(self) -> dict:
-        return {
-            "o_em": self.o_em, "o_f1": self.o_f1,
-            "g_em": self.g_em, "g_f1": self.g_f1,
-            "e_em": self.e_em, "e_f1": self.e_f1,
-            "n_overall": self.n_overall,
-            "n_generative": self.n_generative,
-            "n_extractive": self.n_extractive,
-            "n_examples": self.n_examples,
-            "n_missing": self.n_missing,
-            "per_category": [
-                {"category": c, "f1": f, "count": n} for c, f, n in self.per_category
-            ],
-        }
+        return {**asdict(self), "per_category": [
+            {"category": c, "f1": f, "count": n} for c, f, n in self.per_category]}
 
     def summary_lines(self) -> list[str]:
         def fmt(x):
@@ -145,8 +125,6 @@ def evaluate(predictions: list[Prediction], examples, vocab=None,
     ``n_missing``.  ``vocab`` is a category vocabulary used for the
     per-category F1 breakdown (skipped if None).
     """
-    from . import prompt as prompt_mod  # deferred: breaks the corpus->eval->prompt cycle
-
     by_key = {(ex.story_id, ex.turn.turn_id): ex for ex in examples}
     ems = {"Extractive": [], "Generative": []}
     f1s = {"Extractive": [], "Generative": []}
@@ -165,7 +143,7 @@ def evaluate(predictions: list[Prediction], examples, vocab=None,
         ems[cls].append(float(em_i))
         f1s[cls].append(f1_i)
         if vocab is not None:
-            cat = prompt_mod.categorize(ex.turn.question, vocab)
+            cat = categorize(ex.turn.question, vocab)
             cat_f1.setdefault(cat, []).append(f1_i)
 
     all_em = ems["Extractive"] + ems["Generative"]
@@ -199,12 +177,10 @@ def raw_baseline(examples, tighten: bool = False, multi: bool = False,
     ``extra_references`` maps (story_id, turn_id) to additional gold
     texts used when ``multi`` scoring is on.
     """
-    from . import corpus as corpus_mod
-
     extra_references = extra_references or {}
     predictions = []
     for ex in examples:
-        source = corpus_mod.tighten_rationale(ex) if tighten else ex
+        source = tighten_rationale(ex) if tighten else ex
         refs = [ex.turn.answer] + list(extra_references.get((ex.story_id, ex.turn.turn_id), []))
         predictions.append(Prediction(
             story_id=ex.story_id, turn_id=ex.turn.turn_id,

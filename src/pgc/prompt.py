@@ -10,9 +10,8 @@ Three prompt layouts turn an example into encoder input text:
 
 Categories are the most frequent question-opening interrogative words in
 the training set; anything else maps to "Other".  The word-level
-tokeniser is deliberately simple (lowercased alphanumeric runs plus
-single punctuation marks) and is an interface: any callable with the
-same signature can replace it.
+tokeniser is deliberately simple: lowercased alphanumeric runs plus
+single punctuation marks.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .corpus import DialogueExample
 
@@ -30,8 +29,6 @@ _EDGE_PUNCT = re.compile(r"^\W+|\W+$", re.UNICODE)
 
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
 SPECIAL_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
-
-Tokenizer = Callable[[str], list[str]]
 
 
 class PromptVersionId(IntEnum):
@@ -55,7 +52,6 @@ class PromptVersion:
 class CategoryVocab:
     """Interrogative words accepted as categories, most frequent first."""
     categories: tuple[str, ...]
-    fallback: str = "Other"
 
     def __post_init__(self):
         if not self.categories:
@@ -111,11 +107,11 @@ def build_category_vocab(examples: list[DialogueExample], k: int) -> CategoryVoc
 
 
 def categorize(question: str, vocab: CategoryVocab) -> str:
-    """First question word with an initial capital, or the fallback."""
+    """First question word with an initial capital, or "Other"."""
     word = _first_word(question)
     if word and word in vocab.categories:
         return word[0].upper() + word[1:]
-    return vocab.fallback
+    return "Other"
 
 
 class TokenVocab:
@@ -143,10 +139,6 @@ class TokenVocab:
         ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
         budget = max_size - len(SPECIAL_TOKENS)
         return cls(word for word, _ in ranked[:budget])
-
-    @classmethod
-    def empty(cls) -> "TokenVocab":
-        return cls(())
 
     @property
     def size(self) -> int:
@@ -188,9 +180,8 @@ def _turn_segment(category: str, question: str, rationale: str, answer: str | No
     return segment
 
 
-def build_prompt(example: DialogueExample, version: PromptVersion,
-                 vocab: CategoryVocab, token_vocab: TokenVocab | None = None,
-                 tokenizer: Tokenizer = tokenize) -> PromptedExample:
+def build_prompt(example: DialogueExample, version: PromptVersion, vocab: CategoryVocab,
+                 token_vocab: TokenVocab | None = None) -> PromptedExample:
     """Render one example through the selected template.
 
     Asking for more history than the example has is not an error; all
@@ -211,8 +202,8 @@ def build_prompt(example: DialogueExample, version: PromptVersion,
         segments.append(_turn_segment(categorize(q, vocab), q, r, None))
         text = " ".join(segments)
 
-    tokens = tokenizer(text)
-    ids, oov = (token_vocab or TokenVocab.empty()).encode_source(tokens)
+    tokens = tokenize(text)
+    ids, oov = (token_vocab or TokenVocab(())).encode_source(tokens)
     return PromptedExample(
         source_text=text,
         target_text=example.turn.answer,

@@ -1,9 +1,15 @@
 """End-to-end subcommand behaviour, exit codes, config precedence."""
 
+import contextlib
+import io
 import json
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pgc import cli
 from pgc.cli import RunConfig, load_config
@@ -59,6 +65,8 @@ class TestIngestAndStats:
     def test_stats_reports_fraction(self, store_path, capsys):
         assert cli.run(["stats", "--input", str(store_path)]) == 0
         out = json.loads(capsys.readouterr().out)
+        assert list(out) == ["n_examples", "n_extractive", "n_generative",
+                             "extractive_fraction"]
         assert out["n_examples"] == 6
         assert out["n_extractive"] == 3
         assert out["extractive_fraction"] == 0.5
@@ -199,10 +207,13 @@ class TestEvalInput:
         json.dumps({"story_id": "beach-001", "text": "yes"}),
         json.dumps({"story_id": "beach-001", "turn_id": 2}),
         json.dumps({"story_id": "beach-001", "turn_id": 2, "text": 7}),
+        json.dumps({"story_id": "beach-001", "turn_id": 2.9, "text": "yes"}),
+        json.dumps({"story_id": "beach-001", "turn_id": True, "text": "yes"}),
+        json.dumps({"story_id": 7, "turn_id": 2, "text": "yes"}),
         json.dumps([1, 2]),
         "{broken",
     ], ids=["duplicate", "no-story", "no-turn", "no-text", "text-not-string",
-            "not-object", "malformed"])
+            "turn-not-int", "turn-is-bool", "story-not-string", "not-object", "malformed"])
     def test_bad_prediction_line_is_data_error(self, store_path, tmp_path, capsys,
                                                second_line):
         preds = tmp_path / "preds.jsonl"
@@ -233,20 +244,28 @@ def _drop_additional_turn_id(payload):
     return payload
 
 
+def _repeat_story(payload):
+    payload["data"].append(payload["data"][0])
+    return payload
+
+
 class TestMalformedCoqa:
     """A malformed CoQA file ends in exit 2 with a message naming the file
     (and the story, where the fault is inside one), never in a traceback.
-    The first three are read by ingestion, the last two by the loader of
-    additional answers behind ``eval --multi-ref --coqa``."""
+    The ``ingest`` cases are read by ingestion, the ``multi-ref`` ones by
+    the loader of additional answers behind ``eval --multi-ref --coqa``."""
 
     @pytest.mark.parametrize("damage,reader,story", [
         (_drop_turn_ids, "ingest", "beach-001"),
         (_add_non_object_story, "ingest", "data entry 2"),
         (_bad_span_start, "ingest", "beach-001"),
+        (_repeat_story, "ingest", "story beach-001 appears twice"),
         (_drop_additional_turn_id, "multi-ref", "beach-001"),
         (lambda payload: payload["data"], "multi-ref", ""),
+        (_repeat_story, "multi-ref", "story beach-001 appears twice"),
     ], ids=["turn-without-turn_id", "story-not-object", "span_start-not-int",
-            "additional-answer-without-turn_id", "top-level-array"])
+            "story-id-twice", "additional-answer-without-turn_id", "top-level-array",
+            "additional-story-id-twice"])
     def test_exit_2_names_the_file(self, store_path, tmp_path, capsys, damage, reader,
                                    story):
         bad = tmp_path / "bad_coqa.json"
@@ -261,6 +280,72 @@ class TestMalformedCoqa:
         assert cli.run(argv) == 2
         err = capsys.readouterr().err
         assert f"data error: {bad}: " in err and story in err
+
+
+def _write_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+@pytest.fixture(scope="module")
+def store_lines(tmp_path_factory):
+    root = tmp_path_factory.mktemp("store")
+    coqa, store = root / "coqa.json", root / "store.jsonl"
+    coqa.write_text(json.dumps(tiny_coqa_dict()), encoding="utf-8")
+    assert cli.run(["ingest", "--input", str(coqa), "--output", str(store)]) == 0
+    return store.read_text(encoding="utf-8").splitlines()
+
+
+class TestMalformedStore:
+    """A store line that is not exactly a record ``pgc ingest`` writes ends
+    in exit 2 naming ``path:line``, never in a traceback."""
+
+    @pytest.mark.parametrize("change,line", [
+        ({"question": 7}, 1), ({"turn_id": 2.5}, 1), ({"turn_id": "1"}, 1),
+        ({"turn_id": True}, 1), ({"speaker": "A"}, 1), (None, 7),
+    ], ids=["question-not-string", "turn_id-float", "turn_id-string", "turn_id-bool",
+            "extra-key", "repeated-record"])
+    def test_exit_2_names_the_line(self, store_lines, tmp_path, capsys, change, line):
+        """``change`` is set in the first line's turn; None repeats that line."""
+        record = json.loads(store_lines[0])
+        if change is None:
+            lines = store_lines + store_lines[:1]
+        else:
+            record["turn"].update(change)
+            lines = [json.dumps(record), *store_lines[1:]]
+        bad = _write_lines(tmp_path / "bad.jsonl", lines)
+        assert cli.run(["prompts", "--input", str(bad),
+                        "--output", str(tmp_path / "prompts.jsonl")]) == 2
+        assert f"data error: {bad}:{line}: " in capsys.readouterr().err
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_mutated_line_exits_2(self, store_lines, data):
+        """Drop a key, add one, or give one field a value of another JSON
+        type, at the top level, in the turn or in a history turn."""
+        index = data.draw(st.integers(0, len(store_lines) - 1), label="line index")
+        record = json.loads(store_lines[index])
+        target = data.draw(st.sampled_from([record, record["turn"], *record["history"]]))
+        key = data.draw(st.sampled_from(sorted(target)), label="key")
+        how = data.draw(st.sampled_from(["drop", "add", "retype"]), label="how")
+        if how == "drop":
+            del target[key]
+        elif how == "add":
+            target[data.draw(st.text(min_size=1).filter(lambda k: k not in target))] = 1
+        else:
+            value = data.draw(st.sampled_from([1.5, "1", True, [1], None]), label="value")
+            assume(type(value) is not type(target[key]))
+            target[key] = value
+        lines = list(store_lines)
+        lines[index] = json.dumps(record, ensure_ascii=False)
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = _write_lines(Path(tmp, "bad.jsonl"), lines)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.run(["stats", "--input", str(bad)])
+        assert code == 2
+        assert f"data error: {bad}:{index + 1}: " in err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 class TestRawBaseline:

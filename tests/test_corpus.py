@@ -1,16 +1,18 @@
 """Ingestion, answer classification, tightening, stats, and the JSONL store."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pgc import corpus
 from pgc.corpus import (AnswerClass, ConversationTurn, CorpusError,
                         DialogueExample, classify_answer, compute_stats,
-                        ingest, tighten_rationale)
-from pgc.eval import em, normalize
+                        ingest, normalize, tighten_rationale)
+from pgc.eval import em
 
 from helpers import tiny_coqa_dict
 
@@ -166,6 +168,21 @@ class TestComputeStats:
 
 
 class TestTurnInvariants:
+    GOOD = dict(turn_id=1, question="q", rationale="r", answer="a", span_start=0)
+
+    @pytest.mark.parametrize("name,value", [
+        ("turn_id", 2.5), ("turn_id", "1"), ("turn_id", True), ("span_start", 0.0),
+        ("span_start", False), ("question", 7), ("rationale", None), ("answer", ["a"]),
+    ])
+    def test_field_types_are_checked(self, name, value):
+        with pytest.raises(CorpusError, match=f"{name} must be"):
+            ConversationTurn(**{**self.GOOD, name: value})
+
+    def test_story_id_must_be_a_string(self):
+        with pytest.raises(CorpusError, match="story_id must be str"):
+            DialogueExample(story_id=7, turn=ConversationTurn(**self.GOOD), history=(),
+                            answer_class=AnswerClass.GENERATIVE)
+
     def test_turn_id_must_be_positive(self):
         with pytest.raises(CorpusError):
             ConversationTurn(turn_id=0, question="q", rationale="r",
@@ -189,7 +206,40 @@ class TestTurnInvariants:
                             answer_class=AnswerClass.GENERATIVE)
 
 
+_TEXT = st.text(max_size=12)   # any unicode, newlines and U+2028 included
+
+
+@st.composite
+def _turn(draw, turn_id):
+    if draw(st.booleans()):   # answerable
+        rationale, span_start = draw(st.text(min_size=1, max_size=12)), draw(st.integers(0, 999))
+    else:
+        rationale, span_start = "", -1
+    return ConversationTurn(turn_id=turn_id, question=draw(_TEXT), rationale=rationale,
+                            answer=draw(_TEXT), span_start=span_start)
+
+
+@st.composite
+def _example(draw):
+    ids = sorted(draw(st.sets(st.integers(1, 10**6), min_size=1, max_size=4)))
+    turns = [draw(_turn(i)) for i in ids]
+    return DialogueExample(story_id=draw(_TEXT), turn=turns[-1], history=tuple(turns[:-1]),
+                           answer_class=draw(st.sampled_from(AnswerClass)))
+
+
 class TestJsonlStore:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_example(), max_size=5,
+                    unique_by=lambda ex: (ex.story_id, ex.turn.turn_id)))
+    def test_save_load_is_exact_and_save_is_stable(self, examples):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "first.jsonl"), Path(tmp, "second.jsonl")
+            corpus.save_examples(examples, first)
+            loaded = corpus.load_examples(first)
+            corpus.save_examples(loaded, second)
+            assert loaded == examples
+            assert second.read_bytes() == first.read_bytes()
+
     def test_round_trip(self, tiny_examples, tmp_path):
         path = tmp_path / "store.jsonl"
         corpus.save_examples(tiny_examples, path)

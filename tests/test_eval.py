@@ -228,6 +228,11 @@ class TestReportOutput:
         json_path = tmp_path / "report.json"
         evalmod.write_report(report, json_path, config={"seed": 0})
         payload = json.loads(json_path.read_text())
+        assert list(report.to_dict()) == [
+            "o_em", "o_f1", "g_em", "g_f1", "e_em", "e_f1", "n_overall", "n_generative",
+            "n_extractive", "n_examples", "n_missing", "per_category"]
+        assert list(payload) == list(report.to_dict()) + ["config"]
+        assert payload["per_category"] == [{"category": "What", "f1": 75.0, "count": 2}]
         assert payload["o_f1"] == 75.0
         assert payload["config"] == {"seed": 0}
         csv_path = tmp_path / "categories.csv"

@@ -1,0 +1,90 @@
+"""The package's modules import one way: only at module level, and with
+no cycle among their relative imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import pgc
+
+PACKAGE = Path(pgc.__file__).parent
+
+
+def function_imports(tree: ast.Module) -> list[int]:
+    """Line numbers of the imports inside a function body."""
+    return [node.lineno
+            for func in ast.walk(tree) if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def relative_imports(tree: ast.Module, modules: set[str]) -> set[str]:
+    """The sibling modules named by ``from .x import ...`` and ``from . import x``."""
+    named = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            named |= {node.module} if node.module else {a.name for a in node.names}
+    return named & modules
+
+
+def find_cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    """One import cycle as a path that ends where it starts, or None."""
+    state: dict[str, str] = {}
+
+    def visit(name, path):
+        state[name] = "open"
+        for dep in sorted(graph[name]):
+            if state.get(dep) == "open":
+                return path[path.index(dep):] + [dep]
+            if dep not in state:
+                cycle = visit(dep, path + [dep])
+                if cycle:
+                    return cycle
+        state[name] = "done"
+        return None
+
+    for name in sorted(graph):
+        if name not in state:
+            cycle = visit(name, [name])
+            if cycle:
+                return cycle
+    return None
+
+
+def parse(sources: dict[str, str]) -> dict[str, ast.Module]:
+    return {name: ast.parse(text) for name, text in sources.items()}
+
+
+def import_graph(trees: dict[str, ast.Module]) -> dict[str, set[str]]:
+    return {name: relative_imports(tree, set(trees)) for name, tree in trees.items()}
+
+
+@pytest.fixture(scope="module")
+def package_trees():
+    return parse({path.stem: path.read_text(encoding="utf-8")
+                  for path in sorted(PACKAGE.glob("*.py"))})
+
+
+def test_no_import_inside_a_function(package_trees):
+    found = {name: lines for name, tree in package_trees.items()
+             if (lines := function_imports(tree))}
+    assert found == {}
+
+
+def test_relative_imports_form_no_cycle(package_trees):
+    graph = import_graph(package_trees)
+    assert graph["eval"] == {"corpus", "prompt"}
+    assert find_cycle(graph) is None
+
+
+def test_the_checks_see_what_they_forbid():
+    trees = parse({
+        "a": "from .b import x\n",
+        "b": "from . import c as cm\n",
+        "c": "import json\n\ndef f():\n    from . import a\n    return a\n",
+        "d": "from .a import y\n",
+    })
+    assert function_imports(trees["c"]) == [4]
+    assert find_cycle(import_graph(trees)) is None   # c's import is not at module level
+    trees["c"] = ast.parse("from .a import z\n")
+    assert find_cycle(import_graph(trees)) == ["a", "b", "c", "a"]
