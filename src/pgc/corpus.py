@@ -28,7 +28,7 @@ from typing import get_type_hints
 
 _WHITESPACE_TOKEN = re.compile(r"\S+")
 _ARTICLES = re.compile(r"\b(a|an|the)\b")
-_PUNCT = set(string.punctuation)
+_DROP_PUNCT = str.maketrans("", "", string.punctuation)
 
 
 class CorpusError(ValueError):
@@ -98,7 +98,7 @@ class CorpusStats:
 def normalize(text: str) -> str:
     """Lowercase, strip punctuation, drop the articles a/an/the, collapse whitespace."""
     text = text.lower()
-    text = "".join(ch for ch in text if ch not in _PUNCT)
+    text = text.translate(_DROP_PUNCT)
     text = _ARTICLES.sub(" ", text)
     return " ".join(text.split())
 
@@ -134,9 +134,10 @@ def _find_answer_window(answer: str, rationale: str) -> tuple[int, int] | None:
 
 def classify_answer(answer: str, rationale: str) -> AnswerClass:
     """Extractive iff the normalised answer occurs contiguously in the rationale."""
-    if _find_answer_window(answer, rationale) is not None:
-        return AnswerClass.EXTRACTIVE
-    return AnswerClass.GENERATIVE
+    want, have = normalize(answer).split(), normalize(rationale).split()
+    n = len(want)
+    found = n > 0 and any(have[i:i + n] == want for i in range(len(have) - n + 1))
+    return AnswerClass.EXTRACTIVE if found else AnswerClass.GENERATIVE
 
 
 def tighten_rationale(example: DialogueExample) -> DialogueExample:
@@ -175,17 +176,18 @@ def _build_turn(question, answer) -> ConversationTurn:
     _require(isinstance(question, dict) and isinstance(answer, dict),
              "a question or answer is not an object")
     _require("turn_id" in question, "a question lacks turn_id")
-    _require(question["turn_id"] == answer.get("turn_id"),
-             f"question/answer turn_id mismatch "
-             f"({question['turn_id']} vs {answer.get('turn_id')})")
-    span_start = int(answer.get("span_start", -1))
+    turn_id, span_start = question["turn_id"], answer.get("span_start", -1)
+    _require(turn_id == answer.get("turn_id"),
+             f"question/answer turn_id mismatch ({turn_id} vs {answer.get('turn_id')})")
+    _require(all(type(v) is int for v in (turn_id, answer["turn_id"], span_start)),
+             f"turn_id and span_start must be ints, got {turn_id!r} and {span_start!r}")
     rationale = str(answer.get("span_text", ""))
     if span_start == -1:
         rationale = ""  # unanswerable turns carry no copyable evidence
     elif rationale == "":
         span_start = -1
     return ConversationTurn(
-        turn_id=int(question["turn_id"]),
+        turn_id=turn_id,
         question=str(question.get("input_text", "")),
         rationale=rationale,
         answer=str(answer.get("input_text", "")),
@@ -238,7 +240,9 @@ def _story_additional_answers(story_id: str, entry: dict) -> list:
     answers = [answer for answer_set in extra.values() for answer in answer_set]
     _require(all(isinstance(a, dict) and "turn_id" in a for a in answers),
              "an additional answer lacks turn_id")
-    return [((story_id, int(a["turn_id"])), str(a.get("input_text", ""))) for a in answers]
+    bad = [a["turn_id"] for a in answers if type(a["turn_id"]) is not int]
+    _require(not bad, f"an additional answer's turn_id must be an int, got {bad[:1]}")
+    return [((story_id, a["turn_id"]), str(a.get("input_text", ""))) for a in answers]
 
 
 def load_additional_answers(path: str | Path) -> dict[tuple[str, int], list[str]]:
@@ -265,8 +269,9 @@ def save_examples(examples: list[DialogueExample], path: str | Path) -> None:
 
 
 def load_examples(path: str | Path) -> list[DialogueExample]:
-    """The examples of a store in file order; a line that repeats an
-    earlier line's (story_id, turn_id) is a ``CorpusError`` too."""
+    """The examples of a store in file order.  A line that repeats an
+    earlier line's (story_id, turn_id), or whose answer_class is not
+    ``classify_answer(answer, rationale)``, is a ``CorpusError`` too."""
     by_key = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -281,6 +286,10 @@ def load_examples(path: str | Path) -> list[DialogueExample]:
                     "answer_class": AnswerClass(record["answer_class"])})
                 key = (example.story_id, example.turn.turn_id)
                 _require(key not in by_key, f"a second record for {key[0]}/{key[1]}")
+                derived = classify_answer(example.turn.answer, example.turn.rationale)
+                _require(example.answer_class is derived,
+                         f"answer_class {example.answer_class.value} contradicts the answer "
+                         f"and rationale, which make it {derived.value}")
             except (KeyError, TypeError, ValueError) as err:
                 raise CorpusError(f"{path}:{line_no}: bad example record: {err}") from err
             by_key[key] = example

@@ -152,21 +152,20 @@ def init_params(config: ModelConfig, seed: int = 0) -> ParamStore:
     """Fresh parameter store for the given shape."""
     rng = np.random.default_rng(seed)
     d, v, dff, dk = config.d_model, config.vocab_size, config.ffn_dim, config.copy_d_k
-    store = ParamStore()
-    store.add("embed", rng.normal(0.0, 0.02, size=(v, d)))
+    arrays = {"embed": rng.normal(0.0, 0.02, size=(v, d))}
 
     def add_attention(prefix: str) -> None:
         for name in ("wq", "wk", "wv", "wo"):
-            store.add(f"{prefix}.{name}", _glorot(rng, d, d))
+            arrays[f"{prefix}.{name}"] = _glorot(rng, d, d)
 
     def add_block(prefix: str, n_norms: int) -> None:
-        store.add(f"{prefix}.ffn.w1", _glorot(rng, d, dff))
-        store.add(f"{prefix}.ffn.b1", np.zeros(dff))
-        store.add(f"{prefix}.ffn.w2", _glorot(rng, dff, d))
-        store.add(f"{prefix}.ffn.b2", np.zeros(d))
+        arrays[f"{prefix}.ffn.w1"] = _glorot(rng, d, dff)
+        arrays[f"{prefix}.ffn.b1"] = np.zeros(dff)
+        arrays[f"{prefix}.ffn.w2"] = _glorot(rng, dff, d)
+        arrays[f"{prefix}.ffn.b2"] = np.zeros(d)
         for k in range(1, n_norms + 1):
-            store.add(f"{prefix}.ln{k}.g", np.ones(d))
-            store.add(f"{prefix}.ln{k}.b", np.zeros(d))
+            arrays[f"{prefix}.ln{k}.g"] = np.ones(d)
+            arrays[f"{prefix}.ln{k}.b"] = np.zeros(d)
 
     for i in range(config.n_enc_layers):
         add_attention(f"enc{i}.self")
@@ -176,16 +175,16 @@ def init_params(config: ModelConfig, seed: int = 0) -> ParamStore:
         add_attention(f"dec{i}.cross")
         add_block(f"dec{i}", n_norms=3)
 
-    store.add("copy.w_s", _glorot(rng, d, dk))
+    arrays["copy.w_s"] = _glorot(rng, d, dk)
     for i in range(config.n_enc_layers):
-        store.add(f"copy.w_h{i}", _glorot(rng, d, dk))
-    store.add("copy.a_raw", np.zeros(config.n_enc_layers))
-    store.add("gate.w_c", np.zeros(d))
-    store.add("gate.w_s", np.zeros(d))
-    store.add("gate.b", np.zeros(1))
-    store.add("out.w_v", _glorot(rng, d, v))
-    store.add("out.b_v", np.zeros(v))
-    return store
+        arrays[f"copy.w_h{i}"] = _glorot(rng, d, dk)
+    arrays["copy.a_raw"] = np.zeros(config.n_enc_layers)
+    arrays["gate.w_c"] = np.zeros(d)
+    arrays["gate.w_s"] = np.zeros(d)
+    arrays["gate.b"] = np.zeros(1)
+    arrays["out.w_v"] = _glorot(rng, d, v)
+    arrays["out.b_v"] = np.zeros(v)
+    return ParamStore(arrays)
 
 
 def _keys_values(x: Tensor, prefix: str, params: ParamStore) -> tuple[Tensor, Tensor]:

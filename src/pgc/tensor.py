@@ -15,6 +15,14 @@ Each op's backward closure holds its inputs but not its output, so a
 graph has no reference cycles and is freed as soon as its last handle
 goes.  Inside ``no_grad()`` ops record no inputs and no closure at all.
 
+A ``ParamStore`` keeps all parameters in one contiguous vector, and
+their gradients and Adam moments in three more of the same layout; each
+named parameter is a reshaped view into them.  Backward adds a
+parameter's gradient into its view in place, and zeroing, clipping,
+the finiteness check and Adam are each a few whole-vector numpy calls
+that write in place: a parameter's ``data`` array is updated, never
+replaced.
+
 NaN/inf is rejected where values enter: by a public ``Tensor(...)``, and
 by ``add``/``mul`` for a Python number, which stays a plain float.  Op
 results are not scanned; the model checks its output distributions once
@@ -77,10 +85,16 @@ class Tensor:
         return self.data.item()
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
+        """Add ``g`` to ``grad``.  An op result keeps its first ``g`` and
+        adds later ones out of place, never writing an array another node
+        holds; a leaf owns its gradient (a view into a ``ParamStore``'s
+        ``flat_grad``, or a copy of its first ``g``) and adds in place."""
+        if self._backward is not None:
+            self.grad = g if self.grad is None else self.grad + g
+        elif self.grad is None:
+            self.grad = np.array(g)
         else:
-            self.grad = self.grad + g
+            self.grad += g
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar node.
@@ -491,22 +505,35 @@ def sequence_nll(p_rows, gold_ids, weights=None, floor: float = _LOG_FLOOR) -> T
 
 
 class ParamStore:
-    """Named trainable arrays plus their gradients and Adam state."""
+    """Named trainable arrays plus their gradients and Adam state: views,
+    in the order of ``arrays``, into the vectors ``flat``, ``flat_grad``,
+    ``flat_m`` and ``flat_v``.  A fifth vector of that size is scratch
+    space for the norm and Adam."""
 
-    def __init__(self):
+    def __init__(self, arrays: dict[str, np.ndarray]):
+        arrays = {name: np.asarray(a, dtype=np.float64) for name, a in arrays.items()}
+        n = sum(a.size for a in arrays.values())
+        self.flat, self.flat_grad, self.flat_m, self.flat_v = np.zeros((4, n))
+        self._scratch = np.empty(n)
         self._params: dict[str, Tensor] = {}
         self.adam_m: dict[str, np.ndarray] = {}
         self.adam_v: dict[str, np.ndarray] = {}
+        self._slices: list[slice] = []
+        lo = 0
+        for name, a in arrays.items():
+            part = slice(lo, lo + a.size)
+            self.flat[part] = a.reshape(-1)
+            data, grad, m, v = (flat[part].reshape(a.shape) for flat in
+                                (self.flat, self.flat_grad, self.flat_m, self.flat_v))
+            param = self._params[name] = Tensor(data, _check=False)
+            param.grad = grad
+            self.adam_m[name], self.adam_v[name] = m, v
+            self._slices.append(part)
+            lo = part.stop
+        bad = self.non_finite(self.flat)
+        if bad is not None:
+            raise ValueError(f"non-finite values in parameter {bad}")
         self.step = 0
-
-    def add(self, name: str, values) -> Tensor:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(values)
-        self._params[name] = t
-        self.adam_m[name] = np.zeros_like(t.data)
-        self.adam_v[name] = np.zeros_like(t.data)
-        return t
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -518,46 +545,56 @@ class ParamStore:
         return self._params.items()
 
     def n_values(self) -> int:
-        return sum(t.data.size for t in self._params.values())
+        return self.flat.size
+
+    def non_finite(self, flat: np.ndarray) -> str | None:
+        """The first parameter whose part of ``flat`` (one of the store's
+        vectors) holds NaN or inf, or None."""
+        if np.isfinite(flat).all():
+            return None
+        return next(name for name, part in zip(self._params, self._slices)
+                    if not np.isfinite(flat[part]).all())
 
     def zero_grad(self) -> None:
-        for t in self._params.values():
-            t.grad = None
-
-    def gradient(self, name: str) -> np.ndarray:
-        t = self._params[name]
-        return t.grad if t.grad is not None else np.zeros_like(t.data)
+        self.flat_grad.fill(0.0)
 
     def global_grad_norm(self) -> float:
-        total = 0.0
-        for name in self._params:
-            g = self.gradient(name)
-            total += float((g * g).sum())
-        return math.sqrt(total)
+        """The Euclidean norm of all gradients, summed in store order over
+        each parameter's own sum of squares."""
+        squares = np.multiply(self.flat_grad, self.flat_grad, out=self._scratch)
+        return math.sqrt(sum(float(squares[part].sum()) for part in self._slices))
 
     def clip_grad_norm(self, max_norm: float) -> float:
         """Scale all gradients so the global norm is at most ``max_norm``."""
         norm = self.global_grad_norm()
         if norm > max_norm:
-            scale = max_norm / (norm + 1e-12)
-            for t in self._params.values():
-                if t.grad is not None:
-                    t.grad = t.grad * scale
+            self.flat_grad *= max_norm / (norm + 1e-12)
         return norm
 
 
 def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> ParamStore:
-    """Bias-corrected Adam update over every parameter in the store."""
+    """Bias-corrected Adam update of every parameter, in place over the
+    store's flat vectors:
+    ``p -= lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)``.
+
+    The gradients are used up: once read, ``flat_grad`` holds the step,
+    and it is left zeroed."""
     store.step += 1
     t = store.step
-    for name, param in store.items():
-        g = store.gradient(name)
-        m = store.adam_m[name] = beta1 * store.adam_m[name] + (1.0 - beta1) * g
-        v = store.adam_v[name] = beta2 * store.adam_v[name] + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        param.data = param.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+    g, m, v, scratch = store.flat_grad, store.flat_m, store.flat_v, store._scratch
+    v *= beta2
+    v += np.multiply(np.multiply(g, 1.0 - beta2, out=scratch), g, out=scratch)
+    m *= beta1
+    m += np.multiply(g, 1.0 - beta1, out=g)   # the last read of the gradients
+    step = np.divide(m, 1.0 - beta1 ** t, out=g)
+    step *= lr
+    denom = np.divide(v, 1.0 - beta2 ** t, out=scratch)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step /= denom
+    store.flat -= step
+    step.fill(0.0)
     return store
 
 
@@ -572,25 +609,24 @@ def grad_check(f: Callable[[ParamStore], Tensor], store: ParamStore,
     """
     store.zero_grad()
     f(store).backward()
-    analytic = {name: store.gradient(name).copy() for name in store.names()}
+    analytic = store.flat_grad.copy()
     rng = rng or np.random.default_rng(0)
     worst = 0.0
-    for name, param in store.items():
-        size = param.data.size
+    for part in store._slices:
+        size = part.stop - part.start
         if max_coords_per_param is not None and size > max_coords_per_param:
-            coords = rng.choice(size, size=max_coords_per_param, replace=False)
+            coords = part.start + rng.choice(size, size=max_coords_per_param, replace=False)
         else:
-            coords = range(size)
-        flat = param.data.reshape(-1)
+            coords = range(part.start, part.stop)
         for idx in coords:
-            original = flat[idx]
-            flat[idx] = original + eps
+            original = store.flat[idx]
+            store.flat[idx] = original + eps
             f_plus = f(store).data.item()
-            flat[idx] = original - eps
+            store.flat[idx] = original - eps
             f_minus = f(store).data.item()
-            flat[idx] = original
+            store.flat[idx] = original
             numeric = (f_plus - f_minus) / (2.0 * eps)
-            exact = analytic[name].reshape(-1)[idx]
+            exact = analytic[idx]
             rel = abs(exact - numeric) / max(abs(exact), abs(numeric), 1e-8)
             worst = max(worst, rel)
     return worst

@@ -279,9 +279,9 @@ def _check_finite(loss: T.Tensor, store: ParamStore, step: int) -> None:
     """Raise ``ValueError`` unless the loss and every gradient are finite."""
     if not np.isfinite(loss.data).all():
         raise ValueError(f"step {step}: non-finite loss {loss.item()}")
-    for name, param in store.items():
-        if param.grad is not None and not np.isfinite(param.grad).all():
-            raise ValueError(f"step {step}: non-finite gradient for {name}")
+    name = store.non_finite(store.flat_grad)
+    if name is not None:
+        raise ValueError(f"step {step}: non-finite gradient for {name}")
 
 
 def write_loss_curve(curve: list[tuple[int, int, float]], path: str | Path) -> None:
@@ -299,18 +299,6 @@ def config_hash(model_config: ModelConfig) -> str:
 def _arrays_to_json(arrays: dict[str, np.ndarray]) -> dict:
     return {name: {"shape": list(a.shape), "values": a.reshape(-1).tolist()}
             for name, a in arrays.items()}
-
-
-def _arrays_from_json(path, payload: dict, key: str) -> dict[str, np.ndarray]:
-    """The named arrays of the checkpoint section ``key``."""
-    section = payload.get(key)
-    if not isinstance(section, dict):
-        raise CheckpointError(f"{path}: {key} is missing or not an object")
-    try:
-        return {name: np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
-                for name, entry in section.items()}
-    except (KeyError, TypeError, ValueError) as err:
-        raise CheckpointError(f"{path}: {key}: malformed array: {err!r}") from err
 
 
 def checkpoint_save(path: str | Path, store: ParamStore, model_config: ModelConfig,
@@ -375,8 +363,62 @@ def _config_from_checkpoint(path, payload: dict, key: str, cls):
         raise CheckpointError(f"{path}: {key}: {err}") from err
 
 
+_CHECKPOINT_KEYS = {"format_version", "config_hash", "model_config", "train_config", "step",
+                    "epochs_completed", "token_vocab", "category_vocab", "params", "adam_m",
+                    "adam_v"}
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(type(item) is str for item in value)
+
+
+def _fill_state(path, payload: dict, store: ParamStore) -> None:
+    """Copy the checkpoint's parameters and Adam moments into ``store``.
+
+    Each section must name exactly the store's parameters; each entry
+    gives a parameter's shape (a list of ints) and its values (a flat
+    list of floats), none of them NaN or inf."""
+    params = {name: t.data for name, t in store.items()}
+    for key, views, flat in (("params", params, store.flat),
+                             ("adam_m", store.adam_m, store.flat_m),
+                             ("adam_v", store.adam_v, store.flat_v)):
+        section = payload[key]
+        if not isinstance(section, dict):
+            raise CheckpointError(f"{path}: {key} is not an object")
+        unknown, missing = sorted(set(section) - set(views)), sorted(set(views) - set(section))
+        if unknown or missing:
+            raise CheckpointError(f"{path}: {key}: unknown parameters {unknown}, "
+                                  f"missing parameters {missing}")
+        for name, view in views.items():
+            entry = section[name] if isinstance(section[name], dict) else {}
+            shape = entry.get("shape")
+            try:   # a list of JSON floats and nothing else gives a float64 vector
+                values = np.array(entry.get("values"))
+            except ValueError:   # ragged nested lists
+                values = np.array(None)
+            if not (isinstance(shape, list) and all(type(n) is int for n in shape)
+                    and values.dtype == np.float64 and values.ndim == 1):
+                raise CheckpointError(f"{path}: {key}: {name}: expected a shape (a list of "
+                                      f"ints) and values (a list of floats)")
+            if shape != list(view.shape) or values.size != view.size:
+                raise CheckpointError(f"{path}: {key}: {name} has shape {shape} and "
+                                      f"{values.size} values, expected shape {list(view.shape)}")
+            view.reshape(-1)[:] = values
+        name = store.non_finite(flat)
+        if name is not None:
+            raise CheckpointError(f"{path}: {key}: {name} holds NaN or inf")
+
+
 def checkpoint_load(path: str | Path, expected_config: ModelConfig | None = None):
-    """Load a checkpoint; returns (store, model_config, train_config, vocab, meta)."""
+    """Load a checkpoint; returns (store, model_config, train_config, vocab, meta).
+
+    Every section ``checkpoint_save`` writes must be there with its type.
+    The parameters and both Adam moments must have exactly the names and
+    shapes of ``init_params(model_config)``, and finite values; ``step``
+    and ``epochs_completed`` are ints >= 0, and the token vocabulary plus
+    the special tokens is ``model_config.vocab_size`` long.  Anything
+    else is a ``CheckpointError`` naming the path.
+    """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
@@ -384,34 +426,41 @@ def checkpoint_load(path: str | Path, expected_config: ModelConfig | None = None
     if not isinstance(payload, dict):
         raise CheckpointError(f"{path}: not a checkpoint file: not a JSON object")
     version = payload.get("format_version")
-    if version != CHECKPOINT_FORMAT_VERSION:
+    if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint format version {version}")
+    unknown = sorted(set(payload) - _CHECKPOINT_KEYS - {"extra"})
+    missing = sorted(_CHECKPOINT_KEYS - set(payload))
+    if unknown or missing:
+        raise CheckpointError(f"{path}: unknown keys {unknown}, missing keys {missing}")
     model_config = _config_from_checkpoint(path, payload, "model_config", ModelConfig)
-    if expected_config is not None and config_hash(expected_config) != payload["config_hash"]:
+    if payload["config_hash"] != config_hash(model_config):
+        raise CheckpointError(f"{path}: config_hash does not match model_config")
+    if expected_config is not None and expected_config != model_config:
         raise CheckpointError(
             f"{path}: checkpoint was written for a different model configuration")
-    params = _arrays_from_json(path, payload, "params")
-    store = ParamStore()
-    for name, arr in params.items():
-        store.add(name, arr)
-    adam_m = _arrays_from_json(path, payload, "adam_m")
-    adam_v = _arrays_from_json(path, payload, "adam_v")
-    for name in store.names():
-        shape = store[name].data.shape
-        if any(name not in state or state[name].shape != shape for state in (adam_m, adam_v)):
-            raise CheckpointError(f"{path}: optimizer state missing or of the wrong "
-                                  f"shape for {name}")
-        store.adam_m[name] = adam_m[name]
-        store.adam_v[name] = adam_v[name]
-    if type(payload.get("step")) is not int or not isinstance(payload.get("token_vocab"), list):
-        raise CheckpointError(f"{path}: step or token_vocab is missing or malformed")
-    store.step = payload["step"]
-    vocab = TokenVocab(payload["token_vocab"])
     train_config = (_config_from_checkpoint(path, payload, "train_config", TrainConfig)
-                    if payload.get("train_config") is not None else None)
-    meta = {
-        "epochs_completed": int(payload.get("epochs_completed", 0)),
-        "category_vocab": payload.get("category_vocab"),
-        "extra": payload.get("extra"),
-    }
+                    if payload["train_config"] is not None else None)
+    store = M.init_params(model_config)
+    _fill_state(path, payload, store)
+    step, epochs = payload["step"], payload["epochs_completed"]
+    if type(step) is not int or step < 0 or type(epochs) is not int or epochs < 0:
+        raise CheckpointError(f"{path}: step and epochs_completed must be ints >= 0, "
+                              f"got {step!r} and {epochs!r}")
+    store.step = step
+    tokens, categories = payload["token_vocab"], payload["category_vocab"]
+    if not (_is_str_list(tokens) and (categories is None or _is_str_list(categories))):
+        raise CheckpointError(f"{path}: token_vocab and category_vocab must be lists of "
+                              f"strings (category_vocab may be null)")
+    try:
+        vocab = TokenVocab(tokens)
+    except ValueError as err:
+        raise CheckpointError(f"{path}: token_vocab: {err}") from err
+    if vocab.tokens[len(SPECIAL_TOKENS):] != tokens or vocab.size != model_config.vocab_size:
+        raise CheckpointError(f"{path}: token_vocab must be {model_config.vocab_size} - "
+                              f"{len(SPECIAL_TOKENS)} tokens other than the special ones, "
+                              f"got {len(tokens)}")
+    extra = payload.get("extra")
+    if extra is not None and not isinstance(extra, dict):
+        raise CheckpointError(f"{path}: extra is not an object")
+    meta = {"epochs_completed": epochs, "category_vocab": categories, "extra": extra}
     return store, model_config, train_config, vocab, meta

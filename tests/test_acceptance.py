@@ -127,10 +127,9 @@ def test_criterion_05_oracle_equivalence():
         d, dk, length = 6, 3, int(rng.integers(1, 9))
         hidden = rng.normal(size=(length, d))
         state = rng.normal(size=d)
-        store = T.ParamStore()
-        w_s = store.add("copy.w_s", rng.normal(size=(d, dk)))
-        w_h = store.add("copy.w_h0", rng.normal(size=(d, dk)))
-        store.add("copy.a_raw", np.zeros(1))
+        store = T.ParamStore({"copy.w_s": rng.normal(size=(d, dk)),
+                              "copy.w_h0": rng.normal(size=(d, dk)), "copy.a_raw": np.zeros(1)})
+        w_s, w_h = store["copy.w_s"], store["copy.w_h0"]
         stack = M.EncoderStack(layers=[T.Tensor(hidden)], attn_maps=[],
                                pad_mask=np.zeros(length, bool),
                                source_ext_ids=np.arange(4, 4 + length),

@@ -141,6 +141,7 @@ class TestTrainPredictEval:
         long_record = json.loads(data.read_text().splitlines()[0])
         long_record["story_id"] = "long-001"
         long_record["turn"]["rationale"] = " ".join(["w001"] * 30)   # max_source_len 24
+        long_record["turn"]["answer"] = "w001"   # still Extractive, as the record says
         with_long = tmp_path / "with-long.jsonl"
         with_long.write_text(data.read_text() + json.dumps(long_record) + "\n")
         preds = tmp_path / "preds.jsonl"
@@ -239,6 +240,22 @@ def _bad_span_start(payload):
     return payload
 
 
+def _set_first_turn(sides=("questions", "answers"), **changes):
+    """A damage that sets fields of the first story's first turn."""
+    def damage(payload):
+        for side in sides:
+            payload["data"][0][side][0].update(changes)
+        return payload
+    return damage
+
+
+def _set_additional_turn_id(value):
+    def damage(payload):
+        payload["data"][0]["additional_answers"]["0"][0]["turn_id"] = value
+        return payload
+    return damage
+
+
 def _drop_additional_turn_id(payload):
     del payload["data"][0]["additional_answers"]["0"][1]["turn_id"]
     return payload
@@ -263,9 +280,19 @@ class TestMalformedCoqa:
         (_drop_additional_turn_id, "multi-ref", "beach-001"),
         (lambda payload: payload["data"], "multi-ref", ""),
         (_repeat_story, "multi-ref", "story beach-001 appears twice"),
+        (_set_first_turn(turn_id=1.5), "ingest", "beach-001"),
+        (_set_first_turn(turn_id="1"), "ingest", "beach-001"),
+        (_set_first_turn(turn_id=True), "ingest", "beach-001"),
+        (_set_first_turn(("answers",), span_start="75"), "ingest", "beach-001"),
+        (_set_first_turn(("answers",), span_start=True), "ingest", "beach-001"),
+        (_set_first_turn(("answers",), span_start="75", span_text=""), "ingest", "beach-001"),
+        (_set_additional_turn_id(1.5), "multi-ref", "beach-001"),
+        (_set_additional_turn_id("2"), "multi-ref", "beach-001"),
     ], ids=["turn-without-turn_id", "story-not-object", "span_start-not-int",
             "story-id-twice", "additional-answer-without-turn_id", "top-level-array",
-            "additional-story-id-twice"])
+            "additional-story-id-twice", "turn_id-float", "turn_id-string", "turn_id-bool",
+            "span_start-numeric-string", "span_start-bool", "span_start-string-without-text",
+            "additional-turn_id-float", "additional-turn_id-string"])
     def test_exit_2_names_the_file(self, store_path, tmp_path, capsys, damage, reader,
                                    story):
         bad = tmp_path / "bad_coqa.json"
@@ -318,6 +345,15 @@ class TestMalformedStore:
                         "--output", str(tmp_path / "prompts.jsonl")]) == 2
         assert f"data error: {bad}:{line}: " in capsys.readouterr().err
 
+    def test_contradicted_answer_class_names_the_line(self, store_lines, tmp_path, capsys):
+        record = json.loads(store_lines[0])
+        assert record["answer_class"] == "Extractive"
+        record["answer_class"] = "Generative"
+        bad = _write_lines(tmp_path / "bad.jsonl", [json.dumps(record), *store_lines[1:]])
+        assert cli.run(["stats", "--input", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {bad}:1: " in err and "answer_class Generative contradicts" in err
+
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_mutated_line_exits_2(self, store_lines, data):
@@ -346,6 +382,102 @@ class TestMalformedStore:
         assert code == 2
         assert f"data error: {bad}:{index + 1}: " in err.getvalue()
         assert "Traceback" not in err.getvalue()
+
+
+_ARRAY_SECTIONS = ("params", "adam_m", "adam_v")
+
+
+def _predict_damaged(trained, payload) -> tuple[int, Path, str]:
+    """``pgc predict`` with ``payload`` as the checkpoint: (exit code,
+    checkpoint path, stderr)."""
+    data, _ = trained
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = Path(tmp, "damaged-ckpt.json")
+        bad.write_text(json.dumps(payload))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.run(["predict", "--input", str(data), "--checkpoint", str(bad),
+                            "--output", str(Path(tmp, "p.jsonl"))])
+    return code, bad, err.getvalue()
+
+
+def _resize_array(entry, grow: bool):
+    entry["values"] = entry["values"] + [0.0] if grow else entry["values"][:-1]
+    entry["shape"] = [len(entry["values"])]
+
+
+class TestMalformedCheckpoint:
+    """A checkpoint that ``pgc train`` could not have written ends in exit 2
+    naming the file, never in a traceback or a silent decode."""
+
+    @pytest.mark.parametrize("damage,detail", [
+        (lambda p: p["params"].pop("gate.b"), "missing parameters ['gate.b']"),
+        (lambda p: p["params"].update({"gate.extra": {"shape": [1], "values": [0.0]}}),
+         "unknown parameters ['gate.extra']"),
+        (lambda p: p["params"].update({"gate.w_c": {"shape": [3], "values": [0.0] * 3}}),
+         "gate.w_c has shape [3] and 3 values, expected shape [16]"),
+        (lambda p: p["params"]["out.w_v"]["values"].__setitem__(5, float("nan")),
+         "params: out.w_v holds NaN or inf"),
+        (lambda p: p["adam_v"]["embed"]["values"].__setitem__(0, float("inf")),
+         "adam_v: embed holds NaN or inf"),
+        (lambda p: p["params"]["gate.b"].update({"values": ["0.5"]}),
+         "gate.b: expected a shape (a list of ints) and values (a list of floats)"),
+        (lambda p: p.update({"step": -1}), "step and epochs_completed must be ints >= 0"),
+        (lambda p: p.update({"token_vocab": p["token_vocab"][:3]}),
+         "token_vocab must be 56 - 4 tokens"),
+        (lambda p: p.update({"token_vocab": ["<pad>"] + p["token_vocab"][1:]}),
+         "token_vocab must be 56 - 4 tokens"),
+        (lambda p: p.update({"category_vocab": "what"}), "category_vocab must be lists"),
+        (lambda p: p.pop("epochs_completed"), "missing keys ['epochs_completed']"),
+    ], ids=["missing-param", "extra-param", "misshaped-param", "nan-param", "inf-adam_v",
+            "string-value", "negative-step", "short-token_vocab", "special-token",
+            "category_vocab-string", "no-epochs_completed"])
+    def test_exit_2_names_the_file(self, trained, damage, detail):
+        payload = json.loads(trained[1].read_text())
+        damage(payload)
+        code, bad, err = _predict_damaged(trained, payload)
+        assert code == 2
+        assert f"data error: {bad}: " in err and detail in err
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_damaged_section_exits_2(self, trained, data):
+        """Drop a section, give a section (or an array entry, or its shape
+        or values) another JSON type, resize an array or the token list,
+        or write NaN/inf into an array."""
+        payload = json.loads(trained[1].read_text())
+        how = data.draw(st.sampled_from(["drop", "retype", "resize", "non-finite"]))
+        if how == "drop":
+            del payload[data.draw(st.sampled_from(sorted(set(payload) - {"extra"})))]
+        elif how == "retype":
+            container = payload
+            key = data.draw(st.sampled_from(sorted(payload)), label="section")
+            if key in _ARRAY_SECTIONS and data.draw(st.booleans(), label="into an entry"):
+                container, key = payload[key], data.draw(st.sampled_from(sorted(payload[key])))
+                if data.draw(st.booleans(), label="into a field"):
+                    container, key = container[key], data.draw(
+                        st.sampled_from(["shape", "values"]))
+            value = data.draw(st.sampled_from([7, 1.5, "x", True, [1], ["x"], {"a": 1}, None]))
+            assume(type(value) is not type(container[key]))
+            assume(not (value is None and key in ("train_config", "category_vocab", "extra")))
+            container[key] = value
+        elif how == "resize":
+            key = data.draw(st.sampled_from([*_ARRAY_SECTIONS, "token_vocab"]), label="section")
+            grow = data.draw(st.booleans(), label="grow")
+            if key == "token_vocab":
+                payload[key] = payload[key] + ["zz-new"] if grow else payload[key][:-1]
+            else:
+                _resize_array(payload[key][data.draw(st.sampled_from(sorted(payload[key])))],
+                              grow)
+        else:
+            section = payload[data.draw(st.sampled_from(_ARRAY_SECTIONS), label="section")]
+            values = section[data.draw(st.sampled_from(sorted(section)))]["values"]
+            values[data.draw(st.integers(0, len(values) - 1), label="index")] = data.draw(
+                st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+        code, bad, err = _predict_damaged(trained, payload)
+        assert code == 2
+        assert f"data error: {bad}: " in err
+        assert "Traceback" not in err
 
 
 class TestRawBaseline:

@@ -224,7 +224,7 @@ def _example(draw):
     ids = sorted(draw(st.sets(st.integers(1, 10**6), min_size=1, max_size=4)))
     turns = [draw(_turn(i)) for i in ids]
     return DialogueExample(story_id=draw(_TEXT), turn=turns[-1], history=tuple(turns[:-1]),
-                           answer_class=draw(st.sampled_from(AnswerClass)))
+                           answer_class=classify_answer(turns[-1].answer, turns[-1].rationale))
 
 
 class TestJsonlStore:

@@ -1,6 +1,7 @@
 """Numeric kernel: op-level oracles, backward correctness, Adam, grad_check."""
 
 import gc
+import itertools
 import math
 import weakref
 
@@ -214,10 +215,8 @@ class TestAttention:
             rng = np.random.default_rng(12 + n_heads)
             arrays = attention_case(case, rng, n_heads)
             mask = arrays[3]
-            store = ParamStore()
-            for name, a in zip("qkv", arrays[:3]):
-                if a is not None:
-                    store.add(name, a)
+            store = ParamStore({name: a for name, a in zip("qkv", arrays[:3])
+                                if a is not None})
             upstream = rng.normal(size=T.attention(*arrays[:3], mask, n_heads)[0].data.shape)
 
             def f(s):
@@ -247,9 +246,7 @@ class TestContractFirst:
 
     def test_gradient_check(self):
         rng = np.random.default_rng(15)
-        store = ParamStore()
-        store.add("w", rng.normal(size=3))
-        store.add("x", rng.normal(size=(3, 2, 4)))
+        store = ParamStore({"w": rng.normal(size=3), "x": rng.normal(size=(3, 2, 4))})
 
         def f(s):
             mixed = T.contract_first(T.softmax(s["w"]), s["x"])
@@ -349,18 +346,15 @@ class TestCrossEntropy:
 
 class TestBackward:
     def test_linear_map_gradient_is_input_broadcast(self):
-        store = ParamStore()
-        w = store.add("w", np.zeros((2, 3)))
+        w = ParamStore({"w": np.zeros((2, 3))})["w"]
         x = np.array([[1.0], [2.0], [3.0]])
         T.vmean(w @ Tensor(x)).backward()
         assert np.array_equal(w.grad, np.tile(x.T, (2, 1)) / 2.0)
 
     def test_unused_parameter_has_zero_gradient(self):
-        store = ParamStore()
-        used = store.add("used", np.ones((2, 2)))
-        store.add("unused", np.ones((2, 2)))
-        T.vmean(used * used).backward()
-        assert np.array_equal(store.gradient("unused"), np.zeros((2, 2)))
+        store = ParamStore({"used": np.ones((2, 2)), "unused": np.ones((2, 2))})
+        T.vmean(store["used"] * store["used"]).backward()
+        assert np.array_equal(store["unused"].grad, np.zeros((2, 2)))
 
     def test_sum_of_losses_is_sum_of_gradients(self):
         rng = np.random.default_rng(5)
@@ -378,11 +372,22 @@ class TestBackward:
         assert np.max(np.abs(x3.grad - (g_first + g_second))) < 1e-10
 
     def test_gradients_accumulate_across_backward_calls(self):
-        store = ParamStore()
-        w = store.add("w", np.ones(4))
+        w = ParamStore({"w": np.ones(4)})["w"]
         T.vmean(w * 2.0).backward()
         T.vmean(w * 3.0).backward()
         assert np.array_equal(w.grad, np.full(4, 5.0 / 4.0))
+
+    @pytest.mark.parametrize("node", ["leaf", "op result"])
+    def test_accumulating_never_writes_an_array_it_was_given(self, node):
+        """A node may keep the first gradient it gets, which another node
+        can hold too (``a + b`` hands both one array), so it never adds
+        into it."""
+        x = Tensor([1.0, 2.0])
+        t = x if node == "leaf" else T.relu(x)
+        first = np.ones(2)
+        t.accumulate_grad(first)
+        t.accumulate_grad(np.full(2, 2.0))
+        assert np.array_equal(first, [1.0, 1.0]) and np.array_equal(t.grad, [3.0, 3.0])
 
     def test_backward_needs_scalar(self):
         with pytest.raises(ValueError):
@@ -391,8 +396,7 @@ class TestBackward:
 
 class TestGradCheck:
     def test_quadratic(self):
-        store = ParamStore()
-        store.add("theta", np.array([1.0, -2.0, 0.5]))
+        store = ParamStore({"theta": np.array([1.0, -2.0, 0.5])})
 
         def f(s):
             return T.vmean(s["theta"] * s["theta"])
@@ -400,8 +404,7 @@ class TestGradCheck:
         assert T.grad_check(f, store) < 1e-8
 
     def test_softmax_cross_entropy_layer(self):
-        store = ParamStore()
-        store.add("w", np.random.default_rng(0).normal(size=(4, 3)))
+        store = ParamStore({"w": np.random.default_rng(0).normal(size=(4, 3))})
         x = np.array([[0.3], [-1.2], [0.7], [2.0]])
 
         def f(s):
@@ -411,11 +414,9 @@ class TestGradCheck:
         assert T.grad_check(f, store) < 1e-6
 
     def test_layer_norm_and_scatter(self):
-        store = ParamStore()
         rng = np.random.default_rng(1)
-        store.add("x", rng.normal(size=(2, 5)))
-        store.add("g", rng.normal(size=5))
-        store.add("b", rng.normal(size=5))
+        store = ParamStore({"x": rng.normal(size=(2, 5)), "g": rng.normal(size=5),
+                            "b": rng.normal(size=5)})
 
         def f(s):
             normed = T.layer_norm(s["x"], s["g"], s["b"])
@@ -431,9 +432,7 @@ class TestGradCheck:
         joining them (value form), two heads of weights, and a stack of
         one-head weights."""
         rng = np.random.default_rng(6)
-        store = ParamStore()
-        store.add("x", rng.normal(size=(3, 4)))
-        store.add("y", rng.normal(size=(2, 3, 2)))
+        store = ParamStore({"x": rng.normal(size=(3, 4)), "y": rng.normal(size=(2, 3, 2))})
         causal = np.triu(np.ones((3, 3), dtype=bool), k=1)
 
         def f(s):
@@ -456,10 +455,8 @@ class TestGradCheck:
         embedding ids, per-example scatter, zero-padded columns and a
         weighted per-row pick."""
         rng = np.random.default_rng(9)
-        store = ParamStore()
-        store.add("x", rng.normal(size=(2, 3, 4)))
-        store.add("w", rng.normal(size=(4, 4)))
-        store.add("table", rng.normal(size=(5, 4)))
+        store = ParamStore({"x": rng.normal(size=(2, 3, 4)), "w": rng.normal(size=(4, 4)),
+                            "table": rng.normal(size=(5, 4))})
         ids = np.array([[0, 4, 4], [2, 1, 0]])
         cols = np.array([[0, 5, 0], [1, 2, 3]])
         gold = np.array([[5, 0, 1], [3, 3, 2]])
@@ -477,25 +474,25 @@ class TestGradCheck:
 
 class TestAdam:
     def test_zero_gradients_leave_parameters_unchanged(self):
-        store = ParamStore()
-        p = store.add("p", np.array([1.0, 2.0]))
+        store = ParamStore({"p": np.array([1.0, 2.0])})
+        p = store["p"]
         before = p.data.copy()
         T.adam_step(store, lr=0.1)
         assert np.array_equal(p.data, before)
 
     def test_constant_gradient_moves_against_its_sign(self):
-        store = ParamStore()
-        p = store.add("p", np.zeros(2))
+        store = ParamStore({"p": np.zeros(2)})
+        p = store["p"]
         for _ in range(50):
-            p.grad = np.array([1.0, -1.0])
+            p.grad[:] = [1.0, -1.0]
             T.adam_step(store, lr=0.01)
         assert p.data[0] < 0 < p.data[1]
 
     def test_first_step_from_zero_state_moves_by_lr(self):
         # bias correction makes m_hat = g and v_hat = g^2 on step one
-        store = ParamStore()
-        p = store.add("p", np.zeros(3))
-        p.grad = np.ones(3)
+        store = ParamStore({"p": np.zeros(3)})
+        p = store["p"]
+        p.grad[:] = 1.0
         lr = 2e-5
         T.adam_step(store, lr=lr)
         assert np.max(np.abs(p.data - (-lr))) < 1e-12
@@ -503,10 +500,10 @@ class TestAdam:
 
     def test_deterministic_given_state_and_gradients(self):
         def run():
-            store = ParamStore()
-            p = store.add("p", np.array([0.3, -0.7]))
+            store = ParamStore({"p": np.array([0.3, -0.7])})
+            p = store["p"]
             for k in range(5):
-                p.grad = np.array([0.1 * k, -0.2])
+                p.grad[:] = [0.1 * k, -0.2]
                 T.adam_step(store, lr=1e-3)
             return p.data.copy()
 
@@ -514,26 +511,63 @@ class TestAdam:
 
 
 class TestParamStore:
-    def test_duplicate_name_rejected(self):
-        store = ParamStore()
-        store.add("p", np.zeros(2))
-        with pytest.raises(ValueError):
-            store.add("p", np.zeros(2))
+    def test_non_finite_value_rejected(self):
+        with pytest.raises(ValueError, match="parameter q"):
+            ParamStore({"p": np.zeros(2), "q": np.array([1.0, np.nan])})
+
+    def test_every_view_shares_its_flat_vector_in_store_order(self):
+        store = M.init_params(M.ModelConfig(n_enc_layers=2, n_dec_layers=1, d_model=8,
+                                            n_heads=2, vocab_size=12, d_ff=16), seed=0)
+        views = [(t.data, t.grad, store.adam_m[name], store.adam_v[name])
+                 for name, t in store.items()]
+        flats = (store.flat, store.flat_grad, store.flat_m, store.flat_v)
+        offset = 0
+        for group in views:
+            for view, flat in zip(group, flats):
+                assert view.dtype == np.float64 and view.flags.c_contiguous
+                assert np.shares_memory(view, flat)
+                assert view.__array_interface__["data"][0] == (
+                    flat.__array_interface__["data"][0] + 8 * offset)
+            offset += group[0].size
+        assert offset == store.n_values() == store.flat.size
+        assert np.array_equal(np.concatenate([g[0].reshape(-1) for g in views]), store.flat)
+        for (i, a), (j, b) in itertools.combinations(enumerate(views), 2):
+            for x in a:
+                assert not any(np.shares_memory(x, y) for y in b), (i, j)
+        for x, y in itertools.combinations(flats, 2):
+            assert not np.shares_memory(x, y)
+
+    def test_backward_writes_the_flat_gradient_and_zero_grad_clears_it(self):
+        store = ParamStore({"a": np.array([1.0, 2.0]), "b": np.array([[3.0]])})
+        grad = store.flat_grad
+        T.vmean(store["a"] * store["a"]).backward()
+        T.vmean(store["a"] * 2.0 + store["b"]).backward()
+        assert store.flat_grad is grad
+        assert np.array_equal(grad, [1.0 + 1.0, 2.0 + 1.0, 1.0])
+        store.zero_grad()
+        assert store.flat_grad is grad and not grad.any()
+
+    def test_adam_updates_the_views_in_place_and_uses_the_gradients_up(self):
+        store = ParamStore({"p": np.array([0.3, -0.7]), "q": np.ones((2, 2))})
+        data, m = store["q"].data, store.adam_m["q"]
+        store.flat_grad[:] = 0.5
+        T.adam_step(store, lr=0.1)
+        assert store["q"].data is data and store.adam_m["q"] is m
+        assert np.all(data < 1.0) and np.all(m > 0.0)
+        assert not store.flat_grad.any()   # the step uses the gradients up
 
     def test_clip_grad_norm(self):
-        store = ParamStore()
-        p = store.add("p", np.zeros(2))
-        q = store.add("q", np.zeros(2))
-        p.grad = np.array([3.0, 0.0])
-        q.grad = np.array([0.0, 4.0])
+        store = ParamStore({"p": np.zeros(2), "q": np.zeros(2)})
+        store["p"].grad[:] = [3.0, 0.0]
+        store["q"].grad[:] = [0.0, 4.0]
         norm = store.clip_grad_norm(1.0)
         assert abs(norm - 5.0) < 1e-12
         assert abs(store.global_grad_norm() - 1.0) < 1e-9
 
     def test_clip_is_noop_below_threshold(self):
-        store = ParamStore()
-        p = store.add("p", np.zeros(2))
-        p.grad = np.array([0.3, 0.4])
+        store = ParamStore({"p": np.zeros(2)})
+        p = store["p"]
+        p.grad[:] = [0.3, 0.4]
         store.clip_grad_norm(1.0)
         assert np.array_equal(p.grad, [0.3, 0.4])
 

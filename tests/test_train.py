@@ -177,20 +177,27 @@ class TestTrainLoop:
         assert lines[1] == "0,1,0.5"
 
 
+def fitted_setup(n):
+    """``tiny_setup`` with TINY_MODEL's vocab_size set to the size of the
+    vocabulary, as ``pgc train`` sets it and a checkpoint must keep it."""
+    prompted, vocab = tiny_setup(n=n)
+    return prompted, vocab, replace(TINY_MODEL, vocab_size=vocab.size)
+
+
 class TestCheckpoints:
     def make_trained(self, tmp_path, epochs=2):
-        prompted, vocab = tiny_setup(n=8)
-        params = M.init_params(TINY_MODEL, seed=6)
+        prompted, vocab, model = fitted_setup(n=8)
+        params = M.init_params(model, seed=6)
         config = TrainConfig(learning_rate=1e-3, batch_size=4, epochs=epochs, seed=11)
-        train_loop(prompted, params, config, TINY_MODEL, vocab)
-        return prompted, vocab, params, config
+        train_loop(prompted, params, config, model, vocab)
+        return model, vocab, params, config
 
     def test_round_trip_is_bit_exact(self, tmp_path):
-        _, vocab, params, config = self.make_trained(tmp_path)
+        model, vocab, params, config = self.make_trained(tmp_path)
         path = tmp_path / "ckpt.json"
-        checkpoint_save(path, params, TINY_MODEL, config, vocab, epochs_completed=2)
+        checkpoint_save(path, params, model, config, vocab, epochs_completed=2)
         loaded, model_config, train_config, loaded_vocab, meta = checkpoint_load(path)
-        assert model_config == TINY_MODEL
+        assert model_config == model
         assert train_config == config
         assert loaded_vocab.tokens == vocab.tokens
         assert loaded.step == params.step
@@ -201,10 +208,10 @@ class TestCheckpoints:
             assert np.array_equal(loaded.adam_v[name], params.adam_v[name])
 
     def test_config_mismatch_rejected(self, tmp_path):
-        _, vocab, params, config = self.make_trained(tmp_path)
+        model, vocab, params, config = self.make_trained(tmp_path)
         path = tmp_path / "ckpt.json"
-        checkpoint_save(path, params, TINY_MODEL, config, vocab)
-        other = replace(TINY_MODEL, d_model=32)
+        checkpoint_save(path, params, model, config, vocab)
+        other = replace(model, d_model=32)
         with pytest.raises(CheckpointError):
             checkpoint_load(path, expected_config=other)
 
@@ -222,8 +229,9 @@ class TestCheckpoints:
     ])
     def test_damaged_checkpoint_names_the_path(self, tmp_path, damage):
         path = tmp_path / "ckpt.json"
-        checkpoint_save(path, M.init_params(TINY_MODEL, seed=0), TINY_MODEL,
-                        TrainConfig(), TokenVocab(["w"]))
+        checkpoint_save(path, M.init_params(TINY_MODEL, seed=0), TINY_MODEL, TrainConfig(),
+                        TokenVocab([f"w{i}" for i in range(TINY_MODEL.vocab_size - 4)]))
+        checkpoint_load(path)   # only the damage makes it unloadable
         payload = json.loads(path.read_text())
         model, train = payload["model_config"], payload["train_config"]
         if damage == "unknown model key":
@@ -247,20 +255,20 @@ class TestCheckpoints:
             checkpoint_load(path)
 
     def test_resume_matches_uninterrupted_run(self, tmp_path):
-        prompted, vocab = tiny_setup(n=12)
+        prompted, vocab, model = fitted_setup(n=12)
 
-        full_params = M.init_params(TINY_MODEL, seed=8)
+        full_params = M.init_params(model, seed=8)
         full_config = TrainConfig(learning_rate=1e-3, batch_size=4, epochs=4, seed=13)
-        full = train_loop(prompted, full_params, full_config, TINY_MODEL, vocab)
+        full = train_loop(prompted, full_params, full_config, model, vocab)
 
-        half_params = M.init_params(TINY_MODEL, seed=8)
+        half_params = M.init_params(model, seed=8)
         half_config = TrainConfig(learning_rate=1e-3, batch_size=4, epochs=2, seed=13)
-        train_loop(prompted, half_params, half_config, TINY_MODEL, vocab)
+        train_loop(prompted, half_params, half_config, model, vocab)
         path = tmp_path / "half.json"
-        checkpoint_save(path, half_params, TINY_MODEL, half_config, vocab,
+        checkpoint_save(path, half_params, model, half_config, vocab,
                         epochs_completed=2)
         resumed_params, _, _, resumed_vocab, meta = checkpoint_load(path)
-        resumed = train_loop(prompted, resumed_params, full_config, TINY_MODEL,
+        resumed = train_loop(prompted, resumed_params, full_config, model,
                              resumed_vocab, start_epoch=meta["epochs_completed"])
 
         assert full.curve[len(full.curve) // 2:] == resumed.curve
@@ -310,7 +318,7 @@ BATCH_VOCAB = TokenVocab([f"w{i}" for i in range(BATCH_MODEL.vocab_size - 4)])
 
 
 def gradients(params):
-    return {name: params.gradient(name).copy() for name in params.names()}
+    return {name: params[name].grad.copy() for name in params.names()}
 
 
 class TestBatchedLoss:
@@ -445,6 +453,83 @@ class TestFiniteStep:
 
         monkeypatch.setattr(TR, "teacher_forced_loss", with_bad_gradient)
         self.assert_step_refused(prompted, vocab, params, "non-finite gradient for gate.b")
+
+
+BENCH_SHAPES = {
+    "copy": ModelConfig(n_enc_layers=2, n_dec_layers=1, d_model=32, n_heads=2,
+                        vocab_size=256, max_source_len=24, max_target_len=14),
+    "dialog": ModelConfig(n_enc_layers=2, n_dec_layers=1, d_model=32, n_heads=2,
+                          vocab_size=256, max_source_len=40, max_target_len=8),
+}
+
+
+def oracle_train(prompted, params, config, model_config, vocab):
+    """``train_loop``'s steps with the clip and Adam of a store of separate
+    arrays, one parameter at a time: the oracle of the flat store.  Each
+    step copies the oracle's values into ``params`` for the forward and
+    backward pass.  Returns the loss curve, the number of clipped steps
+    and the values, first and second moments by name."""
+    names = params.names()
+    values = {name: params[name].data.copy() for name in names}
+    m = {name: np.zeros_like(values[name]) for name in names}
+    v = {name: np.zeros_like(values[name]) for name in names}
+    beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, config.learning_rate
+    curve, clipped, t = [], 0, 0
+    for epoch in range(config.epochs):
+        order = np.random.default_rng([config.seed, epoch]).permutation(len(prompted))
+        for lo in range(0, len(order), config.batch_size):
+            for name in names:
+                params[name].data[...] = values[name]
+            batch = [prompted[j] for j in order[lo:lo + config.batch_size]]
+            loss = teacher_forced_loss(batch, params, model_config, vocab)
+            params.zero_grad()
+            loss.backward()
+            grads = {name: params[name].grad.copy() for name in names}
+            total = 0.0
+            for g in grads.values():
+                total += float((g * g).sum())
+            norm = math.sqrt(total)
+            if norm > config.clip_norm:
+                scale = config.clip_norm / (norm + 1e-12)
+                grads = {name: g * scale for name, g in grads.items()}
+                clipped += 1
+            t += 1
+            for name, g in grads.items():
+                m[name] = beta1 * m[name] + (1.0 - beta1) * g
+                v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
+                m_hat = m[name] / (1.0 - beta1 ** t)
+                v_hat = v[name] / (1.0 - beta2 ** t)
+                values[name] = values[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            curve.append((epoch, t, loss.item()))
+    return curve, clipped, values, m, v
+
+
+class TestFlatStoreExactness:
+    """Clip and Adam over the flat vectors give the bytes of the
+    per-parameter clip and Adam, step after step."""
+
+    @pytest.mark.parametrize("shape", ["tiny", "copy", "dialog"])
+    def test_training_matches_the_per_parameter_oracle(self, shape):
+        if shape == "tiny":
+            prompted, vocab, model = fitted_setup(n=12)
+        else:
+            model = BENCH_SHAPES[shape]
+            vocab = TokenVocab([f"w{i}" for i in range(model.vocab_size - 4)])
+            rng = np.random.default_rng(21)
+            prompted = [p for _ in range(8) for p in random_copy_batch(
+                rng, vocab, model.max_source_len, model.max_target_len)]
+        config = TrainConfig(learning_rate=1e-2, batch_size=4, epochs=3, seed=3,
+                             clip_norm=2.0)
+        flat = M.init_params(model, seed=5)
+        result = train_loop(prompted, flat, config, model, vocab)
+        curve, clipped, values, m, v = oracle_train(prompted, M.init_params(model, seed=5),
+                                                    config, model, vocab)
+        assert 0 < clipped < len(curve)
+        assert result.curve == curve and flat.step == len(curve)
+        for name in flat.names():
+            for got, want in ((flat[name].data, values[name]), (flat.adam_m[name], m[name]),
+                              (flat.adam_v[name], v[name])):
+                assert got.tobytes() == want.tobytes(), name
 
 
 class TestTelemetry:
