@@ -193,7 +193,7 @@ def _cmd_train(args) -> int:
     start_epoch = 0
     if args.resume:
         config, store, model_config, token_vocab, category_vocab, meta = \
-            _open_checkpoint(args.resume, config, args, examples)
+            _open_checkpoint(args.resume, config, args)
         start_epoch = meta["epochs_completed"]
     else:
         category_vocab = prompt.build_category_vocab(examples, config.top_k_categories)
@@ -210,16 +210,17 @@ def _cmd_train(args) -> int:
     if not prompted:
         raise CorpusError("every example exceeds the model's length limits")
     train_config = config.section(trainmod.TrainConfig)
+
+    def save(epochs_completed: int) -> None:
+        trainmod.checkpoint_save(args.output, store, model_config, train_config, token_vocab,
+                                 category_vocab, epochs_completed,
+                                 extra={"run_config": asdict(config)})
+
     result = trainmod.train_loop(
         prompted, store, train_config, model_config, token_vocab,
-        start_epoch=start_epoch, checkpoint_path=args.output,
-        log=lambda msg: print(msg, file=sys.stderr),
+        start_epoch=start_epoch, save=save, log=lambda msg: print(msg, file=sys.stderr),
     )
-    trainmod.checkpoint_save(
-        args.output, store, model_config, train_config, token_vocab,
-        category_vocab=category_vocab, epochs_completed=config.epochs,
-        extra={"run_config": asdict(config)},
-    )
+    save(config.epochs)
     if args.loss_curve:
         trainmod.write_loss_curve(result.curve, args.loss_curve)
         _write_sidecar(args.loss_curve, config)
@@ -228,39 +229,33 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _open_checkpoint(path, config: RunConfig, args, examples):
+def _open_checkpoint(path, config: RunConfig, args):
     """Load a checkpoint and adopt its model shape and prompt settings.
 
     A flag that names a different value is overridden, with one stderr
     line each.  Returns (config, store, model_config, token_vocab,
-    category_vocab, meta); the category vocabulary is built from
-    ``examples`` when the checkpoint carries none.
+    category_vocab, meta), the vocabularies those of the training run.
     """
     store, model_config, train_config, token_vocab, meta = trainmod.checkpoint_load(path)
-    if meta["category_vocab"]:
-        category_vocab = prompt.CategoryVocab(categories=tuple(meta["category_vocab"]))
-    else:
-        category_vocab = prompt.build_category_vocab(examples, config.top_k_categories)
     # vocab_size stays the run's budget: the checkpoint's token vocabulary
     # is used as it is, whatever its size.
     adopted = {name: value for name, value in asdict(model_config).items()
                if name != "vocab_size"}
-    if train_config is not None:
-        adopted.update({name: getattr(train_config, name) for name in _PROMPT_FIELDS})
+    adopted.update({name: getattr(train_config, name) for name in _PROMPT_FIELDS})
     for name, value in adopted.items():
         given = getattr(args, name, None)
         if given is not None and given != value:
             print(f"{path}: using the checkpoint's {name} {value}, not {given}",
                   file=sys.stderr)
     config = replace(config, **adopted)
-    return config, store, model_config, token_vocab, category_vocab, meta
+    return config, store, model_config, token_vocab, meta["category_vocab"], meta
 
 
 def _cmd_predict(args) -> int:
     config = effective_config(args)
     examples = _load_examples_any(args.input)
     config, store, model_config, token_vocab, category_vocab, _ = \
-        _open_checkpoint(args.checkpoint, config, args, examples)
+        _open_checkpoint(args.checkpoint, config, args)
     prompted = _build_prompts(examples, config, category_vocab, token_vocab)
     skipped = []
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -372,7 +367,7 @@ def _cmd_export_attention(args) -> int:
     if not 0 <= args.index < len(examples):
         raise CorpusError(f"example index {args.index} out of range")
     config, store, model_config, token_vocab, category_vocab, _ = \
-        _open_checkpoint(args.checkpoint, config, args, examples)
+        _open_checkpoint(args.checkpoint, config, args)
     p = prompt.build_prompt(examples[args.index], config.prompt_version_obj(),
                             category_vocab, token_vocab)
     heads = [int(h) for h in args.heads.split(",") if h != ""]
@@ -434,10 +429,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synthetic", help="generate copy/gate verification data")
     common(p)
     p.add_argument("--task", required=True, choices=("copy", "gate"))
-    p.add_argument("--n", type=int, default=2000)
-    p.add_argument("--min-len", type=int, default=4)
-    p.add_argument("--max-len", type=int, default=12)
-    p.add_argument("--lexicon-size", type=int, default=512)
+    spec = {f.name: f.default for f in fields(trainmod.SyntheticSpec)}
+    p.add_argument("--n", type=int, default=spec["n_examples"])
+    p.add_argument("--min-len", type=int, default=spec["min_len"])
+    p.add_argument("--max-len", type=int, default=spec["max_len"])
+    p.add_argument("--lexicon-size", type=int, default=spec["vocab_size"])
     p.add_argument("--output", required=True)
     p.set_defaults(handler=_cmd_synthetic)
 

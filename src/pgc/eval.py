@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .corpus import normalize, tighten_rationale
@@ -73,8 +73,7 @@ class EvalReport:
     Split scores are None when the corresponding split is empty.
     ``per_category`` rows are (category, mean F1 percent, count), sorted
     by count descending.  The scores cover ``n_overall`` of the
-    ``n_examples`` examples; ``n_missing`` of them had no prediction
-    (``n_examples`` defaults to ``n_overall + n_missing``).
+    ``n_examples`` examples; ``n_missing`` of them had no prediction.
     """
     o_em: float
     o_f1: float
@@ -85,13 +84,9 @@ class EvalReport:
     n_overall: int
     n_generative: int
     n_extractive: int
-    n_examples: int | None = None
-    n_missing: int = 0
-    per_category: list[tuple[str, float, int]] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.n_examples is None:
-            self.n_examples = self.n_overall + self.n_missing
+    n_examples: int
+    n_missing: int
+    per_category: list[tuple[str, float, int]]
 
     def to_dict(self) -> dict:
         return {**asdict(self), "per_category": [
@@ -189,10 +184,8 @@ def raw_baseline(examples, tighten: bool = False, multi: bool = False,
     return evaluate(predictions, examples, vocab=vocab, multi=multi, top_k=top_k)
 
 
-def write_report(report: EvalReport, path: Path, config: dict | None = None) -> None:
-    payload = report.to_dict()
-    if config is not None:
-        payload["config"] = config
+def write_report(report: EvalReport, path: Path, config: dict) -> None:
+    payload = {**report.to_dict(), "config": config}
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 

@@ -420,11 +420,11 @@ def greedy_decode(prompted: PromptedExample, params: ParamStore, config: ModelCo
 
 def export_attention(source_tokens: list[str], source_ids, params: ParamStore,
                      config: ModelConfig, layer: int, heads: list[int],
-                     out_dir: str | Path, stem: str = "attention") -> list[Path]:
+                     out_dir: str | Path) -> list[Path]:
     """Write encoder self-attention matrices as token-labelled CSV files.
 
-    One file per requested head; rows are query tokens, columns are key
-    tokens, entries sum to 1 per row.
+    One file per requested head, ``attention_layer<l>_head<h>.csv``; rows
+    are query tokens, columns are key tokens, entries sum to 1 per row.
     """
     if not 0 <= layer < config.n_enc_layers:
         raise ValueError(f"layer {layer} out of range (0..{config.n_enc_layers - 1})")
@@ -439,7 +439,7 @@ def export_attention(source_tokens: list[str], source_ids, params: ParamStore,
     paths = []
     for head in heads:
         matrix = stack.attn_maps[layer][head]
-        path = out_dir / f"{stem}_layer{layer}_head{head}.csv"
+        path = out_dir / f"attention_layer{layer}_head{head}.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow([""] + list(source_tokens))

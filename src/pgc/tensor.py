@@ -5,8 +5,8 @@ maps (against one shared matrix, or stacked with one matrix per leading
 index), softmax, masked multi-head attention on rows as one op, a
 weighted sum over a leading axis, elementwise nonlinearities, layer
 normalisation, gather/scatter for embeddings and copy distributions,
-the sequence negative log-likelihood, gradient checking, and a
-bias-corrected Adam step.  Every op takes any number of leading axes (a
+the sequence negative log-likelihood as one op, gradient checking,
+and a bias-corrected Adam step.  Every op takes any number of leading axes (a
 mini-batch, a stack of encoder layers, or both).  Everything runs in
 float64 so analytic gradients can be validated against central finite
 differences.
@@ -40,7 +40,14 @@ import numpy as np
 # Inputs with |x| above this are saturated before the sigmoid so the
 # result stays strictly inside (0, 1) in float64.
 _SIGMOID_CLIP = 30.0
+# Probabilities below this are read as it by ``sequence_nll``.
 _LOG_FLOOR = 1e-12
+# Added to the variance in ``layer_norm``.
+_LAYER_NORM_EPS = 1e-5
+# Adam's beta1, beta2 (moment decay rates) and eps (the denominator's offset).
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+# Half the width of ``grad_check``'s central differences.
+_FD_STEP = 1e-5
 # False inside ``no_grad``; read by ``_result`` at every op.
 _recording = True
 
@@ -138,12 +145,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, -other)
 
     def __rsub__(self, c):
         """``c - self`` for a number ``c``, one op whose backward passes ``-g``."""
@@ -354,12 +355,12 @@ def contract_first(weights, x) -> Tensor:
     return _result((w * x.data).sum(axis=0), (weights, x), backward)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Per-row normalisation with learnable gain and bias."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     n = x.data.shape[-1]
     centred = x.data - x.data.sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt((centred * centred).sum(axis=-1, keepdims=True) / n + eps)
+    inv = 1.0 / np.sqrt((centred * centred).sum(axis=-1, keepdims=True) / n + _LAYER_NORM_EPS)
     xhat = centred * inv
 
     def backward(g):
@@ -374,7 +375,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return _result(xhat * gain.data + bias.data, (x, gain, bias), backward)
 
 
-def concat(parts: Iterable[Tensor], axis: int = -1) -> Tensor:
+def concat(parts: Iterable[Tensor], axis: int) -> Tensor:
     """Join tensors along ``axis``; the other axes must agree."""
     parts = [as_tensor(p) for p in parts]
     bounds = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
@@ -443,65 +444,34 @@ def scatter_add_cols(weights, col_ids, n_cols: int) -> Tensor:
     return _result(data.reshape(*lead, rows, n_cols), (weights,), backward)
 
 
-def pick_cols(p, ids) -> Tensor:
-    """One entry per row: out[..., r] = p[..., r, ids[..., r]]."""
-    p = as_tensor(p)
-    ids = np.asarray(ids, dtype=np.int64)
+def sequence_nll(p_rows, gold_ids, weights=None) -> Tensor:
+    """Negative log-probability of gold ids, one per distribution row,
+    summed with ``weights`` (one per row; weight 0 leaves a row out).
+    Without weights every row weighs 1/n: the mean over the rows.  A
+    probability below ``_LOG_FLOOR`` is read as the floor, with no
+    gradient."""
+    p = as_tensor(p_rows)
+    ids = np.asarray(gold_ids, dtype=np.int64)
     if ids.shape != p.data.shape[:-1]:
-        raise ValueError("pick_cols needs one id per row")
+        raise ValueError("sequence_nll needs one gold id per row")
     if ids.size and (ids.min() < 0 or ids.max() >= p.data.shape[-1]):
-        raise ValueError("pick_cols id out of range")
+        raise ValueError("sequence_nll gold id out of range")
+    if weights is None:
+        weights = np.full(ids.shape, 1.0 / ids.size)
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != ids.shape:
+        raise ValueError(f"weights of shape {weights.shape} for rows of shape {ids.shape}")
     index = ids[..., None]
+    gold = np.take_along_axis(p.data, index, axis=-1)[..., 0]
+    clamped = np.maximum(gold, _LOG_FLOOR)
 
     def backward(g):
         full = np.zeros_like(p.data)
-        np.put_along_axis(full, index, g[..., None], axis=-1)
+        dgold = g * weights * -1.0 * np.where(gold > _LOG_FLOOR, 1.0 / clamped, 0.0)
+        np.put_along_axis(full, index, dgold[..., None], axis=-1)
         p.accumulate_grad(full)
 
-    return _result(np.take_along_axis(p.data, index, axis=-1)[..., 0], (p,), backward)
-
-
-def log_clamped(x, floor: float = _LOG_FLOOR) -> Tensor:
-    """log(max(x, floor)); the floor keeps exact-zero probabilities finite."""
-    x = as_tensor(x)
-    clamped = np.maximum(x.data, floor)
-
-    def backward(g):
-        x.accumulate_grad(g * np.where(x.data > floor, 1.0 / clamped, 0.0))
-
-    return _result(np.log(clamped), (x,), backward)
-
-
-def vmean(x) -> Tensor:
-    x = as_tensor(x)
-    n = x.data.size
-
-    def backward(g):
-        x.accumulate_grad(np.full_like(x.data, g.item() / n))
-
-    return _result(x.data.mean(), (x,), backward)
-
-
-def weighted_sum(x, weights) -> Tensor:
-    """sum(x * weights) for a constant array ``weights`` of ``x``'s shape."""
-    x = as_tensor(x)
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != x.data.shape:
-        raise ValueError(f"weights of shape {weights.shape} for values of shape "
-                         f"{x.data.shape}")
-
-    def backward(g):
-        x.accumulate_grad(g * weights)
-
-    return _result((x.data * weights).sum(), (x,), backward)
-
-
-def sequence_nll(p_rows, gold_ids, weights=None, floor: float = _LOG_FLOOR) -> Tensor:
-    """Negative log-probability of gold ids, one per distribution row:
-    the mean over the rows, or the sum weighted by ``weights`` (one per
-    row; weight 0 leaves a row out)."""
-    nll = -log_clamped(pick_cols(p_rows, gold_ids), floor)
-    return vmean(nll) if weights is None else weighted_sum(nll, weights)
+    return _result((np.log(clamped) * -1.0 * weights).sum(), (p,), backward)
 
 
 class ParamStore:
@@ -572,8 +542,7 @@ class ParamStore:
         return norm
 
 
-def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> ParamStore:
+def adam_step(store: ParamStore, lr: float) -> ParamStore:
     """Bias-corrected Adam update of every parameter, in place over the
     store's flat vectors:
     ``p -= lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)``.
@@ -583,15 +552,15 @@ def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
     store.step += 1
     t = store.step
     g, m, v, scratch = store.flat_grad, store.flat_m, store.flat_v, store._scratch
-    v *= beta2
-    v += np.multiply(np.multiply(g, 1.0 - beta2, out=scratch), g, out=scratch)
-    m *= beta1
-    m += np.multiply(g, 1.0 - beta1, out=g)   # the last read of the gradients
-    step = np.divide(m, 1.0 - beta1 ** t, out=g)
+    v *= _ADAM_BETA2
+    v += np.multiply(np.multiply(g, 1.0 - _ADAM_BETA2, out=scratch), g, out=scratch)
+    m *= _ADAM_BETA1
+    m += np.multiply(g, 1.0 - _ADAM_BETA1, out=g)   # the last read of the gradients
+    step = np.divide(m, 1.0 - _ADAM_BETA1 ** t, out=g)
     step *= lr
-    denom = np.divide(v, 1.0 - beta2 ** t, out=scratch)
+    denom = np.divide(v, 1.0 - _ADAM_BETA2 ** t, out=scratch)
     np.sqrt(denom, out=denom)
-    denom += eps
+    denom += _ADAM_EPS
     step /= denom
     store.flat -= step
     step.fill(0.0)
@@ -599,7 +568,7 @@ def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
 
 
 def grad_check(f: Callable[[ParamStore], Tensor], store: ParamStore,
-               eps: float = 1e-5, max_coords_per_param: int | None = None,
+               max_coords_per_param: int | None = None,
                rng: np.random.Generator | None = None) -> float:
     """Max relative error between analytic and central-difference gradients.
 
@@ -620,12 +589,12 @@ def grad_check(f: Callable[[ParamStore], Tensor], store: ParamStore,
             coords = range(part.start, part.stop)
         for idx in coords:
             original = store.flat[idx]
-            store.flat[idx] = original + eps
+            store.flat[idx] = original + _FD_STEP
             f_plus = f(store).data.item()
-            store.flat[idx] = original - eps
+            store.flat[idx] = original - _FD_STEP
             f_minus = f(store).data.item()
             store.flat[idx] = original
-            numeric = (f_plus - f_minus) / (2.0 * eps)
+            numeric = (f_plus - f_minus) / (2.0 * _FD_STEP)
             exact = analytic[idx]
             rel = abs(exact - numeric) / max(abs(exact), abs(numeric), 1e-8)
             worst = max(worst, rel)

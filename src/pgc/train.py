@@ -25,7 +25,8 @@ from . import model as M
 from . import tensor as T
 from .corpus import ConversationTurn, DialogueExample, classify_answer
 from .model import ModelConfig
-from .prompt import BOS, EOS, PAD, SPECIAL_TOKENS, UNK, PromptedExample, TokenVocab, tokenize
+from .prompt import (BOS, EOS, PAD, SPECIAL_TOKENS, UNK, CategoryVocab, PromptedExample,
+                     TokenVocab, tokenize)
 from .tensor import ParamStore
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -225,13 +226,11 @@ def gradcheck(seed: int = 0, max_coords_per_param: int | None = None) -> tuple[f
 @dataclass
 class TrainResult:
     curve: list[tuple[int, int, float]]  # (epoch, step, loss)
-    epoch_losses: list[float]
 
 
 def train_loop(prompted_examples: list[PromptedExample], store: ParamStore,
                config: TrainConfig, model_config: ModelConfig, vocab: TokenVocab,
-               start_epoch: int = 0, checkpoint_path: str | Path | None = None,
-               log=None) -> TrainResult:
+               start_epoch: int = 0, save=None, log=None) -> TrainResult:
     """Shuffled mini-batch training with gradient clipping and Adam.
 
     Each mini-batch is one ``teacher_forced_loss`` graph.  Before the
@@ -240,12 +239,13 @@ def train_loop(prompted_examples: list[PromptedExample], store: ParamStore,
     shuffle order is a pure function of (seed, epoch), so resuming from
     a checkpoint at an epoch boundary replays the exact run.  ``log``
     gets one line per epoch: the mean loss, the largest pre-clip
-    gradient norm and how many steps were clipped.
+    gradient norm and how many steps were clipped.  Every
+    ``checkpoint_interval`` epochs, ``save(epochs_completed)`` is called.
     """
     if not prompted_examples:
         raise ValueError("no training examples")
+    _check_vocab_size(vocab, model_config)
     curve: list[tuple[int, int, float]] = []
-    epoch_losses: list[float] = []
     step = store.step
     for epoch in range(start_epoch, config.epochs):
         order = np.random.default_rng([config.seed, epoch]).permutation(len(prompted_examples))
@@ -264,15 +264,19 @@ def train_loop(prompted_examples: list[PromptedExample], store: ParamStore,
             curve.append((epoch, step, value))
             batch_losses.append(value)
         epoch_mean = float(np.mean(batch_losses))
-        epoch_losses.append(epoch_mean)
         if log is not None:
             log(f"epoch {epoch}: mean loss {epoch_mean:.4f}, max grad norm {max_norm:.4f}, "
                 f"clipped {clipped}/{len(batch_losses)} steps")
-        if (checkpoint_path is not None and config.checkpoint_interval
+        if (save is not None and config.checkpoint_interval
                 and (epoch + 1) % config.checkpoint_interval == 0):
-            checkpoint_save(checkpoint_path, store, model_config, config, vocab,
-                            epochs_completed=epoch + 1)
-    return TrainResult(curve=curve, epoch_losses=epoch_losses)
+            save(epoch + 1)
+    return TrainResult(curve=curve)
+
+
+def _check_vocab_size(vocab: TokenVocab, model_config: ModelConfig) -> None:
+    if vocab.size != model_config.vocab_size:
+        raise ValueError(f"a token vocabulary of {vocab.size} ids for a model of "
+                         f"vocab_size {model_config.vocab_size}")
 
 
 def _check_finite(loss: T.Tensor, store: ParamStore, step: int) -> None:
@@ -302,23 +306,24 @@ def _arrays_to_json(arrays: dict[str, np.ndarray]) -> dict:
 
 
 def checkpoint_save(path: str | Path, store: ParamStore, model_config: ModelConfig,
-                    train_config: TrainConfig | None, vocab: TokenVocab,
-                    category_vocab=None, epochs_completed: int = 0,
+                    train_config: TrainConfig, vocab: TokenVocab,
+                    category_vocab: CategoryVocab, epochs_completed: int,
                     extra: dict | None = None) -> None:
     """Write parameters, Adam state, and both vocabularies as JSON.
 
     Values round-trip bit-exactly: JSON floats are serialised with
     shortest-round-trip repr.
     """
+    _check_vocab_size(vocab, model_config)
     payload = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config_hash": config_hash(model_config),
         "model_config": asdict(model_config),
-        "train_config": asdict(train_config) if train_config else None,
+        "train_config": asdict(train_config),
         "step": store.step,
         "epochs_completed": epochs_completed,
         "token_vocab": vocab.tokens[len(SPECIAL_TOKENS):],
-        "category_vocab": list(category_vocab.categories) if category_vocab else None,
+        "category_vocab": list(category_vocab.categories),
         "params": _arrays_to_json({n: t.data for n, t in store.items()}),
         "adam_m": _arrays_to_json(store.adam_m),
         "adam_v": _arrays_to_json(store.adam_v),
@@ -438,8 +443,7 @@ def checkpoint_load(path: str | Path, expected_config: ModelConfig | None = None
     if expected_config is not None and expected_config != model_config:
         raise CheckpointError(
             f"{path}: checkpoint was written for a different model configuration")
-    train_config = (_config_from_checkpoint(path, payload, "train_config", TrainConfig)
-                    if payload["train_config"] is not None else None)
+    train_config = _config_from_checkpoint(path, payload, "train_config", TrainConfig)
     store = M.init_params(model_config)
     _fill_state(path, payload, store)
     step, epochs = payload["step"], payload["epochs_completed"]
@@ -448,13 +452,14 @@ def checkpoint_load(path: str | Path, expected_config: ModelConfig | None = None
                               f"got {step!r} and {epochs!r}")
     store.step = step
     tokens, categories = payload["token_vocab"], payload["category_vocab"]
-    if not (_is_str_list(tokens) and (categories is None or _is_str_list(categories))):
+    if not (_is_str_list(tokens) and _is_str_list(categories)):
         raise CheckpointError(f"{path}: token_vocab and category_vocab must be lists of "
-                              f"strings (category_vocab may be null)")
+                              f"strings")
     try:
         vocab = TokenVocab(tokens)
+        category_vocab = CategoryVocab(tuple(categories))
     except ValueError as err:
-        raise CheckpointError(f"{path}: token_vocab: {err}") from err
+        raise CheckpointError(f"{path}: {err}") from err
     if vocab.tokens[len(SPECIAL_TOKENS):] != tokens or vocab.size != model_config.vocab_size:
         raise CheckpointError(f"{path}: token_vocab must be {model_config.vocab_size} - "
                               f"{len(SPECIAL_TOKENS)} tokens other than the special ones, "
@@ -462,5 +467,5 @@ def checkpoint_load(path: str | Path, expected_config: ModelConfig | None = None
     extra = payload.get("extra")
     if extra is not None and not isinstance(extra, dict):
         raise CheckpointError(f"{path}: extra is not an object")
-    meta = {"epochs_completed": epochs, "category_vocab": categories, "extra": extra}
+    meta = {"epochs_completed": epochs, "category_vocab": category_vocab, "extra": extra}
     return store, model_config, train_config, vocab, meta

@@ -8,8 +8,17 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from pgc import corpus, model as M, prompt
+from pgc import corpus, model as M, prompt, tensor as T
 from pgc.tensor import Tensor
+
+
+def weighted_total(x, w=None) -> Tensor:
+    """``sum(x * w)`` for a constant array ``w`` of ``x``'s shape (by
+    default ``1/n`` everywhere: the mean) as a ``[1, 1]`` Tensor, one
+    product of kernel ops, so a test can call ``backward`` on any
+    output.  The gradient ``x`` gets is ``w``, exactly."""
+    w = np.full(x.data.shape, 1.0 / x.data.size) if w is None else np.asarray(w, float)
+    return T.reshape(x, (1, -1)) @ Tensor(w.reshape(-1, 1))
 
 
 @contextmanager

@@ -199,6 +199,68 @@ class TestTrainPredictEval:
         assert f"{first}: using the checkpoint's {changed}" in err
 
 
+def _synthetic_mix(tmp_path, name, n_copy, n_gate, seed):
+    """A store of ``n_copy`` copy-task ("what ...") and ``n_gate`` gate-task
+    ("did ...") examples."""
+    lines = []
+    for task, n, part_seed in (("copy", n_copy, seed), ("gate", n_gate, seed + 1)):
+        part = tmp_path / f"{name}-{task}.jsonl"
+        assert cli.run(["synthetic", "--task", task, "--n", str(n), "--min-len", "2",
+                        "--max-len", "4", "--lexicon-size", "48", "--seed", str(part_seed),
+                        "--output", str(part)]) == 0
+        lines.append(part.read_text())
+    path = tmp_path / f"{name}.jsonl"
+    path.write_text("".join(lines))
+    return path
+
+
+class _Stopped(Exception):
+    """Ends a training run from inside a checkpoint write."""
+
+
+class TestIntervalCheckpoint:
+    def test_stopped_run_predicts_with_the_training_categories(self, tmp_path,
+                                                               monkeypatch):
+        """A run stopped right after its first interval checkpoint leaves a
+        file that ``pgc predict`` reads with the training run's categories,
+        not ones ranked from its own input."""
+        train_data = _synthetic_mix(tmp_path, "train", n_copy=24, n_gate=8, seed=3)
+        ckpt = tmp_path / "ckpt.json"
+        save = cli.trainmod.checkpoint_save
+
+        def save_then_stop(*args, **kwargs):
+            save(*args, **kwargs)
+            raise _Stopped
+
+        monkeypatch.setattr(cli.trainmod, "checkpoint_save", save_then_stop)
+        with pytest.raises(_Stopped):
+            cli.run(["train", "--input", str(train_data), "--output", str(ckpt),
+                     *TINY_MODEL_FLAGS, "--version", "2", "--epochs", "2",
+                     "--checkpoint-interval", "1"])
+        monkeypatch.undo()
+        payload = json.loads(ckpt.read_text())
+        assert payload["epochs_completed"] == 1
+        assert payload["category_vocab"] == ["what", "did"]
+        assert payload["train_config"]["prompt_version"] == 2
+        assert payload["train_config"]["checkpoint_interval"] == 1
+        assert payload["extra"]["run_config"]["prompt_version"] == 2
+
+        predict_data = _synthetic_mix(tmp_path, "predict", n_copy=4, n_gate=12, seed=7)
+        examples = cli.corpus.load_examples(predict_data)
+        assert cli.prompt.build_category_vocab(examples, 10).categories == ("did", "what")
+        used = []
+        build = cli.prompt.build_prompt
+
+        def recording(example, version, vocab, token_vocab=None):
+            used.append(vocab.categories)
+            return build(example, version, vocab, token_vocab)
+
+        monkeypatch.setattr(cli.prompt, "build_prompt", recording)
+        assert cli.run(["predict", "--input", str(predict_data), "--checkpoint", str(ckpt),
+                        "--output", str(tmp_path / "preds.jsonl")]) == 0
+        assert used == [("what", "did")] * len(examples)
+
+
 class TestEvalInput:
     GOOD = {"story_id": "beach-001", "turn_id": 1, "text": "a red kite"}
 
@@ -428,10 +490,14 @@ class TestMalformedCheckpoint:
         (lambda p: p.update({"token_vocab": ["<pad>"] + p["token_vocab"][1:]}),
          "token_vocab must be 56 - 4 tokens"),
         (lambda p: p.update({"category_vocab": "what"}), "category_vocab must be lists"),
+        (lambda p: p.update({"category_vocab": None}), "category_vocab must be lists"),
+        (lambda p: p.update({"category_vocab": []}), "category vocabulary is empty"),
+        (lambda p: p.update({"train_config": None}), "train_config is missing"),
         (lambda p: p.pop("epochs_completed"), "missing keys ['epochs_completed']"),
     ], ids=["missing-param", "extra-param", "misshaped-param", "nan-param", "inf-adam_v",
             "string-value", "negative-step", "short-token_vocab", "special-token",
-            "category_vocab-string", "no-epochs_completed"])
+            "category_vocab-string", "null-category_vocab", "empty-category_vocab",
+            "null-train_config", "no-epochs_completed"])
     def test_exit_2_names_the_file(self, trained, damage, detail):
         payload = json.loads(trained[1].read_text())
         damage(payload)
@@ -459,7 +525,7 @@ class TestMalformedCheckpoint:
                         st.sampled_from(["shape", "values"]))
             value = data.draw(st.sampled_from([7, 1.5, "x", True, [1], ["x"], {"a": 1}, None]))
             assume(type(value) is not type(container[key]))
-            assume(not (value is None and key in ("train_config", "category_vocab", "extra")))
+            assume(not (value is None and key == "extra"))
             container[key] = value
         elif how == "resize":
             key = data.draw(st.sampled_from([*_ARRAY_SECTIONS, "token_vocab"]), label="section")

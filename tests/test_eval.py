@@ -223,7 +223,7 @@ class TestReportOutput:
     def test_json_and_csv_round_trip(self, tmp_path):
         report = EvalReport(o_em=50.0, o_f1=75.0, g_em=0.0, g_f1=50.0,
                             e_em=100.0, e_f1=100.0, n_overall=2,
-                            n_generative=1, n_extractive=1,
+                            n_generative=1, n_extractive=1, n_examples=2, n_missing=0,
                             per_category=[("What", 75.0, 2)])
         json_path = tmp_path / "report.json"
         evalmod.write_report(report, json_path, config={"seed": 0})

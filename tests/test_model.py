@@ -14,7 +14,7 @@ from pgc.prompt import BOS, EOS, PAD, UNK
 from pgc.tensor import ParamStore, Tensor
 
 from helpers import (make_prompted, random_model_draws, random_small_config,
-                     tensor_constructions)
+                     tensor_constructions, weighted_total)
 
 
 def manual_stack(layer_arrays, ext_ids=None, extended_size=None):
@@ -107,13 +107,13 @@ def per_layer_copy_attention(states, stack, params):
     and summed in layer order."""
     n = len(stack.layers)
     q = states @ params["copy.w_s"]
-    weights = T.reshape(M.layer_weights(params), (1, n))
+    weights = M.layer_weights(params)
     alpha = None
     for i, layer in enumerate(stack.layers):
         view, _ = T.attention(q, layer @ params[f"copy.w_h{i}"], None,
                               stack.pad_mask[..., None, :])
         view = T.reshape(view, states.data.shape[:-1] + (view.data.shape[-1],))
-        term = view * T.reshape(T.pick_cols(weights, [i]), (1, 1))
+        term = view * weighted_total(weights, np.eye(n)[i])
         alpha = term if alpha is None else alpha + term
     return alpha
 
@@ -190,7 +190,7 @@ class TestCopyAttention:
                                  extended_size=5)
             s = Tensor(states)
             alpha = head(s, stack, store)
-            T.weighted_sum(alpha, upstream).backward()
+            weighted_total(alpha, upstream).backward()
             grads = [store[name].grad for name in arrays] + [s.grad]
             results.append((alpha.data, grads + [layer.grad for layer in stack.layers]))
         (got, got_grads), (want, want_grads) = results

@@ -11,7 +11,7 @@ import pytest
 from pgc import model as M, prompt as P, tensor as T, train as TR
 from pgc.tensor import ParamStore, Tensor
 
-from helpers import make_prompted, tensor_constructions
+from helpers import make_prompted, tensor_constructions, weighted_total
 
 
 def naive_matmul(a, b):
@@ -202,8 +202,8 @@ class TestAttention:
             composed = composed_attention(qh, keys_t, vh, mask[..., None, :, :],
                                           1.0 / math.sqrt(q.shape[-1] // n_heads))
             upstream = rng.normal(size=out.data.shape)
-            T.weighted_sum(out, upstream).backward()
-            T.weighted_sum(composed, split_heads(upstream, n_heads)).backward()
+            weighted_total(out, upstream).backward()
+            weighted_total(composed, split_heads(upstream, n_heads)).backward()
             assert np.array_equal(out.data, merge_heads(composed.data))
             assert np.array_equal(fused[0].grad, merge_heads(qh.grad))
             assert np.array_equal(fused[1].grad, merge_heads(np.swapaxes(keys_t.grad, -1, -2)))
@@ -222,7 +222,7 @@ class TestAttention:
             def f(s):
                 out, _ = T.attention(s["q"], s["k"], s["v"] if "v" in s.names() else None,
                                      mask, n_heads)
-                return T.weighted_sum(T.sigmoid(out * 3.0), upstream)
+                return weighted_total(T.sigmoid(out * 3.0), upstream)
 
             assert T.grad_check(f, store) < 1e-4
 
@@ -284,7 +284,7 @@ class TestLayerNorm:
                              Tensor(rng.normal(size=shape[-1])), Tensor(rng.normal(size=shape[-1])))
             g = rng.normal(size=shape)
             out = T.layer_norm(x, gain, bias)
-            T.weighted_sum(out, g).backward()
+            weighted_total(out, g).backward()
             want = two_pass_layer_norm(x.data, gain.data, bias.data, g)
             for got, expected in zip((out.data, x.grad, gain.grad, bias.grad), want):
                 assert got.tobytes() == expected.tobytes()
@@ -296,19 +296,19 @@ class TestScalarOperands:
         (``1.0 - x`` too)."""
         x = Tensor([1.0, -2.0])
         with tensor_constructions() as scans:
-            outs = [x * 2.0, 3.0 * x, x + 1.5, 0.5 + x, x - 0.25, 1.0 - x]
+            outs = [x * 2.0, 3.0 * x, x + 1.5, 0.5 + x, x + -0.25, 1.0 - x]
         assert scans == [False] * 6
         assert all(out._parents == (x,) for out in outs)
         assert np.array_equal(np.stack([out.data for out in outs]),
                               [[2, -4], [3, -6], [2.5, -0.5], [1.5, -1.5], [0.75, -2.25],
                                [0, 3]])
-        T.vmean(outs[0] + outs[1] + outs[2] + outs[3] + outs[4] + outs[5]).backward()
+        weighted_total(outs[0] + outs[1] + outs[2] + outs[3] + outs[4] + outs[5]).backward()
         assert np.array_equal(x.grad, np.full(2, (2 + 3 + 1 + 1 + 1 - 1) / 2))
 
     def test_non_finite_number_rejected(self):
         x = Tensor([1.0])
         for op in (lambda: x + float("nan"), lambda: float("inf") * x,
-                   lambda: x - float("inf"), lambda: float("-inf") + x):
+                   lambda: x * float("-inf"), lambda: float("-inf") + x):
             with pytest.raises(ValueError, match="non-finite"):
                 op()
 
@@ -344,37 +344,87 @@ class TestCrossEntropy:
             T.sequence_nll(Tensor([[0.5, 0.5]]), [2])
 
 
+def former_nll_chain(p, gold, w):
+    """The sequence NLL as the four ops it was once built from (pick the
+    gold column, log of the floored value, negate, weighted sum), in numpy
+    and in their order of float operations: (loss, gradient of ``p``)."""
+    index = gold[..., None]
+    picked = np.take_along_axis(p, index, axis=-1)[..., 0]
+    clamped = np.maximum(picked, 1e-12)
+    loss = ((np.log(clamped) * -1.0) * w).sum()
+    dpicked = ((np.ones(()) * w) * -1.0) * np.where(picked > 1e-12, 1.0 / clamped, 0.0)
+    grad = np.zeros_like(p)
+    np.put_along_axis(grad, index, dpicked[..., None], axis=-1)
+    return loss, grad
+
+
+class TestSequenceNll:
+    def test_byte_equal_to_the_former_chain_on_padded_batches(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            b, steps, width = (int(rng.integers(1, 5)), int(rng.integers(1, 7)),
+                               int(rng.integers(2, 9)))
+            p = rng.dirichlet(np.ones(width), size=(b, steps))
+            p[rng.uniform(size=p.shape) < 0.2] = 0.0   # exact zeros take the floor
+            gold = rng.integers(0, width, size=(b, steps))
+            lengths = rng.integers(1, steps + 1, size=b)
+            mask = np.arange(steps) < lengths[:, None]
+            gold[~mask] = 0
+            weights = mask / (b * mask.sum(axis=1, keepdims=True))
+            x = Tensor(p)
+            loss = T.sequence_nll(x, gold, weights)
+            loss.backward()
+            want_loss, want_grad = former_nll_chain(p, gold, weights)
+            assert loss.data.tobytes() == want_loss.tobytes()
+            assert x.grad.tobytes() == want_grad.tobytes()
+
+    def test_no_weights_is_the_mean_over_rows(self):
+        rng = np.random.default_rng(18)
+        p = rng.dirichlet(np.ones(5), size=7)
+        gold = rng.integers(0, 5, size=7)
+        x = Tensor(p)
+        loss = T.sequence_nll(x, gold)
+        loss.backward()
+        nll = -np.log(p[np.arange(7), gold])
+        assert abs(loss.item() - nll.mean()) <= 1e-15 * nll.mean()
+        assert x.grad.tobytes() == former_nll_chain(p, gold, np.full(7, 1.0 / 7))[1].tobytes()
+
+    def test_weights_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match="weights of shape"):
+            T.sequence_nll(Tensor(np.full((2, 3), 1.0 / 3)), [0, 1], np.ones(3))
+
+
 class TestBackward:
     def test_linear_map_gradient_is_input_broadcast(self):
         w = ParamStore({"w": np.zeros((2, 3))})["w"]
         x = np.array([[1.0], [2.0], [3.0]])
-        T.vmean(w @ Tensor(x)).backward()
+        weighted_total(w @ Tensor(x)).backward()
         assert np.array_equal(w.grad, np.tile(x.T, (2, 1)) / 2.0)
 
     def test_unused_parameter_has_zero_gradient(self):
         store = ParamStore({"used": np.ones((2, 2)), "unused": np.ones((2, 2))})
-        T.vmean(store["used"] * store["used"]).backward()
+        weighted_total(store["used"] * store["used"]).backward()
         assert np.array_equal(store["unused"].grad, np.zeros((2, 2)))
 
     def test_sum_of_losses_is_sum_of_gradients(self):
         rng = np.random.default_rng(5)
         data = rng.normal(size=(3, 3))
         x1 = Tensor(data)
-        T.vmean(T.relu(x1 @ x1)).backward()
+        weighted_total(T.relu(x1 @ x1)).backward()
         g_first = x1.grad.copy()
         x2 = Tensor(data)
-        T.vmean(T.sigmoid(x2) * 2.0).backward()
+        weighted_total(T.sigmoid(x2) * 2.0).backward()
         g_second = x2.grad.copy()
 
         x3 = Tensor(data)
-        combined = T.vmean(T.relu(x3 @ x3)) + T.vmean(T.sigmoid(x3) * 2.0)
+        combined = weighted_total(T.relu(x3 @ x3)) + weighted_total(T.sigmoid(x3) * 2.0)
         combined.backward()
         assert np.max(np.abs(x3.grad - (g_first + g_second))) < 1e-10
 
     def test_gradients_accumulate_across_backward_calls(self):
         w = ParamStore({"w": np.ones(4)})["w"]
-        T.vmean(w * 2.0).backward()
-        T.vmean(w * 3.0).backward()
+        weighted_total(w * 2.0).backward()
+        weighted_total(w * 3.0).backward()
         assert np.array_equal(w.grad, np.full(4, 5.0 / 4.0))
 
     @pytest.mark.parametrize("node", ["leaf", "op result"])
@@ -399,7 +449,7 @@ class TestGradCheck:
         store = ParamStore({"theta": np.array([1.0, -2.0, 0.5])})
 
         def f(s):
-            return T.vmean(s["theta"] * s["theta"])
+            return weighted_total(s["theta"] * s["theta"])
 
         assert T.grad_check(f, store) < 1e-8
 
@@ -540,8 +590,8 @@ class TestParamStore:
     def test_backward_writes_the_flat_gradient_and_zero_grad_clears_it(self):
         store = ParamStore({"a": np.array([1.0, 2.0]), "b": np.array([[3.0]])})
         grad = store.flat_grad
-        T.vmean(store["a"] * store["a"]).backward()
-        T.vmean(store["a"] * 2.0 + store["b"]).backward()
+        weighted_total(store["a"] * store["a"]).backward()
+        weighted_total(store["a"] * 2.0 + store["b"]).backward()
         assert store.flat_grad is grad
         assert np.array_equal(grad, [1.0 + 1.0, 2.0 + 1.0, 1.0])
         store.zero_grad()
@@ -616,7 +666,7 @@ class TestNoGrad:
             with pytest.raises(ValueError):
                 Tensor([float("nan")])
             with pytest.raises(ValueError):
-                T.log_clamped(Tensor([1.0])) * float("inf")
+                T.relu(Tensor([1.0])) * float("inf")
 
 
 class TestFiniteness:

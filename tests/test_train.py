@@ -141,20 +141,20 @@ class TestLoss:
 
 class TestTrainLoop:
     def test_loss_decreases_monotonically_on_repeated_example(self):
-        prompted, vocab = tiny_setup(n=1)
-        params = M.init_params(TINY_MODEL, seed=3)
+        prompted, vocab, model = fitted_setup(n=1)
+        params = M.init_params(model, seed=3)
         config = TrainConfig(learning_rate=1e-3, batch_size=1, epochs=30, seed=0)
-        result = train_loop(prompted, params, config, TINY_MODEL, vocab)
+        result = train_loop(prompted, params, config, model, vocab)
         losses = [loss for _, _, loss in result.curve]
         for before, after in zip(losses[10:], losses[11:]):
             assert after <= before + 1e-9
 
     def test_identical_seeds_give_bit_identical_parameters(self):
         def run():
-            prompted, vocab = tiny_setup(n=12)
-            params = M.init_params(TINY_MODEL, seed=4)
+            prompted, vocab, model = fitted_setup(n=12)
+            params = M.init_params(model, seed=4)
             config = TrainConfig(learning_rate=1e-3, batch_size=4, epochs=2, seed=7)
-            result = train_loop(prompted, params, config, TINY_MODEL, vocab)
+            result = train_loop(prompted, params, config, model, vocab)
             return params, result
 
         first_params, first = run()
@@ -169,12 +169,26 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train_loop([], params, TrainConfig(), TINY_MODEL, vocab)
 
+    def test_vocabulary_of_another_size_rejected(self, tmp_path):
+        prompted, vocab = tiny_setup(n=4)
+        assert vocab.size != TINY_MODEL.vocab_size
+        params = M.init_params(TINY_MODEL, seed=0)
+        with pytest.raises(ValueError, match="vocab_size 40"):
+            train_loop(prompted, params, TrainConfig(), TINY_MODEL, vocab)
+        with pytest.raises(ValueError, match="vocab_size 40"):
+            checkpoint_save(tmp_path / "ckpt.json", params, TINY_MODEL, TrainConfig(), vocab,
+                            CATEGORIES, 0)
+        assert not (tmp_path / "ckpt.json").exists()
+
     def test_loss_curve_csv(self, tmp_path):
         path = tmp_path / "curve.csv"
         TR.write_loss_curve([(0, 1, 0.5), (0, 2, 0.25)], path)
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,step,loss"
         assert lines[1] == "0,1,0.5"
+
+
+CATEGORIES = P.CategoryVocab(("what", "did"))
 
 
 def fitted_setup(n):
@@ -195,11 +209,12 @@ class TestCheckpoints:
     def test_round_trip_is_bit_exact(self, tmp_path):
         model, vocab, params, config = self.make_trained(tmp_path)
         path = tmp_path / "ckpt.json"
-        checkpoint_save(path, params, model, config, vocab, epochs_completed=2)
+        checkpoint_save(path, params, model, config, vocab, CATEGORIES, epochs_completed=2)
         loaded, model_config, train_config, loaded_vocab, meta = checkpoint_load(path)
         assert model_config == model
         assert train_config == config
         assert loaded_vocab.tokens == vocab.tokens
+        assert meta["category_vocab"] == CATEGORIES
         assert loaded.step == params.step
         assert meta["epochs_completed"] == 2
         for name in params.names():
@@ -210,7 +225,7 @@ class TestCheckpoints:
     def test_config_mismatch_rejected(self, tmp_path):
         model, vocab, params, config = self.make_trained(tmp_path)
         path = tmp_path / "ckpt.json"
-        checkpoint_save(path, params, model, config, vocab)
+        checkpoint_save(path, params, model, config, vocab, CATEGORIES, 2)
         other = replace(model, d_model=32)
         with pytest.raises(CheckpointError):
             checkpoint_load(path, expected_config=other)
@@ -230,7 +245,8 @@ class TestCheckpoints:
     def test_damaged_checkpoint_names_the_path(self, tmp_path, damage):
         path = tmp_path / "ckpt.json"
         checkpoint_save(path, M.init_params(TINY_MODEL, seed=0), TINY_MODEL, TrainConfig(),
-                        TokenVocab([f"w{i}" for i in range(TINY_MODEL.vocab_size - 4)]))
+                        TokenVocab([f"w{i}" for i in range(TINY_MODEL.vocab_size - 4)]),
+                        CATEGORIES, 0)
         checkpoint_load(path)   # only the damage makes it unloadable
         payload = json.loads(path.read_text())
         model, train = payload["model_config"], payload["train_config"]
@@ -265,7 +281,7 @@ class TestCheckpoints:
         half_config = TrainConfig(learning_rate=1e-3, batch_size=4, epochs=2, seed=13)
         train_loop(prompted, half_params, half_config, model, vocab)
         path = tmp_path / "half.json"
-        checkpoint_save(path, half_params, model, half_config, vocab,
+        checkpoint_save(path, half_params, model, half_config, vocab, CATEGORIES,
                         epochs_completed=2)
         resumed_params, _, _, resumed_vocab, meta = checkpoint_load(path)
         resumed = train_loop(prompted, resumed_params, full_config, model,
@@ -395,12 +411,13 @@ class TestBatchedLoss:
     def test_same_seed_runs_write_byte_identical_checkpoints(self, tmp_path):
         paths = []
         for run in range(2):
-            prompted, vocab = tiny_setup(n=12)
-            params = M.init_params(TINY_MODEL, seed=4)
+            prompted, vocab, model = fitted_setup(n=12)
+            params = M.init_params(model, seed=4)
             config = TrainConfig(learning_rate=1e-3, batch_size=4, epochs=2, seed=7)
-            train_loop(prompted, params, config, TINY_MODEL, vocab)
+            train_loop(prompted, params, config, model, vocab)
             paths.append(tmp_path / f"run{run}.json")
-            checkpoint_save(paths[-1], params, TINY_MODEL, config, vocab, epochs_completed=2)
+            checkpoint_save(paths[-1], params, model, config, vocab, CATEGORIES,
+                            epochs_completed=2)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
@@ -414,36 +431,36 @@ class TestFiniteStep:
     stops a training step before Adam and fails decoding."""
 
     def trained_one_epoch(self):
-        prompted, vocab = tiny_setup(n=8)
-        params = M.init_params(TINY_MODEL, seed=6)
-        train_loop(prompted, params, TrainConfig(batch_size=4, epochs=1), TINY_MODEL, vocab)
-        return prompted, vocab, params
+        prompted, vocab, model = fitted_setup(n=8)
+        params = M.init_params(model, seed=6)
+        train_loop(prompted, params, TrainConfig(batch_size=4, epochs=1), model, vocab)
+        return prompted, vocab, model, params
 
-    def assert_step_refused(self, prompted, vocab, params, match):
+    def assert_step_refused(self, prompted, vocab, model, params, match):
         before = state_bytes(params)
         with pytest.raises(ValueError, match=match):
-            train_loop(prompted, params, TrainConfig(batch_size=4, epochs=2), TINY_MODEL,
+            train_loop(prompted, params, TrainConfig(batch_size=4, epochs=2), model,
                        vocab, start_epoch=1)
         assert state_bytes(params) == before
 
     def test_nan_parameter(self):
-        prompted, vocab, params = self.trained_one_epoch()
+        prompted, vocab, model, params = self.trained_one_epoch()
         params["out.w_v"].data[3, 5] = float("nan")
-        self.assert_step_refused(prompted, vocab, params, "non-finite")
+        self.assert_step_refused(prompted, vocab, model, params, "non-finite")
         with pytest.raises(ValueError):
-            M.greedy_decode(prompted[0], params, TINY_MODEL)
+            M.greedy_decode(prompted[0], params, model)
 
     def test_nan_input(self, monkeypatch):
-        prompted, vocab, params = self.trained_one_epoch()
-        table = M.sinusoidal_positions(TINY_MODEL.max_source_len, TINY_MODEL.d_model)
+        prompted, vocab, model, params = self.trained_one_epoch()
+        table = M.sinusoidal_positions(model.max_source_len, model.d_model)
         table[0, 0] = float("nan")
         monkeypatch.setattr(M, "_position_table", lambda n, d: table)
-        self.assert_step_refused(prompted, vocab, params, "non-finite")
+        self.assert_step_refused(prompted, vocab, model, params, "non-finite")
         with pytest.raises(ValueError):
-            M.greedy_decode(prompted[0], params, TINY_MODEL)
+            M.greedy_decode(prompted[0], params, model)
 
     def test_non_finite_gradient_of_a_finite_loss(self, monkeypatch):
-        prompted, vocab, params = self.trained_one_epoch()
+        prompted, vocab, model, params = self.trained_one_epoch()
         loss_of = TR.teacher_forced_loss
         gate = params["gate.b"]
 
@@ -452,7 +469,8 @@ class TestFiniteStep:
             return loss_of(*args) + spike
 
         monkeypatch.setattr(TR, "teacher_forced_loss", with_bad_gradient)
-        self.assert_step_refused(prompted, vocab, params, "non-finite gradient for gate.b")
+        self.assert_step_refused(prompted, vocab, model, params,
+                                 "non-finite gradient for gate.b")
 
 
 BENCH_SHAPES = {
@@ -540,20 +558,20 @@ class TestTelemetry:
         monkeypatch.setattr(T.ParamStore, "clip_grad_norm",
                             lambda store, max_norm: norms.append(clip(store, max_norm))
                             or norms[-1])
-        prompted, vocab = tiny_setup(n=8)
-        params = M.init_params(TINY_MODEL, seed=6)
+        prompted, vocab, model = fitted_setup(n=8)
+        params = M.init_params(model, seed=6)
         lines = []
         config = TrainConfig(batch_size=4, epochs=2, clip_norm=clip_norm)
-        result = train_loop(prompted, params, config, TINY_MODEL, vocab, log=lines.append)
+        result = train_loop(prompted, params, config, model, vocab, log=lines.append)
         return lines, result, norms
 
     def test_epoch_line_reports_max_pre_clip_norm_and_clipped_steps(self, monkeypatch):
-        lines, result, norms = self.epoch_lines(monkeypatch, clip_norm=3.35)
+        lines, result, norms = self.epoch_lines(monkeypatch, clip_norm=2.9)
         assert len(lines) == 2 and len(norms) == 4
         for epoch, line in enumerate(lines):
             losses = [loss for e, _, loss in result.curve if e == epoch]
             steps = norms[2 * epoch:2 * epoch + 2]
-            clipped = sum(norm > 3.35 for norm in steps)
+            clipped = sum(norm > 2.9 for norm in steps)
             assert line == (f"epoch {epoch}: mean loss {np.mean(losses):.4f}, max grad norm "
                             f"{max(steps):.4f}, clipped {clipped}/2 steps")
         assert [line[-17:] for line in lines] == ["clipped 1/2 steps", "clipped 0/2 steps"]
@@ -582,11 +600,14 @@ class TestKernelCoverage:
                   and not name.startswith("_")]
         for name in public:
             monkeypatch.setattr(T, name, recording(name, getattr(T, name)))
-        prompted, vocab = tiny_setup(n=4)
-        params = M.init_params(TINY_MODEL, seed=0)
+        prompted, vocab, model = fitted_setup(n=4)
+        params = M.init_params(model, seed=0)
         train_loop(prompted, params, TrainConfig(learning_rate=1e-3, batch_size=4, epochs=1),
-                   TINY_MODEL, vocab)
-        M.greedy_decode(prompted[0], params, TINY_MODEL)
+                   model, vocab)
+        M.greedy_decode(prompted[0], params, model)
         TR.gradcheck(0, max_coords_per_param=1)
-        assert len(public) > 20
+        assert sorted(public) == [
+            "adam_step", "add", "as_tensor", "attention", "concat", "contract_first",
+            "embed_rows", "grad_check", "layer_norm", "matmul", "mul", "no_grad", "pad_cols",
+            "relu", "reshape", "scatter_add_cols", "sequence_nll", "sigmoid", "softmax"]
         assert sorted(set(public) - called) == []
