@@ -195,6 +195,9 @@ def _cmd_train(args) -> int:
         config, store, model_config, token_vocab, category_vocab, meta = \
             _open_checkpoint(args.resume, config, args)
         start_epoch = meta["epochs_completed"]
+        if config.epochs < start_epoch:
+            raise UsageError(f"{args.resume} has {start_epoch} epochs completed, more than "
+                             f"the {config.epochs} epochs asked for")
     else:
         category_vocab = prompt.build_category_vocab(examples, config.top_k_categories)
         bare = _build_prompts(examples, config, category_vocab, None)
@@ -370,9 +373,8 @@ def _cmd_export_attention(args) -> int:
         _open_checkpoint(args.checkpoint, config, args)
     p = prompt.build_prompt(examples[args.index], config.prompt_version_obj(),
                             category_vocab, token_vocab)
-    heads = [int(h) for h in args.heads.split(",") if h != ""]
     paths = M.export_attention(p.source_tokens, p.source_ids, store, model_config,
-                               args.layer, heads, args.out_dir)
+                               args.layer, args.heads, args.out_dir)
     for path in paths:
         print(str(path))
     return 0
@@ -403,6 +405,9 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="pgc", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def int_list(text: str) -> list[int]:   # a flag type: comma-separated ints
+        return [int(item) for item in text.split(",") if item != ""]
 
     def common(p, *settings):
         p.add_argument("--config", help="JSON config file; flags override it")
@@ -482,7 +487,8 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--index", type=int, default=0)
     p.add_argument("--layer", type=int, required=True)
-    p.add_argument("--heads", required=True, help="comma-separated head indices")
+    p.add_argument("--heads", type=int_list, required=True,
+                   help="comma-separated head indices")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(handler=_cmd_export_attention)
 

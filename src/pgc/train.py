@@ -13,6 +13,7 @@ generation path can solve it).
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import typing
@@ -29,7 +30,7 @@ from .prompt import (BOS, EOS, PAD, SPECIAL_TOKENS, UNK, CategoryVocab, Prompted
                      TokenVocab, tokenize)
 from .tensor import ParamStore
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -85,14 +86,10 @@ _COPY_QUESTION = "what was stated ?"
 _GATE_QUESTION = "did the text mention the marker ?"
 
 
-def _lexicon(size: int) -> list[str]:
-    return [f"w{i:03d}" for i in range(size)]
-
-
 def make_synthetic(spec: SyntheticSpec) -> list[DialogueExample]:
     """Generate copy-task or gate-task dialogues, deterministic per seed."""
     rng = np.random.default_rng(spec.seed)
-    words = _lexicon(spec.vocab_size)
+    words = [f"w{i:03d}" for i in range(spec.vocab_size)]
     examples = []
     for i in range(spec.n_examples):
         length = int(rng.integers(spec.min_len, spec.max_len + 1))
@@ -300,19 +297,25 @@ def config_hash(model_config: ModelConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def _arrays_to_json(arrays: dict[str, np.ndarray]) -> dict:
-    return {name: {"shape": list(a.shape), "values": a.reshape(-1).tolist()}
-            for name, a in arrays.items()}
+def _layout(store: ParamStore) -> list:
+    return [[name, list(t.data.shape)] for name, t in store.items()]
+
+
+def _vectors(store: ParamStore):
+    """Each vector section's key and the store vector it holds."""
+    return ("params", store.flat), ("adam_m", store.flat_m), ("adam_v", store.flat_v)
 
 
 def checkpoint_save(path: str | Path, store: ParamStore, model_config: ModelConfig,
                     train_config: TrainConfig, vocab: TokenVocab,
                     category_vocab: CategoryVocab, epochs_completed: int,
                     extra: dict | None = None) -> None:
-    """Write parameters, Adam state, and both vocabularies as JSON.
+    """Write parameters, Adam state, and both vocabularies as one JSON file.
 
-    Values round-trip bit-exactly: JSON floats are serialised with
-    shortest-round-trip repr.
+    ``layout`` lists each parameter's ``[name, shape]`` in store order;
+    ``params``, ``adam_m`` and ``adam_v`` are the base64 of the store's
+    flat vectors as little-endian float64 bytes, so values round-trip
+    bit-exactly.
     """
     _check_vocab_size(vocab, model_config)
     payload = {
@@ -324,9 +327,9 @@ def checkpoint_save(path: str | Path, store: ParamStore, model_config: ModelConf
         "epochs_completed": epochs_completed,
         "token_vocab": vocab.tokens[len(SPECIAL_TOKENS):],
         "category_vocab": list(category_vocab.categories),
-        "params": _arrays_to_json({n: t.data for n, t in store.items()}),
-        "adam_m": _arrays_to_json(store.adam_m),
-        "adam_v": _arrays_to_json(store.adam_v),
+        "layout": _layout(store),
+        **{key: base64.b64encode(flat.astype("<f8", copy=False).tobytes()).decode("ascii")
+           for key, flat in _vectors(store)},
     }
     if extra:
         payload["extra"] = extra
@@ -369,8 +372,8 @@ def _config_from_checkpoint(path, payload: dict, key: str, cls):
 
 
 _CHECKPOINT_KEYS = {"format_version", "config_hash", "model_config", "train_config", "step",
-                    "epochs_completed", "token_vocab", "category_vocab", "params", "adam_m",
-                    "adam_v"}
+                    "epochs_completed", "token_vocab", "category_vocab", "layout", "params",
+                    "adam_m", "adam_v"}
 
 
 def _is_str_list(value) -> bool:
@@ -380,35 +383,26 @@ def _is_str_list(value) -> bool:
 def _fill_state(path, payload: dict, store: ParamStore) -> None:
     """Copy the checkpoint's parameters and Adam moments into ``store``.
 
-    Each section must name exactly the store's parameters; each entry
-    gives a parameter's shape (a list of ints) and its values (a flat
-    list of floats), none of them NaN or inf."""
-    params = {name: t.data for name, t in store.items()}
-    for key, views, flat in (("params", params, store.flat),
-                             ("adam_m", store.adam_m, store.flat_m),
-                             ("adam_v", store.adam_v, store.flat_v)):
-        section = payload[key]
-        if not isinstance(section, dict):
-            raise CheckpointError(f"{path}: {key} is not an object")
-        unknown, missing = sorted(set(section) - set(views)), sorted(set(views) - set(section))
-        if unknown or missing:
-            raise CheckpointError(f"{path}: {key}: unknown parameters {unknown}, "
-                                  f"missing parameters {missing}")
-        for name, view in views.items():
-            entry = section[name] if isinstance(section[name], dict) else {}
-            shape = entry.get("shape")
-            try:   # a list of JSON floats and nothing else gives a float64 vector
-                values = np.array(entry.get("values"))
-            except ValueError:   # ragged nested lists
-                values = np.array(None)
-            if not (isinstance(shape, list) and all(type(n) is int for n in shape)
-                    and values.dtype == np.float64 and values.ndim == 1):
-                raise CheckpointError(f"{path}: {key}: {name}: expected a shape (a list of "
-                                      f"ints) and values (a list of floats)")
-            if shape != list(view.shape) or values.size != view.size:
-                raise CheckpointError(f"{path}: {key}: {name} has shape {shape} and "
-                                      f"{values.size} values, expected shape {list(view.shape)}")
-            view.reshape(-1)[:] = values
+    ``layout`` must be the store's ``[name, shape]`` list, JSON types
+    included (``true`` is not ``1``), and each vector section the base64
+    of exactly the store's number of float64 values, all finite."""
+    layout = payload["layout"]
+    if not isinstance(layout, list):
+        raise CheckpointError(f"{path}: layout is not a list")
+    got, want = [json.dumps(e) for e in layout], [json.dumps(e) for e in _layout(store)]
+    if got != want:
+        i, have, expected = next((i, a, b) for i, (a, b) in
+                                 enumerate(zip(got + ["nothing"], want + ["nothing"])) if a != b)
+        raise CheckpointError(f"{path}: layout entry {i} is {have}, expected {expected}")
+    for key, flat in _vectors(store):
+        try:   # TypeError: not a string; ValueError: not base64 (binascii.Error)
+            raw = base64.b64decode(payload[key], validate=True)
+        except (TypeError, ValueError) as err:
+            raise CheckpointError(f"{path}: {key} is not a base64 string: {err}") from err
+        if len(raw) != flat.nbytes:
+            raise CheckpointError(f"{path}: {key} holds {len(raw)} bytes, expected "
+                                  f"{flat.size} float64 values ({flat.nbytes} bytes)")
+        flat[:] = np.frombuffer(raw, dtype="<f8")
         name = store.non_finite(flat)
         if name is not None:
             raise CheckpointError(f"{path}: {key}: {name} holds NaN or inf")
@@ -418,8 +412,8 @@ def checkpoint_load(path: str | Path, expected_config: ModelConfig | None = None
     """Load a checkpoint; returns (store, model_config, train_config, vocab, meta).
 
     Every section ``checkpoint_save`` writes must be there with its type.
-    The parameters and both Adam moments must have exactly the names and
-    shapes of ``init_params(model_config)``, and finite values; ``step``
+    ``layout`` must list the names and shapes of ``init_params(model_config)``
+    and each vector section hold exactly that many finite values; ``step``
     and ``epochs_completed`` are ints >= 0, and the token vocabulary plus
     the special tokens is ``model_config.vocab_size`` long.  Anything
     else is a ``CheckpointError`` naming the path.

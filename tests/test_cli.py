@@ -1,12 +1,15 @@
 """End-to-end subcommand behaviour, exit codes, config precedence."""
 
+import base64
 import contextlib
 import io
 import json
+import math
 import tempfile
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -170,6 +173,20 @@ class TestTrainPredictEval:
                         "--learning-rate", "1e-3"]) == 0
         payload = json.loads(resumed.read_text())
         assert payload["epochs_completed"] == 3
+
+    def test_resume_to_fewer_epochs_is_refused_before_writing(self, trained, tmp_path,
+                                                              capsys):
+        data, ckpt = trained
+        own = tmp_path / "own.json"
+        own.write_bytes(ckpt.read_bytes())
+        curve = tmp_path / "curve.csv"
+        capsys.readouterr()
+        assert cli.run(["train", "--input", str(data), "--output", str(own),
+                        "--resume", str(own), "--epochs", "1",
+                        "--loss-curve", str(curve)]) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: {own} has 2 epochs completed, more than the 1 epochs" in err
+        assert own.read_bytes() == ckpt.read_bytes() and not curve.exists()
 
     @pytest.mark.parametrize("omitted", ["model flags", "--version"])
     def test_resume_adopts_checkpoint_settings(self, tmp_path, capsys, omitted):
@@ -446,7 +463,7 @@ class TestMalformedStore:
         assert "Traceback" not in err.getvalue()
 
 
-_ARRAY_SECTIONS = ("params", "adam_m", "adam_v")
+_VECTOR_SECTIONS = ("params", "adam_m", "adam_v")
 
 
 def _predict_damaged(trained, payload) -> tuple[int, Path, str]:
@@ -463,9 +480,27 @@ def _predict_damaged(trained, payload) -> tuple[int, Path, str]:
     return code, bad, err.getvalue()
 
 
-def _resize_array(entry, grow: bool):
-    entry["values"] = entry["values"] + [0.0] if grow else entry["values"][:-1]
-    entry["shape"] = [len(entry["values"])]
+def _vector(payload, key) -> np.ndarray:
+    """A vector section decoded: its little-endian float64 values."""
+    return np.frombuffer(base64.b64decode(payload[key]), dtype="<f8").copy()
+
+
+def _set_vector(payload, key, values) -> None:
+    payload[key] = base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _entry(payload, name) -> list:
+    """The ``[name, shape]`` entry of parameter ``name`` in the layout."""
+    return next(entry for entry in payload["layout"] if entry[0] == name)
+
+
+def _write_value(payload, key, name, index, value) -> None:
+    """Write ``value`` at ``index`` of parameter ``name`` in vector ``key``."""
+    names = [entry[0] for entry in payload["layout"]]
+    offset = sum(math.prod(shape) for _, shape in payload["layout"][:names.index(name)])
+    values = _vector(payload, key)
+    values[offset + index] = value
+    _set_vector(payload, key, values)
 
 
 class TestMalformedCheckpoint:
@@ -473,17 +508,36 @@ class TestMalformedCheckpoint:
     naming the file, never in a traceback or a silent decode."""
 
     @pytest.mark.parametrize("damage,detail", [
-        (lambda p: p["params"].pop("gate.b"), "missing parameters ['gate.b']"),
-        (lambda p: p["params"].update({"gate.extra": {"shape": [1], "values": [0.0]}}),
-         "unknown parameters ['gate.extra']"),
-        (lambda p: p["params"].update({"gate.w_c": {"shape": [3], "values": [0.0] * 3}}),
-         "gate.w_c has shape [3] and 3 values, expected shape [16]"),
-        (lambda p: p["params"]["out.w_v"]["values"].__setitem__(5, float("nan")),
+        (lambda p: p["layout"].remove(_entry(p, "gate.b")),
+         'layout entry 36 is ["out.w_v", [16, 56]], expected ["gate.b", [1]]'),
+        (lambda p: p["layout"].append(["gate.extra", [1]]),
+         'layout entry 39 is ["gate.extra", [1]], expected nothing'),
+        (lambda p: _entry(p, "gate.w_c").__setitem__(1, [3]),
+         'is ["gate.w_c", [3]], expected ["gate.w_c", [16]]'),
+        (lambda p: _entry(p, "gate.b").__setitem__(0, "gate.bias"),
+         'is ["gate.bias", [1]], expected ["gate.b", [1]]'),
+        (lambda p: _entry(p, "gate.b").__setitem__(1, [True]),
+         'is ["gate.b", [true]], expected ["gate.b", [1]]'),
+        (lambda p: p.update({"layout": {"gate.b": [1]}}), "layout is not a list"),
+        (lambda p: _write_value(p, "params", "out.w_v", 5, float("nan")),
          "params: out.w_v holds NaN or inf"),
-        (lambda p: p["adam_v"]["embed"]["values"].__setitem__(0, float("inf")),
+        (lambda p: _write_value(p, "adam_v", "embed", 0, float("inf")),
          "adam_v: embed holds NaN or inf"),
-        (lambda p: p["params"]["gate.b"].update({"values": ["0.5"]}),
-         "gate.b: expected a shape (a list of ints) and values (a list of floats)"),
+        (lambda p: _write_value(p, "adam_m", "copy.a_raw", 0, float("-inf")),
+         "adam_m: copy.a_raw holds NaN or inf"),
+        (lambda p: _entry(p, "gate.b").__setitem__(1, ["1"]),
+         'is ["gate.b", ["1"]], expected ["gate.b", [1]]'),
+        (lambda p: _set_vector(p, "adam_m", _vector(p, "adam_m")[:-1]),
+         "adam_m holds 60104 bytes, expected 7514 float64 values (60112 bytes)"),
+        (lambda p: _set_vector(p, "params", [*_vector(p, "params"), 0.0]),
+         "params holds 60120 bytes, expected 7514 float64 values"),
+        (lambda p: p.update({"params": "!" + p["params"][1:]}),
+         "params is not a base64 string"),
+        (lambda p: p.update({"adam_v": p["adam_v"][:-1]}), "adam_v is not a base64 string"),
+        (lambda p: p.update({"params": _vector(p, "params").tolist()}),
+         "params is not a base64 string"),
+        (lambda p: p.update({"format_version": 1}),
+         "unsupported checkpoint format version 1"),
         (lambda p: p.update({"step": -1}), "step and epochs_completed must be ints >= 0"),
         (lambda p: p.update({"token_vocab": p["token_vocab"][:3]}),
          "token_vocab must be 56 - 4 tokens"),
@@ -494,8 +548,11 @@ class TestMalformedCheckpoint:
         (lambda p: p.update({"category_vocab": []}), "category vocabulary is empty"),
         (lambda p: p.update({"train_config": None}), "train_config is missing"),
         (lambda p: p.pop("epochs_completed"), "missing keys ['epochs_completed']"),
-    ], ids=["missing-param", "extra-param", "misshaped-param", "nan-param", "inf-adam_v",
-            "string-value", "negative-step", "short-token_vocab", "special-token",
+    ], ids=["missing-param", "extra-param", "misshaped-param", "renamed-param",
+            "true-for-1-in-shape", "layout-object", "nan-param", "inf-adam_v",
+            "minus-inf-adam_m", "string-value", "short-adam_m", "long-params",
+            "not-base64", "cut-base64", "float-list-params", "format-version-1",
+            "negative-step", "short-token_vocab", "special-token",
             "category_vocab-string", "null-category_vocab", "empty-category_vocab",
             "null-train_config", "no-epochs_completed"])
     def test_exit_2_names_the_file(self, trained, damage, detail):
@@ -504,45 +561,63 @@ class TestMalformedCheckpoint:
         code, bad, err = _predict_damaged(trained, payload)
         assert code == 2
         assert f"data error: {bad}: " in err and detail in err
+        assert "Traceback" not in err
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_damaged_section_exits_2(self, trained, data):
-        """Drop a section, give a section (or an array entry, or its shape
-        or values) another JSON type, resize an array or the token list,
-        or write NaN/inf into an array."""
+        """Drop a section, give a section (or a layout entry, its name, shape
+        or a dimension) another JSON type, resize a vector, the layout or
+        the token list, garble a vector's base64, or write NaN/inf into a
+        parameter's part of a vector."""
         payload = json.loads(trained[1].read_text())
-        how = data.draw(st.sampled_from(["drop", "retype", "resize", "non-finite"]))
+        how = data.draw(st.sampled_from(["drop", "retype", "resize", "garble", "non-finite"]))
+        detail = ""
         if how == "drop":
             del payload[data.draw(st.sampled_from(sorted(set(payload) - {"extra"})))]
         elif how == "retype":
             container = payload
             key = data.draw(st.sampled_from(sorted(payload)), label="section")
-            if key in _ARRAY_SECTIONS and data.draw(st.booleans(), label="into an entry"):
-                container, key = payload[key], data.draw(st.sampled_from(sorted(payload[key])))
+            if key == "layout" and data.draw(st.booleans(), label="into an entry"):
+                container, key = payload[key], data.draw(
+                    st.integers(0, len(payload[key]) - 1), label="entry")
                 if data.draw(st.booleans(), label="into a field"):
-                    container, key = container[key], data.draw(
-                        st.sampled_from(["shape", "values"]))
+                    container, key = container[key], data.draw(st.sampled_from([0, 1]))
+                    if key == 1 and data.draw(st.booleans(), label="into a dimension"):
+                        container, key = container[key], data.draw(
+                            st.integers(0, len(container[key]) - 1), label="dimension")
             value = data.draw(st.sampled_from([7, 1.5, "x", True, [1], ["x"], {"a": 1}, None]))
             assume(type(value) is not type(container[key]))
             assume(not (value is None and key == "extra"))
             container[key] = value
         elif how == "resize":
-            key = data.draw(st.sampled_from([*_ARRAY_SECTIONS, "token_vocab"]), label="section")
+            key = data.draw(st.sampled_from([*_VECTOR_SECTIONS, "layout", "token_vocab"]),
+                            label="section")
             grow = data.draw(st.booleans(), label="grow")
             if key == "token_vocab":
                 payload[key] = payload[key] + ["zz-new"] if grow else payload[key][:-1]
+            elif key == "layout":
+                payload[key] = payload[key] + [["zz.new", [1]]] if grow else payload[key][:-1]
             else:
-                _resize_array(payload[key][data.draw(st.sampled_from(sorted(payload[key])))],
-                              grow)
+                values = _vector(payload, key)
+                _set_vector(payload, key, [*values, 0.0] if grow else values[:-1])
+        elif how == "garble":
+            key = data.draw(st.sampled_from(_VECTOR_SECTIONS), label="section")
+            text = payload[key]
+            at = data.draw(st.integers(0, len(text) - 1), label="at")
+            payload[key] = text[:at] + data.draw(st.sampled_from(["!", " ", "\u00e9", ""])) \
+                + text[at + 1:]
+            detail = f"{key} is not a base64 string"
         else:
-            section = payload[data.draw(st.sampled_from(_ARRAY_SECTIONS), label="section")]
-            values = section[data.draw(st.sampled_from(sorted(section)))]["values"]
-            values[data.draw(st.integers(0, len(values) - 1), label="index")] = data.draw(
-                st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+            key = data.draw(st.sampled_from(_VECTOR_SECTIONS), label="section")
+            name, shape = data.draw(st.sampled_from(payload["layout"]), label="parameter")
+            _write_value(payload, key, name, data.draw(st.integers(0, math.prod(shape) - 1)),
+                         data.draw(st.sampled_from([float("nan"), float("inf"),
+                                                    float("-inf")])))
+            detail = f"{key}: {name} holds NaN or inf"
         code, bad, err = _predict_damaged(trained, payload)
         assert code == 2
-        assert f"data error: {bad}: " in err
+        assert f"data error: {bad}: " in err and detail in err
         assert "Traceback" not in err
 
 
@@ -588,6 +663,15 @@ class TestExportAttention:
                         "--heads", "0,1", "--out-dir", str(out_dir)]) == 0
         files = sorted(out_dir.glob("*.csv"))
         assert len(files) == 2
+
+    def test_bad_head_list_is_usage_error(self, trained, tmp_path, capsys):
+        data, ckpt = trained
+        assert cli.run(["export-attention", "--checkpoint", str(ckpt),
+                        "--input", str(data), "--layer", "0", "--heads", "0,x",
+                        "--out-dir", str(tmp_path / "attn")]) == 1
+        assert "usage error: argument --heads: invalid int_list value: '0,x'" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "attn").exists()
 
     def test_bad_index_is_data_error(self, trained, tmp_path):
         data, ckpt = trained

@@ -1,5 +1,6 @@
 """Loss, training loop determinism, synthetic tasks, checkpoints."""
 
+import base64
 import functools
 import inspect
 import json
@@ -262,13 +263,52 @@ class TestCheckpoints:
             train["bogus"] = 1
         elif damage == "ill-typed train value":
             train["epochs"] = True
-        elif damage == "adam_v entry missing":
-            del payload["adam_v"]["embed"]
+        elif damage == "adam_v entry missing":   # one value short
+            raw = base64.b64decode(payload["adam_v"])
+            payload["adam_v"] = base64.b64encode(raw[:-8]).decode("ascii")
         else:
             del payload[damage.split()[1]]
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match=str(path)):
             checkpoint_load(path)
+
+    def test_extreme_values_round_trip_byte_exactly(self, tmp_path):
+        store = M.init_params(TINY_MODEL, seed=0)
+        extremes = [-0.0, 5e-324, 1.7976931348623157e308, -5e-324, -1.7976931348623157e308]
+        for flat in (store.flat, store.flat_m, store.flat_v):
+            flat[:len(extremes)] = extremes
+        path = tmp_path / "ckpt.json"
+        checkpoint_save(path, store, TINY_MODEL, TrainConfig(),
+                        TokenVocab([f"w{i}" for i in range(TINY_MODEL.vocab_size - 4)]),
+                        CATEGORIES, 0)
+        loaded = checkpoint_load(path)[0]
+        for name in ("flat", "flat_m", "flat_v"):
+            assert getattr(loaded, name).tobytes() == getattr(store, name).tobytes()
+
+    def test_bench_copy_shape_is_written_as_bytes_under_2_mb(self, tmp_path):
+        """The parameters and Adam moments are base64 bytes, not JSON float
+        lists, so the 60,131-value bench copy model stays under 2.0 MB."""
+        model = ModelConfig(n_enc_layers=2, n_dec_layers=1, d_model=32, n_heads=2,
+                            vocab_size=256, max_source_len=24, max_target_len=14)
+        store = M.init_params(model, seed=0)
+        rng = np.random.default_rng(0)
+        store.flat_m[:] = rng.normal(0.0, 1e-3, store.n_values())
+        store.flat_v[:] = rng.normal(0.0, 1e-3, store.n_values()) ** 2
+        path = tmp_path / "ckpt.json"
+        checkpoint_save(path, store, model, TrainConfig(),
+                        TokenVocab([f"w{i}" for i in range(model.vocab_size - 4)]),
+                        CATEGORIES, 0)
+
+        def holds_float_list(value) -> bool:
+            children = value.values() if isinstance(value, dict) else \
+                value if isinstance(value, list) else ()
+            return (isinstance(value, list) and any(type(v) is float for v in value)) or \
+                any(holds_float_list(child) for child in children)
+
+        payload = json.loads(path.read_text())
+        assert store.n_values() == 60131
+        assert [key for key, value in payload.items() if holds_float_list(value)] == []
+        assert path.stat().st_size <= 2.0e6
 
     def test_resume_matches_uninterrupted_run(self, tmp_path):
         prompted, vocab, model = fitted_setup(n=12)
