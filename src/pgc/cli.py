@@ -3,10 +3,11 @@
 Subcommands: ingest, stats, prompts, synthetic, train, predict, eval,
 raw-baseline, gradcheck, export-attention.  Settings come from built-in
 defaults, overridden by a JSON config file (--config), overridden by
-explicit flags; PGC_SEED is the seed fallback of last resort.  Every
-run writes the effective configuration next to its artifacts (a
-``.run.json`` sidecar for line-based outputs, an embedded field for
-JSON outputs), and identical runs produce identical bytes.
+explicit flags; PGC_SEED is the seed fallback of last resort.  ``run``
+resolves them once per command.  Each artifact records them: a
+``.run.json`` sidecar for line-based outputs, the report's ``config``,
+a checkpoint's model_config and train_config.  Identical runs produce
+identical bytes.
 
 Exit codes: 0 success, 1 usage or check failure, 2 data error.
 """
@@ -44,10 +45,16 @@ class CliSettings:
     top_k_categories: int = 10
 
 
+def _check_settings(config) -> None:
+    """Each setting has its type; the ModelConfig and TrainConfig parts pass their checks."""
+    corpus.check_fields(config)
+    config.section(M.ModelConfig), config.section(trainmod.TrainConfig)
+
+
 class RunConfig(make_dataclass("RunConfig", [
         (f.name, f.type, field(default=f.default, metadata=f.metadata))
         for section in (M.ModelConfig, trainmod.TrainConfig, CliSettings)
-        for f in fields(section)])):
+        for f in fields(section)], namespace={"__post_init__": _check_settings})):
     """Every setting of a run, flat: the fields of ModelConfig, TrainConfig
     and CliSettings.  These are the config-file keys and the sidecar."""
 
@@ -68,22 +75,21 @@ _PROMPT_FIELDS = ("prompt_version", "history_depth")
 
 
 def _load_config_dict(path: str | Path) -> dict:
+    """A JSON config file's settings, which must make a valid RunConfig alone."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise CorpusError(f"{path}: malformed config JSON: {err}") from err
-    if payload is None:
-        return {}
     if not isinstance(payload, dict):
         raise UsageError(f"{path}: config must be a JSON object")
     unknown = sorted(set(payload) - _CONFIG_KEYS)
     if unknown:
         raise UsageError(f"{path}: unknown config keys: {', '.join(unknown)}")
     try:
-        return {name: trainmod.coerce_setting(name, value, _SETTING_TYPES[name])
-                for name, value in payload.items()}
-    except TypeError as err:
+        RunConfig(**payload)
+    except (TypeError, ValueError) as err:
         raise CorpusError(f"{path}: {err}") from err
+    return payload
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -92,14 +98,20 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def effective_config(args: argparse.Namespace) -> RunConfig:
-    """Precedence: explicit flags > config file > PGC_SEED env > defaults."""
-    settings = _load_config_dict(args.config) if getattr(args, "config", None) else {}
+    """Precedence: explicit flags > config file > PGC_SEED env > defaults.  A bad
+    value in the file is a data error naming it, one from a flag or PGC_SEED a usage error."""
+    env_seed = os.environ.get("PGC_SEED")
+    try:
+        settings = {} if env_seed is None else {"seed": int(env_seed)}
+    except ValueError:
+        raise UsageError(f"PGC_SEED must be an int, got {env_seed!r}") from None
+    settings.update(_load_config_dict(args.config) if args.config else {})
     settings.update({name: getattr(args, name) for name in _CONFIG_KEYS
                      if getattr(args, name, None) is not None})
-    env_seed = os.environ.get("PGC_SEED")
-    if env_seed is not None and "seed" not in settings:
-        settings["seed"] = int(env_seed)
-    return RunConfig(**settings)
+    try:
+        return RunConfig(**settings)
+    except (TypeError, ValueError) as err:
+        raise UsageError(err) from err
 
 
 def _write_sidecar(artifact_path: str | Path, config: RunConfig, extra=None) -> None:
@@ -135,8 +147,7 @@ def _fit_length(prompted_list, config: RunConfig):
 
 # -- subcommand handlers --
 
-def _cmd_ingest(args) -> int:
-    config = effective_config(args)
+def _cmd_ingest(args, config: RunConfig) -> int:
     examples = corpus.ingest(args.input)
     if config.tighten:
         examples = [corpus.tighten_rationale(ex) for ex in examples]
@@ -146,15 +157,13 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _cmd_stats(args) -> int:
-    effective_config(args)  # validates --config before any data is read
+def _cmd_stats(args, config: RunConfig) -> int:
     examples = _load_examples_any(args.input)
     print(json.dumps(asdict(corpus.compute_stats(examples))))
     return 0
 
 
-def _cmd_prompts(args) -> int:
-    config = effective_config(args)
+def _cmd_prompts(args, config: RunConfig) -> int:
     examples = _load_examples_any(args.input)
     vocab = prompt.build_category_vocab(examples, config.top_k_categories)
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -171,8 +180,7 @@ def _cmd_prompts(args) -> int:
     return 0
 
 
-def _cmd_synthetic(args) -> int:
-    config = effective_config(args)
+def _cmd_synthetic(args, config: RunConfig) -> int:
     spec = trainmod.SyntheticSpec(
         task=args.task, vocab_size=args.lexicon_size,
         min_len=args.min_len, max_len=args.max_len,
@@ -185,8 +193,7 @@ def _cmd_synthetic(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    config = effective_config(args)
+def _cmd_train(args, config: RunConfig) -> int:
     examples = _load_examples_any(args.input)
     if not examples:
         raise CorpusError(f"{args.input}: no training examples")
@@ -216,8 +223,7 @@ def _cmd_train(args) -> int:
 
     def save(epochs_completed: int) -> None:
         trainmod.checkpoint_save(args.output, store, model_config, train_config, token_vocab,
-                                 category_vocab, epochs_completed,
-                                 extra={"run_config": asdict(config)})
+                                 category_vocab, epochs_completed)
 
     result = trainmod.train_loop(
         prompted, store, train_config, model_config, token_vocab,
@@ -254,8 +260,7 @@ def _open_checkpoint(path, config: RunConfig, args):
     return config, store, model_config, token_vocab, meta["category_vocab"], meta
 
 
-def _cmd_predict(args) -> int:
-    config = effective_config(args)
+def _cmd_predict(args, config: RunConfig) -> int:
     examples = _load_examples_any(args.input)
     config, store, model_config, token_vocab, category_vocab, _ = \
         _open_checkpoint(args.checkpoint, config, args)
@@ -324,8 +329,7 @@ def _emit_report(report, args, config) -> None:
         print(line)
 
 
-def _cmd_eval(args) -> int:
-    config = effective_config(args)
+def _cmd_eval(args, config: RunConfig) -> int:
     examples = _load_examples_any(args.examples)
     if config.multi_ref and not args.coqa:
         raise UsageError("--multi-ref needs --coqa pointing at the original CoQA JSON")
@@ -338,8 +342,7 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_raw_baseline(args) -> int:
-    config = effective_config(args)
+def _cmd_raw_baseline(args, config: RunConfig) -> int:
     examples = _load_examples_any(args.input)
     extra = None
     if config.multi_ref:
@@ -354,8 +357,7 @@ def _cmd_raw_baseline(args) -> int:
     return 0
 
 
-def _cmd_gradcheck(args) -> int:
-    config = effective_config(args)
+def _cmd_gradcheck(args, config: RunConfig) -> int:
     error, _ = trainmod.gradcheck(config.seed, max_coords_per_param=args.coords)
     print(f"gradcheck max relative error: {error:.3e}")
     if error >= 1e-4:
@@ -364,8 +366,7 @@ def _cmd_gradcheck(args) -> int:
     return 0
 
 
-def _cmd_export_attention(args) -> int:
-    config = effective_config(args)
+def _cmd_export_attention(args, config: RunConfig) -> int:
     examples = _load_examples_any(args.input)
     if not 0 <= args.index < len(examples):
         raise CorpusError(f"example index {args.index} out of range")
@@ -499,7 +500,7 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        return args.handler(args, effective_config(args))
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cache
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
 _WHITESPACE_TOKEN = re.compile(r"\S+")
 _ARTICLES = re.compile(r"\b(a|an|the)\b")
@@ -41,16 +41,23 @@ class AnswerClass(Enum):
 
 
 @cache
-def _plain_fields(cls) -> tuple[tuple[str, type], ...]:
-    return tuple((name, t) for name, t in get_type_hints(cls).items() if t in (int, str))
+def _typed_fields(cls) -> tuple[tuple[str, tuple[type, ...]], ...]:
+    """Each ``int``, ``float``, ``str`` or ``bool`` field, or ``X | None`` one, and its types."""
+    hints = ((name, get_args(t) or (t,)) for name, t in get_type_hints(cls).items())
+    return tuple(h for h in hints if set(h[1]) <= {int, float, str, bool, type(None)})
 
 
-def _check_types(record) -> None:
-    """Each ``int`` or ``str`` field holds exactly that type (a bool is no int)."""
-    for name, kind in _plain_fields(type(record)):
+def check_fields(record) -> None:
+    """Each such field holds exactly one of its types (a bool is no int), or
+    else ``TypeError``; an int in a float field is stored as a float."""
+    for name, allowed in _typed_fields(type(record)):
         value = getattr(record, name)
-        if type(value) is not kind:
-            raise CorpusError(f"{name} must be {kind.__name__}, got {value!r}")
+        if type(value) is int and float in allowed:
+            object.__setattr__(record, name, float(value))   # the records are frozen
+        elif type(value) not in allowed:
+            expected = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+            got = "null" if value is None else type(value).__name__
+            raise TypeError(f"{name}: expected {expected}, got {got}")
 
 
 @dataclass(frozen=True)
@@ -63,7 +70,7 @@ class ConversationTurn:
     span_start: int
 
     def __post_init__(self):
-        _check_types(self)
+        check_fields(self)
         if self.turn_id < 1:
             raise CorpusError(f"turn_id must be >= 1, got {self.turn_id}")
         if (self.rationale == "") != (self.span_start == -1):
@@ -81,7 +88,7 @@ class DialogueExample:
     answer_class: AnswerClass
 
     def __post_init__(self):
-        _check_types(self)
+        check_fields(self)
         ids = [t.turn_id for t in self.history] + [self.turn.turn_id]
         if any(a >= b for a, b in zip(ids, ids[1:])):
             raise CorpusError(f"{self.story_id}: history turn_ids must strictly increase")

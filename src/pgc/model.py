@@ -34,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+from .corpus import check_fields
 from .prompt import BOS, EOS, PAD, UNK, PromptedExample
 from .tensor import ParamStore, Tensor
 
@@ -52,9 +53,10 @@ class ModelConfig:
     d_ff: int | None = None
 
     def __post_init__(self):
-        counts = (self.n_enc_layers, self.n_dec_layers, self.d_model,
-                  self.n_heads, self.vocab_size, self.max_source_len,
-                  self.max_target_len)
+        check_fields(self)
+        counts = (self.n_enc_layers, self.n_dec_layers, self.d_model, self.n_heads,
+                  self.vocab_size, self.max_source_len, self.max_target_len,
+                  *(d for d in (self.d_k, self.d_ff) if d is not None))
         if any(c < 1 for c in counts):
             raise ValueError("all model dimensions must be >= 1")
         if self.d_model % self.n_heads:

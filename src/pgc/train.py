@@ -16,7 +16,6 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-import typing
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -24,13 +23,13 @@ import numpy as np
 
 from . import model as M
 from . import tensor as T
-from .corpus import ConversationTurn, DialogueExample, classify_answer
+from .corpus import ConversationTurn, DialogueExample, check_fields, classify_answer
 from .model import ModelConfig
 from .prompt import (BOS, EOS, PAD, SPECIAL_TOKENS, UNK, CategoryVocab, PromptedExample,
-                     TokenVocab, tokenize)
+                     PromptVersion, PromptVersionId, TokenVocab, tokenize)
 from .tensor import ParamStore
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 
 class CheckpointError(ValueError):
@@ -51,10 +50,12 @@ class TrainConfig:
     checkpoint_interval: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be >= 1")
+        check_fields(self)
+        PromptVersion(PromptVersionId(self.prompt_version), self.history_depth)
+        if self.learning_rate <= 0 or self.clip_norm <= 0:
+            raise ValueError("learning_rate and clip_norm must be positive")
+        if self.batch_size < 1 or self.epochs < 1 or self.checkpoint_interval < 0:
+            raise ValueError("batch_size and epochs must be >= 1, checkpoint_interval >= 0")
 
 
 @dataclass(frozen=True)
@@ -308,8 +309,7 @@ def _vectors(store: ParamStore):
 
 def checkpoint_save(path: str | Path, store: ParamStore, model_config: ModelConfig,
                     train_config: TrainConfig, vocab: TokenVocab,
-                    category_vocab: CategoryVocab, epochs_completed: int,
-                    extra: dict | None = None) -> None:
+                    category_vocab: CategoryVocab, epochs_completed: int) -> None:
     """Write parameters, Adam state, and both vocabularies as one JSON file.
 
     ``layout`` lists each parameter's ``[name, shape]`` in store order;
@@ -331,26 +331,7 @@ def checkpoint_save(path: str | Path, store: ParamStore, model_config: ModelConf
         **{key: base64.b64encode(flat.astype("<f8", copy=False).tobytes()).decode("ascii")
            for key, flat in _vectors(store)},
     }
-    if extra:
-        payload["extra"] = extra
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
-
-
-def coerce_setting(name: str, value, hint):
-    """``value``, read from JSON, as a setting declared with type ``hint``.
-
-    An int is taken for a float (and returned as one); a bool is never
-    taken for a number.  Anything else raises ``TypeError`` with the
-    message ``"<name>: expected <type>, got <type>"``.
-    """
-    allowed = typing.get_args(hint) or (hint,)
-    if type(value) in allowed:
-        return value
-    if type(value) is int and float in allowed:
-        return float(value)
-    expected = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
-    got = "null" if value is None else type(value).__name__
-    raise TypeError(f"{name}: expected {expected}, got {got}")
 
 
 def _config_from_checkpoint(path, payload: dict, key: str, cls):
@@ -363,10 +344,8 @@ def _config_from_checkpoint(path, payload: dict, key: str, cls):
     unknown, missing = sorted(set(section) - names), sorted(names - set(section))
     if unknown or missing:
         raise CheckpointError(f"{path}: {key}: unknown keys {unknown}, missing keys {missing}")
-    hints = typing.get_type_hints(cls)
     try:
-        return cls(**{name: coerce_setting(name, value, hints[name])
-                      for name, value in section.items()})
+        return cls(**section)
     except (TypeError, ValueError) as err:
         raise CheckpointError(f"{path}: {key}: {err}") from err
 
@@ -427,7 +406,7 @@ def checkpoint_load(path: str | Path, expected_config: ModelConfig | None = None
     version = payload.get("format_version")
     if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint format version {version}")
-    unknown = sorted(set(payload) - _CHECKPOINT_KEYS - {"extra"})
+    unknown = sorted(set(payload) - _CHECKPOINT_KEYS)
     missing = sorted(_CHECKPOINT_KEYS - set(payload))
     if unknown or missing:
         raise CheckpointError(f"{path}: unknown keys {unknown}, missing keys {missing}")
@@ -458,8 +437,5 @@ def checkpoint_load(path: str | Path, expected_config: ModelConfig | None = None
         raise CheckpointError(f"{path}: token_vocab must be {model_config.vocab_size} - "
                               f"{len(SPECIAL_TOKENS)} tokens other than the special ones, "
                               f"got {len(tokens)}")
-    extra = payload.get("extra")
-    if extra is not None and not isinstance(extra, dict):
-        raise CheckpointError(f"{path}: extra is not an object")
-    meta = {"epochs_completed": epochs, "category_vocab": category_vocab, "extra": extra}
+    meta = {"epochs_completed": epochs, "category_vocab": category_vocab}
     return store, model_config, train_config, vocab, meta

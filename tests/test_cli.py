@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from pgc import cli
 from pgc.cli import RunConfig, load_config
+from pgc.corpus import AnswerClass, ConversationTurn, DialogueExample
 from pgc.model import ModelConfig
 from pgc.train import TrainConfig
 
@@ -199,17 +200,20 @@ class TestTrainPredictEval:
         assert cli.run(["train", "--input", str(data), "--output", str(first),
                         *TINY_MODEL_FLAGS, "--max-source-len", "12",
                         "--version", "2", "--epochs", "1"]) == 0
-        resumed = tmp_path / "resumed.json"
+        resumed, curve = tmp_path / "resumed.json", tmp_path / "curve.csv"
         given = (["--version", "1"] if omitted == "model flags"
                  else [*TINY_MODEL_FLAGS, "--max-source-len", "20"])
         capsys.readouterr()
         assert cli.run(["train", "--input", str(data), "--output", str(resumed),
-                        "--resume", str(first), "--epochs", "2", *given]) == 0
+                        "--resume", str(first), "--epochs", "2", "--loss-curve", str(curve),
+                        *given]) == 0
         payload = json.loads(resumed.read_text())
         assert payload["epochs_completed"] == 2
         assert payload["model_config"] == json.loads(first.read_text())["model_config"]
         assert payload["train_config"]["prompt_version"] == 2
-        assert payload["extra"]["run_config"]["max_source_len"] == 12
+        assert payload["model_config"]["max_source_len"] == 12 and "extra" not in payload
+        sidecar = json.loads((tmp_path / "curve.csv.run.json").read_text())
+        assert (sidecar["max_source_len"], sidecar["prompt_version"]) == (12, 2)
         err = capsys.readouterr().err
         changed = "prompt_version 2, not 1" if omitted == "model flags" else \
             "max_source_len 12, not 20"
@@ -260,7 +264,7 @@ class TestIntervalCheckpoint:
         assert payload["category_vocab"] == ["what", "did"]
         assert payload["train_config"]["prompt_version"] == 2
         assert payload["train_config"]["checkpoint_interval"] == 1
-        assert payload["extra"]["run_config"]["prompt_version"] == 2
+        assert "extra" not in payload
 
         predict_data = _synthetic_mix(tmp_path, "predict", n_copy=4, n_gate=12, seed=7)
         examples = cli.corpus.load_examples(predict_data)
@@ -538,6 +542,8 @@ class TestMalformedCheckpoint:
          "params is not a base64 string"),
         (lambda p: p.update({"format_version": 1}),
          "unsupported checkpoint format version 1"),
+        (lambda p: p.update({"format_version": 2, "extra": {"run_config": {"seed": 0}}}),
+         "unsupported checkpoint format version 2"),
         (lambda p: p.update({"step": -1}), "step and epochs_completed must be ints >= 0"),
         (lambda p: p.update({"token_vocab": p["token_vocab"][:3]}),
          "token_vocab must be 56 - 4 tokens"),
@@ -547,14 +553,16 @@ class TestMalformedCheckpoint:
         (lambda p: p.update({"category_vocab": None}), "category_vocab must be lists"),
         (lambda p: p.update({"category_vocab": []}), "category vocabulary is empty"),
         (lambda p: p.update({"train_config": None}), "train_config is missing"),
+        (lambda p: p["train_config"].update({"prompt_version": 7}),
+         "train_config: 7 is not a valid PromptVersionId"),
         (lambda p: p.pop("epochs_completed"), "missing keys ['epochs_completed']"),
     ], ids=["missing-param", "extra-param", "misshaped-param", "renamed-param",
             "true-for-1-in-shape", "layout-object", "nan-param", "inf-adam_v",
             "minus-inf-adam_m", "string-value", "short-adam_m", "long-params",
-            "not-base64", "cut-base64", "float-list-params", "format-version-1",
+            "not-base64", "cut-base64", "float-list-params", "format-version-1", "format-version-2",
             "negative-step", "short-token_vocab", "special-token",
             "category_vocab-string", "null-category_vocab", "empty-category_vocab",
-            "null-train_config", "no-epochs_completed"])
+            "null-train_config", "prompt_version-7", "no-epochs_completed"])
     def test_exit_2_names_the_file(self, trained, damage, detail):
         payload = json.loads(trained[1].read_text())
         damage(payload)
@@ -574,7 +582,7 @@ class TestMalformedCheckpoint:
         how = data.draw(st.sampled_from(["drop", "retype", "resize", "garble", "non-finite"]))
         detail = ""
         if how == "drop":
-            del payload[data.draw(st.sampled_from(sorted(set(payload) - {"extra"})))]
+            del payload[data.draw(st.sampled_from(sorted(payload)))]
         elif how == "retype":
             container = payload
             key = data.draw(st.sampled_from(sorted(payload)), label="section")
@@ -588,7 +596,6 @@ class TestMalformedCheckpoint:
                             st.integers(0, len(container[key]) - 1), label="dimension")
             value = data.draw(st.sampled_from([7, 1.5, "x", True, [1], ["x"], {"a": 1}, None]))
             assume(type(value) is not type(container[key]))
-            assume(not (value is None and key == "extra"))
             container[key] = value
         elif how == "resize":
             key = data.draw(st.sampled_from([*_VECTOR_SECTIONS, "layout", "token_vocab"]),
@@ -758,10 +765,8 @@ class TestExitCodesAndConfig:
         assert reloaded == RunConfig(seed=4)
 
     def test_every_model_and_train_field_is_a_setting(self, tmp_path):
-        def changed(f):
-            if f.default is None:
-                return 4
-            return f.default * 2 if isinstance(f.default, float) else f.default + 1
+        def changed(f):   # valid alone and together: 8 heads divide d_model 64 and 128
+            return 4 if f.default is None else f.default * 2 or 1
 
         settings = {f.name: changed(f)
                     for section in (ModelConfig, TrainConfig) for f in fields(section)}
@@ -798,3 +803,101 @@ class TestExitCodesAndConfig:
                         "--output", str(out)]) == 0
         sidecar = json.loads((tmp_path / "s.jsonl.run.json").read_text())
         assert sidecar["seed"] == 2
+
+
+_TURN = dict(turn_id=1, question="q", rationale="r", answer="a", span_start=0)
+
+
+class TestOneFieldCheck:
+    """Records and settings share one field-type check, run from each
+    class's own ``__post_init__``."""
+
+    @pytest.mark.parametrize("make,name", [
+        (lambda: ConversationTurn(**{**_TURN, "turn_id": True}), "turn_id"),
+        (lambda: DialogueExample(story_id=True, turn=ConversationTurn(**_TURN), history=(),
+                                 answer_class=AnswerClass.EXTRACTIVE), "story_id"),
+        (lambda: ModelConfig(d_model=True), "d_model"),
+        (lambda: TrainConfig(epochs=True), "epochs"),
+        (lambda: RunConfig(top_k_categories=True), "top_k_categories"),
+    ], ids=["ConversationTurn", "DialogueExample", "ModelConfig", "TrainConfig", "RunConfig"])
+    def test_bool_is_refused(self, make, name):
+        with pytest.raises(TypeError, match=f"^{name}: expected (int|str), got bool$"):
+            make()
+
+    @pytest.mark.parametrize("cls", [TrainConfig, RunConfig])
+    def test_int_is_stored_as_float(self, cls):
+        value = cls(learning_rate=1).learning_rate
+        assert value == 1.0 and type(value) is float
+
+    def test_bool_in_checkpoint_model_config_names_the_file(self, trained):
+        payload = json.loads(trained[1].read_text())
+        payload["model_config"]["d_model"] = True
+        code, bad, err = _predict_damaged(trained, payload)
+        assert code == 2
+        assert f"data error: {bad}: model_config: d_model: expected int, got bool" in err
+        assert "Traceback" not in err
+
+
+class TestSettingSource:
+    """A bad setting is reported where it came from, before anything is
+    written: a config file's value exits 2 naming the file, a flag's or
+    ``PGC_SEED``'s is a usage error (exit 1)."""
+
+    @pytest.mark.parametrize("settings,detail", [
+        ({"prompt_version": 7}, "7 is not a valid PromptVersionId"),
+        ({"history_depth": -1}, "history_depth must be >= 0"),
+        ({"n_heads": 3}, "d_model must be divisible by n_heads"),
+    ], ids=["prompt_version", "history_depth", "n_heads"])
+    def test_bad_config_value_names_the_file(self, tmp_path, capsys, settings, detail):
+        config, out = tmp_path / "config.json", tmp_path / "s.jsonl"
+        config.write_text(json.dumps(settings))
+        assert cli.run(["synthetic", "--task", "copy", "--n", "3", "--config", str(config),
+                        "--output", str(out)]) == 2
+        assert f"data error: {config}: {detail}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["[]", "null"])
+    def test_config_that_is_no_object_is_usage_error(self, tmp_path, capsys, text):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        assert cli.run(["stats", "--input", "whatever", "--config", str(config)]) == 1
+        assert f"usage error: {config}: config must be a JSON object" in \
+            capsys.readouterr().err
+
+    def test_bad_env_seed_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PGC_SEED", "x")
+        out = tmp_path / "s.jsonl"
+        assert cli.run(["synthetic", "--task", "copy", "--n", "3", "--output", str(out)]) == 1
+        assert "usage error: PGC_SEED must be an int, got 'x'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,detail", [
+        ("--n-heads", "3", "d_model must be divisible by n_heads"),
+        ("--d-k", "0", "all model dimensions must be >= 1"),
+        ("--clip-norm", "-1", "learning_rate and clip_norm must be positive"),
+        ("--checkpoint-interval", "-1",
+         "batch_size and epochs must be >= 1, checkpoint_interval >= 0"),
+    ], ids=["n_heads", "d_k", "clip_norm", "checkpoint_interval"])
+    @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
+    def test_bad_flag_is_usage_error(self, trained, tmp_path, capsys, resume, flag, value,
+                                     detail):
+        data, ckpt = trained
+        out = tmp_path / "ckpt.json"
+        argv = ["train", "--input", str(data), "--output", str(out), flag, value]
+        assert cli.run(argv + (["--resume", str(ckpt)] if resume else [])) == 1
+        assert f"usage error: {detail}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_checkpoint_settings_rebuild_the_run(self, trained, tmp_path):
+        """``model_config``, ``train_config`` and the vocabularies fix the run:
+        training again with the stored vocabulary sizes as the budgets
+        writes the same bytes."""
+        data, ckpt = trained
+        payload = json.loads(ckpt.read_text())
+        flags = ["--top-k-categories", str(len(payload["category_vocab"]))]
+        for name, value in {**payload["model_config"], **payload["train_config"]}.items():
+            flag = "--version" if name == "prompt_version" else "--" + name.replace("_", "-")
+            flags += [] if value is None else [flag, str(value)]
+        again = tmp_path / "again.json"
+        assert cli.run(["train", "--input", str(data), "--output", str(again), *flags]) == 0
+        assert again.read_bytes() == ckpt.read_bytes()

@@ -1,6 +1,8 @@
 """Ingestion, answer classification, tightening, stats, and the JSONL store."""
 
 import json
+import re
+import string
 import tempfile
 from pathlib import Path
 
@@ -175,11 +177,11 @@ class TestTurnInvariants:
         ("span_start", False), ("question", 7), ("rationale", None), ("answer", ["a"]),
     ])
     def test_field_types_are_checked(self, name, value):
-        with pytest.raises(CorpusError, match=f"{name} must be"):
+        with pytest.raises(TypeError, match=f"^{name}: expected "):
             ConversationTurn(**{**self.GOOD, name: value})
 
     def test_story_id_must_be_a_string(self):
-        with pytest.raises(CorpusError, match="story_id must be str"):
+        with pytest.raises(TypeError, match="^story_id: expected str, got int$"):
             DialogueExample(story_id=7, turn=ConversationTurn(**self.GOOD), history=(),
                             answer_class=AnswerClass.GENERATIVE)
 
@@ -270,3 +272,46 @@ class TestAdditionalAnswers:
         assert refs[("beach-001", 1)] == ["red kite"]
         assert refs[("beach-001", 2)] == ["Yes."]
         assert ("lab-002", 1) not in refs
+
+
+def official_normalize_answer(s):
+    """``normalize_answer`` of the official CoQA evaluation script, kept as
+    the reference the package's ``normalize`` must equal."""
+    def remove_articles(text):
+        regex = re.compile(r"\b(a|an|the)\b", re.UNICODE)
+        return re.sub(regex, " ", text)
+
+    def white_space_fix(text):
+        return " ".join(text.split())
+
+    def remove_punc(text):
+        exclude = set(string.punctuation)
+        return "".join(ch for ch in text if ch not in exclude)
+
+    return white_space_fix(remove_articles(remove_punc(s.lower())))
+
+
+_ARTICLE_SOUP = st.lists(st.sampled_from(
+    ["a", "an", "the", "The", "A-", "'s", "ban", " ", "\t", "\n", ".", "\u2014", "\u2019",
+     "\u201c", "\u00e9"])).map("".join)
+
+
+class TestOfficialNormalization:
+    @pytest.mark.parametrize("text,expected", [
+        ("The  A-Team's", "ateams"),
+        ("an\tanswer", "answer"),
+        ("banana", "banana"),
+        ("THE end.", "end"),
+        ("\u201cthe\u201d \u2014 a dash\u2013", "\u201c \u201d \u2014 dash\u2013"),
+        ("It\u2019s a well\u2010known \u2018quote\u2019",
+         "it\u2019s well\u2010known \u2018quote\u2019"),
+    ])
+    def test_golden_strings(self, text, expected):
+        """ASCII punctuation goes, non-ASCII dashes and quotes stay."""
+        assert official_normalize_answer(text) == expected
+        assert normalize(text) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(st.text(), _ARTICLE_SOUP))
+    def test_equals_the_official_function(self, text):
+        assert normalize(text) == official_normalize_answer(text)

@@ -77,6 +77,24 @@ def test_relative_imports_form_no_cycle(package_trees):
     assert find_cycle(graph) is None
 
 
+# Every relative-import edge of the package.  A new edge is a deliberate
+# edit here.
+PINNED_GRAPH = {
+    "__init__": set(),
+    "corpus": set(),
+    "tensor": set(),
+    "prompt": {"corpus"},
+    "eval": {"corpus", "prompt"},
+    "model": {"corpus", "prompt", "tensor"},
+    "train": {"corpus", "model", "prompt", "tensor"},
+    "cli": {"corpus", "eval", "model", "prompt", "train"},
+}
+
+
+def test_relative_import_graph_is_pinned(package_trees):
+    assert import_graph(package_trees) == PINNED_GRAPH
+
+
 def test_the_checks_see_what_they_forbid():
     trees = parse({
         "a": "from .b import x\n",
