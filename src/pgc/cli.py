@@ -44,11 +44,17 @@ class CliSettings:
     multi_ref: bool = False
     top_k_categories: int = 10
 
+    def __post_init__(self):
+        if self.top_k_categories < 1:
+            raise ValueError("top_k_categories must be >= 1")
+
 
 def _check_settings(config) -> None:
-    """Each setting has its type; the ModelConfig and TrainConfig parts pass their checks."""
+    """Each setting has its type; the ModelConfig, TrainConfig and CliSettings
+    parts pass their checks."""
     corpus.check_fields(config)
-    config.section(M.ModelConfig), config.section(trainmod.TrainConfig)
+    for section in (M.ModelConfig, trainmod.TrainConfig, CliSettings):
+        config.section(section)
 
 
 class RunConfig(make_dataclass("RunConfig", [
@@ -181,11 +187,14 @@ def _cmd_prompts(args, config: RunConfig) -> int:
 
 
 def _cmd_synthetic(args, config: RunConfig) -> int:
-    spec = trainmod.SyntheticSpec(
-        task=args.task, vocab_size=args.lexicon_size,
-        min_len=args.min_len, max_len=args.max_len,
-        n_examples=args.n, seed=config.seed,
-    )
+    try:
+        spec = trainmod.SyntheticSpec(
+            task=args.task, vocab_size=args.lexicon_size,
+            min_len=args.min_len, max_len=args.max_len,
+            n_examples=args.n, seed=config.seed,
+        )
+    except ValueError as err:   # every field comes from a flag or the seed setting
+        raise UsageError(err) from err
     examples = trainmod.make_synthetic(spec)
     corpus.save_examples(examples, args.output)
     _write_sidecar(args.output, config)

@@ -179,6 +179,14 @@ def _require(condition: bool, message: str) -> None:
         raise CorpusError(message)
 
 
+def _text(record: dict, key: str) -> str:
+    """``record[key]``, which must be a string when present; absent, ``""``."""
+    value = record.get(key, "")
+    if type(value) is not str:   # the message is built only for a bad value
+        raise CorpusError(f"{key} must be a string, got {json.dumps(value)}")
+    return value
+
+
 def _build_turn(question, answer) -> ConversationTurn:
     _require(isinstance(question, dict) and isinstance(answer, dict),
              "a question or answer is not an object")
@@ -188,16 +196,16 @@ def _build_turn(question, answer) -> ConversationTurn:
              f"question/answer turn_id mismatch ({turn_id} vs {answer.get('turn_id')})")
     _require(all(type(v) is int for v in (turn_id, answer["turn_id"], span_start)),
              f"turn_id and span_start must be ints, got {turn_id!r} and {span_start!r}")
-    rationale = str(answer.get("span_text", ""))
+    rationale = _text(answer, "span_text")
     if span_start == -1:
         rationale = ""  # unanswerable turns carry no copyable evidence
     elif rationale == "":
         span_start = -1
     return ConversationTurn(
         turn_id=turn_id,
-        question=str(question.get("input_text", "")),
+        question=_text(question, "input_text"),
         rationale=rationale,
-        answer=str(answer.get("input_text", "")),
+        answer=_text(answer, "input_text"),
         span_start=span_start,
     )
 
@@ -215,7 +223,10 @@ def _per_story(path: str | Path, read_story) -> list:
     items, seen = [], set()
     for index, entry in enumerate(payload["data"]):
         _require(isinstance(entry, dict), f"{path}: data entry {index} is not an object")
-        story_id = str(entry.get("id", ""))
+        story_id = entry.get("id", "")
+        if type(story_id) is not str:
+            raise CorpusError(f"{path}: data entry {index}: id must be a string, "
+                              f"got {json.dumps(story_id)}")
         _require(story_id not in seen, f"{path}: story {story_id} appears twice")
         seen.add(story_id)
         try:
@@ -249,7 +260,7 @@ def _story_additional_answers(story_id: str, entry: dict) -> list:
              "an additional answer lacks turn_id")
     bad = [a["turn_id"] for a in answers if type(a["turn_id"]) is not int]
     _require(not bad, f"an additional answer's turn_id must be an int, got {bad[:1]}")
-    return [((story_id, a["turn_id"]), str(a.get("input_text", ""))) for a in answers]
+    return [((story_id, a["turn_id"]), _text(a, "input_text")) for a in answers]
 
 
 def load_additional_answers(path: str | Path) -> dict[tuple[str, int], list[str]]:

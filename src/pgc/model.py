@@ -78,6 +78,8 @@ class EncoderStack:
     A stack holds one source, or a padded batch of sources on a leading
     axis ``...``.  ``extended_size`` is the largest extended vocabulary
     among them; the columns past an example's own size stay zero.
+    ``key_mask``, the attention mask ``[..., 1, L]`` of the source keys,
+    is None when no position is padding (one source, equal lengths).
 
     ``cached`` keeps what depends only on the source and the parameters
     (the copy key rows of all layers as one ``[n_enc_layers, ..., L, dk]``
@@ -91,7 +93,11 @@ class EncoderStack:
     pad_mask: np.ndarray                  # [..., L] bool, True at padding
     source_ext_ids: np.ndarray            # [..., L] extended-vocabulary ids
     extended_size: int
+    key_mask: np.ndarray | None = field(init=False)
     _cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        self.key_mask = self.pad_mask[..., None, :] if self.pad_mask.any() else None
 
     @property
     def source_len(self) -> int:
@@ -150,24 +156,19 @@ def _glorot(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(n_in, n_out))
 
 
-def init_params(config: ModelConfig, seed: int = 0) -> ParamStore:
-    """Fresh parameter store for the given shape."""
-    rng = np.random.default_rng(seed)
+def param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Every parameter's name and shape, in store order; draws nothing."""
     d, v, dff, dk = config.d_model, config.vocab_size, config.ffn_dim, config.copy_d_k
-    arrays = {"embed": rng.normal(0.0, 0.02, size=(v, d))}
+    shapes = [("embed", (v, d))]
 
     def add_attention(prefix: str) -> None:
-        for name in ("wq", "wk", "wv", "wo"):
-            arrays[f"{prefix}.{name}"] = _glorot(rng, d, d)
+        shapes.extend((f"{prefix}.{name}", (d, d)) for name in ("wq", "wk", "wv", "wo"))
 
     def add_block(prefix: str, n_norms: int) -> None:
-        arrays[f"{prefix}.ffn.w1"] = _glorot(rng, d, dff)
-        arrays[f"{prefix}.ffn.b1"] = np.zeros(dff)
-        arrays[f"{prefix}.ffn.w2"] = _glorot(rng, dff, d)
-        arrays[f"{prefix}.ffn.b2"] = np.zeros(d)
+        shapes.extend([(f"{prefix}.ffn.w1", (d, dff)), (f"{prefix}.ffn.b1", (dff,)),
+                       (f"{prefix}.ffn.w2", (dff, d)), (f"{prefix}.ffn.b2", (d,))])
         for k in range(1, n_norms + 1):
-            arrays[f"{prefix}.ln{k}.g"] = np.ones(d)
-            arrays[f"{prefix}.ln{k}.b"] = np.zeros(d)
+            shapes.extend([(f"{prefix}.ln{k}.g", (d,)), (f"{prefix}.ln{k}.b", (d,))])
 
     for i in range(config.n_enc_layers):
         add_attention(f"enc{i}.self")
@@ -176,16 +177,26 @@ def init_params(config: ModelConfig, seed: int = 0) -> ParamStore:
         add_attention(f"dec{i}.self")
         add_attention(f"dec{i}.cross")
         add_block(f"dec{i}", n_norms=3)
+    shapes.append(("copy.w_s", (d, dk)))
+    shapes.extend((f"copy.w_h{i}", (d, dk)) for i in range(config.n_enc_layers))
+    shapes += [("copy.a_raw", (config.n_enc_layers,)), ("gate.w_c", (d,)), ("gate.w_s", (d,)),
+               ("gate.b", (1,)), ("out.w_v", (d, v)), ("out.b_v", (v,))]
+    return shapes
 
-    arrays["copy.w_s"] = _glorot(rng, d, dk)
-    for i in range(config.n_enc_layers):
-        arrays[f"copy.w_h{i}"] = _glorot(rng, d, dk)
-    arrays["copy.a_raw"] = np.zeros(config.n_enc_layers)
-    arrays["gate.w_c"] = np.zeros(d)
-    arrays["gate.w_s"] = np.zeros(d)
-    arrays["gate.b"] = np.zeros(1)
-    arrays["out.w_v"] = _glorot(rng, d, v)
-    arrays["out.b_v"] = np.zeros(v)
+
+def init_params(config: ModelConfig, seed: int = 0) -> ParamStore:
+    """Fresh parameter store for the given shape: normal(0, 0.02)
+    embeddings, Glorot-uniform matrices, unit layer-norm gains and zero
+    vectors, drawn in ``param_shapes`` order."""
+    rng = np.random.default_rng(seed)
+    arrays = {}
+    for name, shape in param_shapes(config):
+        if name == "embed":
+            arrays[name] = rng.normal(0.0, 0.02, size=shape)
+        elif len(shape) == 2:
+            arrays[name] = _glorot(rng, *shape)
+        else:
+            arrays[name] = np.ones(shape) if name.endswith(".g") else np.zeros(shape)
     return ParamStore(arrays)
 
 
@@ -235,7 +246,7 @@ def encode(source_ids, params: ParamStore, config: ModelConfig) -> EncoderStack:
     ``source_ids`` is one id list, or a batch ``[B, L]`` of them padded
     with PAD.  Ids may be extended-vocabulary ids; ids outside the
     generator vocabulary embed as UNK.  Padding positions are excluded
-    from every attention support.
+    from every attention support; an unpadded source passes no mask.
     """
     ext_ids = np.asarray(source_ids, dtype=np.int64)
     if ext_ids.ndim not in (1, 2) or ext_ids.size == 0:
@@ -244,24 +255,22 @@ def encode(source_ids, params: ParamStore, config: ModelConfig) -> EncoderStack:
         raise ValueError(f"source length {ext_ids.shape[-1]} exceeds max_source_len "
                          f"{config.max_source_len}")
     gen_ids = np.where(ext_ids >= config.vocab_size, UNK, ext_ids)
-    pad_mask = gen_ids == PAD
-    if pad_mask.all(axis=-1).any():
+    stack = EncoderStack(layers=[], attn_maps=[], pad_mask=gen_ids == PAD,
+                         source_ext_ids=ext_ids,
+                         extended_size=max(config.vocab_size, int(ext_ids.max()) + 1))
+    if stack.pad_mask.all(axis=-1).any():
         raise ValueError("source is entirely padding")
 
     x = _embed_with_positions(gen_ids, params, config)
-    key_mask = pad_mask[..., None, :]
-    layers, attn_maps = [], []
     for i in range(config.n_enc_layers):
         keys, values = _keys_values(x, f"enc{i}.self", params)
         attn_out, weights = _multi_head_attention(x, keys, values, f"enc{i}.self",
-                                                  params, config, key_mask)
+                                                  params, config, stack.key_mask)
         x = _ln(x + attn_out, f"enc{i}.ln1", params)
         x = _ln(x + _ffn(x, f"enc{i}.ffn", params), f"enc{i}.ln2", params)
-        layers.append(x)
-        attn_maps.append(weights)
-    extended_size = max(config.vocab_size, int(ext_ids.max()) + 1)
-    return EncoderStack(layers=layers, attn_maps=attn_maps, pad_mask=pad_mask,
-                        source_ext_ids=ext_ids, extended_size=extended_size)
+        stack.layers.append(x)
+        stack.attn_maps.append(weights)
+    return stack
 
 
 def decoder_states(prefix_ids, stack: EncoderStack, params: ParamStore,
@@ -297,7 +306,7 @@ def decoder_states(prefix_ids, stack: EncoderStack, params: ParamStore,
         cross_keys, cross_values = stack.cached(
             f"dec{i}.cross", lambda: _keys_values(stack.layers[-1], f"dec{i}.cross", params))
         cross_out, _ = _multi_head_attention(x, cross_keys, cross_values, f"dec{i}.cross",
-                                             params, config, stack.pad_mask[..., None, :])
+                                             params, config, stack.key_mask)
         x = _ln(x + cross_out, f"dec{i}.ln2", params)
         x = _ln(x + _ffn(x, f"dec{i}.ffn", params), f"dec{i}.ln3", params)
     return x
@@ -313,8 +322,7 @@ def copy_attention(states: Tensor, stack: EncoderStack, params: ParamStore) -> T
     if not stack.layers:
         raise ValueError("encoder stack is empty")
     keys = stack.cached("copy.keys", lambda: _copy_keys(stack, params))
-    views, _ = T.attention(states @ params["copy.w_s"], keys, None,
-                           stack.pad_mask[..., None, :])
+    views, _ = T.attention(states @ params["copy.w_s"], keys, None, stack.key_mask)
     shape = views.data.shape   # [n_layers, ..., 1, R, L]: drop the one head axis
     views = T.reshape(views, shape[:-3] + shape[-2:])
     return T.contract_first(stack.cached("copy.layer_weights",

@@ -305,7 +305,8 @@ def attention(q, k, v=None, mask=None, n_heads: int = 1) -> tuple[Tensor, np.nda
     back into rows.  With ``v=None`` the output is the weights.  Leading
     axes broadcast, so one ``q`` can read a stack of key sets.  ``mask``
     (bool, broadcastable to ``[..., R, L]``) gives True keys weight 0;
-    every row must keep one key."""
+    every row must keep one key, which is checked only when a mask is
+    given: without one no row can lose all its keys."""
     q, k = as_tensor(q), as_tensor(k)
     v = None if v is None else as_tensor(v)
     if q.data.shape[-1] % n_heads or k.data.shape[-1] != q.data.shape[-1]:
@@ -318,7 +319,7 @@ def attention(q, k, v=None, mask=None, n_heads: int = 1) -> tuple[Tensor, np.nda
         mask = np.asarray(mask)
         logits = np.where(mask[..., None, :, :] if mask.ndim > 1 else mask, -np.inf, logits)
     top = logits.max(axis=-1, keepdims=True)
-    if np.isneginf(top).any():
+    if mask is not None and (top == -np.inf).any():
         raise ValueError("attention row is fully masked")
     e = np.exp(logits - top)
     w = e / e.sum(axis=-1, keepdims=True)
@@ -378,9 +379,9 @@ def layer_norm(x, gain, bias) -> Tensor:
 def concat(parts: Iterable[Tensor], axis: int) -> Tensor:
     """Join tensors along ``axis``; the other axes must agree."""
     parts = [as_tensor(p) for p in parts]
-    bounds = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
 
     def backward(g):
+        bounds = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
         for p, piece in zip(parts, np.split(g, bounds, axis=axis)):
             p.accumulate_grad(piece)
 
@@ -433,13 +434,13 @@ def scatter_add_cols(weights, col_ids, n_cols: int) -> Tensor:
         raise ValueError("col_ids length must match the number of weight columns")
     if col_ids.size and (col_ids.min() < 0 or col_ids.max() >= n_cols):
         raise ValueError("scatter column id out of range")
-    ids = np.broadcast_to(col_ids[..., None, :], weights.data.shape)
-    slots = np.arange(ids.size // cols).reshape(*lead, rows, 1) * n_cols + ids
+    slots = (np.arange(weights.data.size // cols).reshape(*lead, rows, 1) * n_cols
+             + col_ids[..., None, :])
     data = np.bincount(slots.reshape(-1), weights.data.reshape(-1),
                        minlength=slots.size // cols * n_cols)
 
     def backward(g):
-        weights.accumulate_grad(np.take_along_axis(g, ids, axis=-1))
+        weights.accumulate_grad(np.take_along_axis(g, col_ids[..., None, :], axis=-1))
 
     return _result(data.reshape(*lead, rows, n_cols), (weights,), backward)
 

@@ -56,6 +56,8 @@ class TrainConfig:
             raise ValueError("learning_rate and clip_norm must be positive")
         if self.batch_size < 1 or self.epochs < 1 or self.checkpoint_interval < 0:
             raise ValueError("batch_size and epochs must be >= 1, checkpoint_interval >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -391,8 +393,8 @@ def checkpoint_load(path: str | Path, expected_config: ModelConfig | None = None
     """Load a checkpoint; returns (store, model_config, train_config, vocab, meta).
 
     Every section ``checkpoint_save`` writes must be there with its type.
-    ``layout`` must list the names and shapes of ``init_params(model_config)``
-    and each vector section hold exactly that many finite values; ``step``
+    ``layout`` must list ``param_shapes(model_config)``, and each vector
+    section hold exactly that many finite values; ``step``
     and ``epochs_completed`` are ints >= 0, and the token vocabulary plus
     the special tokens is ``model_config.vocab_size`` long.  Anything
     else is a ``CheckpointError`` naming the path.
@@ -417,7 +419,7 @@ def checkpoint_load(path: str | Path, expected_config: ModelConfig | None = None
         raise CheckpointError(
             f"{path}: checkpoint was written for a different model configuration")
     train_config = _config_from_checkpoint(path, payload, "train_config", TrainConfig)
-    store = M.init_params(model_config)
+    store = ParamStore({name: np.zeros(shape) for name, shape in M.param_shapes(model_config)})
     _fill_state(path, payload, store)
     step, epochs = payload["step"], payload["epochs_completed"]
     if type(step) is not int or step < 0 or type(epochs) is not int or epochs < 0:

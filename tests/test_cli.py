@@ -344,6 +344,18 @@ def _drop_additional_turn_id(payload):
     return payload
 
 
+def _set_story_id(value):
+    def damage(payload):
+        payload["data"][0]["id"] = value
+        return payload
+    return damage
+
+
+def _set_additional_text(payload):
+    payload["data"][0]["additional_answers"]["0"][0]["input_text"] = 7
+    return payload
+
+
 def _repeat_story(payload):
     payload["data"].append(payload["data"][0])
     return payload
@@ -371,11 +383,19 @@ class TestMalformedCoqa:
         (_set_first_turn(("answers",), span_start="75", span_text=""), "ingest", "beach-001"),
         (_set_additional_turn_id(1.5), "multi-ref", "beach-001"),
         (_set_additional_turn_id("2"), "multi-ref", "beach-001"),
+        (_set_first_turn(("questions",), input_text=None), "ingest", "beach-001"),
+        (_set_first_turn(("answers",), span_text=[1, 2]), "ingest", "beach-001"),
+        (_set_first_turn(("answers",), input_text=7), "ingest", "beach-001"),
+        (_set_story_id(7), "ingest", "data entry 0"),
+        (_set_story_id(None), "multi-ref", "data entry 0"),
+        (_set_additional_text, "multi-ref", "beach-001"),
     ], ids=["turn-without-turn_id", "story-not-object", "span_start-not-int",
             "story-id-twice", "additional-answer-without-turn_id", "top-level-array",
             "additional-story-id-twice", "turn_id-float", "turn_id-string", "turn_id-bool",
             "span_start-numeric-string", "span_start-bool", "span_start-string-without-text",
-            "additional-turn_id-float", "additional-turn_id-string"])
+            "additional-turn_id-float", "additional-turn_id-string", "question-text-null",
+            "span_text-list", "answer-text-int", "story-id-int", "story-id-null",
+            "additional-answer-text-int"])
     def test_exit_2_names_the_file(self, store_path, tmp_path, capsys, damage, reader,
                                    story):
         bad = tmp_path / "bad_coqa.json"
@@ -390,6 +410,48 @@ class TestMalformedCoqa:
         assert cli.run(argv) == 2
         err = capsys.readouterr().err
         assert f"data error: {bad}: " in err and story in err
+
+    # Per object: the keys ingest does not read, and the keys it reads
+    # with a default when they are absent ("" for text, -1 for span_start).
+    UNREAD = {"story": {"story", "additional_answers"}, "question": set(),
+              "answer": {"span_end"}}
+    DEFAULTED = {"story": {"id"}, "question": {"input_text"},
+                 "answer": {"span_start", "span_text", "input_text"}}
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_mutated_story_exits_2(self, data):
+        """Drop a key of a story, a question or an answer, or give it a
+        value of another JSON type: exit 2 naming the file, with no
+        traceback and nothing written, unless ingest does not read the key
+        or the key is dropped and has a default."""
+        payload = tiny_coqa_dict()
+        story = data.draw(st.sampled_from(payload["data"]), label="story")
+        turn = data.draw(st.integers(0, len(story["questions"]) - 1), label="turn")
+        kind = data.draw(st.sampled_from(["story", "question", "answer"]), label="object")
+        target = {"story": story, "question": story["questions"][turn],
+                  "answer": story["answers"][turn]}[kind]
+        key = data.draw(st.sampled_from(sorted(target)), label="key")
+        how = data.draw(st.sampled_from(["drop", "retype"]), label="how")
+        if how == "drop":
+            del target[key]
+        else:
+            value = data.draw(st.sampled_from([1.5, "1", True, [1], None]), label="value")
+            assume(type(value) is not type(target[key]))
+            target[key] = value
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            bad, out = Path(tmp, "bad_coqa.json"), Path(tmp, "s.jsonl")
+            bad.write_text(json.dumps(payload))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.run(["ingest", "--input", str(bad), "--output", str(out)])
+            written = out.exists()
+        if key in self.UNREAD[kind] or (how == "drop" and key in self.DEFAULTED[kind]):
+            assert code == 0 and written
+        else:
+            assert code == 2 and not written
+            assert f"data error: {bad}: " in err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 def _write_lines(path, lines):
@@ -847,7 +909,9 @@ class TestSettingSource:
         ({"prompt_version": 7}, "7 is not a valid PromptVersionId"),
         ({"history_depth": -1}, "history_depth must be >= 0"),
         ({"n_heads": 3}, "d_model must be divisible by n_heads"),
-    ], ids=["prompt_version", "history_depth", "n_heads"])
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"top_k_categories": 0}, "top_k_categories must be >= 1"),
+    ], ids=["prompt_version", "history_depth", "n_heads", "seed", "top_k_categories"])
     def test_bad_config_value_names_the_file(self, tmp_path, capsys, settings, detail):
         config, out = tmp_path / "config.json", tmp_path / "s.jsonl"
         config.write_text(json.dumps(settings))
@@ -877,7 +941,9 @@ class TestSettingSource:
         ("--clip-norm", "-1", "learning_rate and clip_norm must be positive"),
         ("--checkpoint-interval", "-1",
          "batch_size and epochs must be >= 1, checkpoint_interval >= 0"),
-    ], ids=["n_heads", "d_k", "clip_norm", "checkpoint_interval"])
+        ("--top-k-categories", "0", "top_k_categories must be >= 1"),
+        ("--seed", "-1", "seed must be >= 0"),
+    ], ids=["n_heads", "d_k", "clip_norm", "checkpoint_interval", "top_k_categories", "seed"])
     @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
     def test_bad_flag_is_usage_error(self, trained, tmp_path, capsys, resume, flag, value,
                                      detail):
@@ -887,6 +953,18 @@ class TestSettingSource:
         assert cli.run(argv + (["--resume", str(ckpt)] if resume else [])) == 1
         assert f"usage error: {detail}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags,detail", [
+        (["--seed", "-1"], "seed must be >= 0"),
+        (["--n", "0"], "vocab_size and n_examples must be positive"),
+        (["--lexicon-size", "1"], "vocab_size and n_examples must be positive"),
+        (["--min-len", "5", "--max-len", "4"], "need 1 <= min_len <= max_len"),
+    ], ids=["seed", "n", "lexicon_size", "lengths"])
+    def test_bad_synthetic_flag_is_usage_error(self, tmp_path, capsys, flags, detail):
+        out = tmp_path / "s.jsonl"
+        assert cli.run(["synthetic", "--task", "copy", "--output", str(out), *flags]) == 1
+        assert f"usage error: {detail}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_checkpoint_settings_rebuild_the_run(self, trained, tmp_path):
         """``model_config``, ``train_config`` and the vocabularies fix the run:

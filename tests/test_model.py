@@ -48,6 +48,70 @@ class TestModelConfig:
         assert ModelConfig(**asdict(config)) == config
 
 
+def former_init_params(config, seed):
+    """``init_params`` as it was written before ``param_shapes``: the
+    reference for the draw order."""
+    rng = np.random.default_rng(seed)
+    d, v, dff, dk = config.d_model, config.vocab_size, config.ffn_dim, config.copy_d_k
+
+    def glorot(n_in, n_out):
+        limit = math.sqrt(6.0 / (n_in + n_out))
+        return rng.uniform(-limit, limit, size=(n_in, n_out))
+
+    arrays = {"embed": rng.normal(0.0, 0.02, size=(v, d))}
+
+    def add_attention(prefix):
+        for name in ("wq", "wk", "wv", "wo"):
+            arrays[f"{prefix}.{name}"] = glorot(d, d)
+
+    def add_block(prefix, n_norms):
+        arrays[f"{prefix}.ffn.w1"] = glorot(d, dff)
+        arrays[f"{prefix}.ffn.b1"] = np.zeros(dff)
+        arrays[f"{prefix}.ffn.w2"] = glorot(dff, d)
+        arrays[f"{prefix}.ffn.b2"] = np.zeros(d)
+        for k in range(1, n_norms + 1):
+            arrays[f"{prefix}.ln{k}.g"] = np.ones(d)
+            arrays[f"{prefix}.ln{k}.b"] = np.zeros(d)
+
+    for i in range(config.n_enc_layers):
+        add_attention(f"enc{i}.self")
+        add_block(f"enc{i}", n_norms=2)
+    for i in range(config.n_dec_layers):
+        add_attention(f"dec{i}.self")
+        add_attention(f"dec{i}.cross")
+        add_block(f"dec{i}", n_norms=3)
+    arrays["copy.w_s"] = glorot(d, dk)
+    for i in range(config.n_enc_layers):
+        arrays[f"copy.w_h{i}"] = glorot(d, dk)
+    arrays["copy.a_raw"] = np.zeros(config.n_enc_layers)
+    arrays["gate.w_c"] = np.zeros(d)
+    arrays["gate.w_s"] = np.zeros(d)
+    arrays["gate.b"] = np.zeros(1)
+    arrays["out.w_v"] = glorot(d, v)
+    arrays["out.b_v"] = np.zeros(v)
+    return arrays
+
+
+class TestInitParams:
+    def test_byte_equal_to_the_former_draws(self):
+        """The desk shape, the benchmark's shape (its two workloads differ
+        only in length limits, which hold no parameters) and random small
+        shapes, each at two seeds: names, shapes and bytes unchanged, and
+        ``param_shapes`` is the store's layout."""
+        bench = ModelConfig(n_enc_layers=2, n_dec_layers=1, d_model=32, n_heads=2,
+                            vocab_size=256, max_source_len=24, max_target_len=14)
+        rng = np.random.default_rng(8)
+        configs = [ModelConfig(), bench, replace(bench, max_source_len=40, max_target_len=8),
+                   ModelConfig(d_model=16, n_heads=2, d_k=8, d_ff=24, vocab_size=20),
+                   *(random_small_config(rng) for _ in range(20))]
+        for config in configs:
+            for seed in (0, 3):
+                store, want = M.init_params(config, seed), former_init_params(config, seed)
+                assert M.param_shapes(config) == [(n, a.shape) for n, a in want.items()]
+                assert store.names() == list(want)
+                assert store.flat.tobytes() == b"".join(a.tobytes() for a in want.values())
+
+
 class TestEncode:
     def test_single_token_source(self, small_params, small_config):
         stack = M.encode([4], small_params, small_config)
@@ -205,6 +269,34 @@ class TestCopyAttention:
                              source_ext_ids=np.zeros(0, np.int64), extended_size=12)
         with pytest.raises(ValueError):
             M.copy_attention(Tensor(np.zeros((1, 8))), empty, small_params)
+
+
+class TestKeyMask:
+    def test_present_only_when_a_position_is_padding(self, small_params, small_config):
+        assert M.encode([4, 5, 6], small_params, small_config).key_mask is None
+        assert M.encode([[4, 5, 6], [7, 8, 9]], small_params, small_config).key_mask is None
+        padded = M.encode([[4, 5, 6], [7, PAD, PAD]], small_params, small_config)
+        assert padded.key_mask.tolist() == [[[False] * 3], [[False, True, True]]]
+        assert manual_stack([np.zeros((3, 4))]).key_mask is None
+
+    def test_a_forced_all_false_mask_changes_no_bit(self):
+        """Over criterion 4's draws, a stack whose ``key_mask`` is forced
+        to the unpadded source's all-False mask gives the same
+        distributions and parameter gradients, bit for bit."""
+        for config, params, source, prefix in random_model_draws(seed=42, n=300):
+            results = []
+            for forced in (False, True):
+                params.zero_grad()
+                stack = M.encode(source, params, config)
+                assert stack.key_mask is None
+                if forced:
+                    stack.key_mask = stack.pad_mask[..., None, :]
+                fwd = M.forward_distributions(prefix, stack, params, config)
+                T.sequence_nll(fwd.p_final, prefix[1:] + [EOS]).backward()
+                results.append([fwd.p_final.data, fwd.alpha.data, fwd.p_gen.data,
+                                params.flat_grad.copy()])
+            for got, want in zip(*results):
+                assert np.array_equal(got, want)
 
 
 class TestScatterCopy:
@@ -518,6 +610,31 @@ class TestGreedyDecode:
                 M.forward_distributions([[9]], stack, params, config, cache)
         assert 0 < len(built) <= 44
         assert not any(built)
+
+    def test_cached_step_does_no_mask_or_backward_work(self, monkeypatch):
+        """One cached greedy step of an unpadded source calls none of the
+        numpy functions that only a mask or a backward pass needs."""
+        config = ModelConfig(n_enc_layers=2, n_dec_layers=2, d_model=32, n_heads=2,
+                             vocab_size=64, max_source_len=24, max_target_len=14)
+        params = M.init_params(config, seed=0)
+        calls = []
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+            return wrapper
+
+        with T.no_grad():
+            stack = M.encode([[5, 6, 7, 70, 8, 9]], params, config)
+            cache = M.DecoderCache()
+            M.forward_distributions([[BOS]], stack, params, config, cache)
+            for name in ("where", "isneginf", "cumsum", "broadcast_to"):
+                monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
+            M.forward_distributions([[9]], stack, params, config, cache)
+            assert cache.length == 2 and calls == []
+            M.encode([[5, 6], [7, PAD]], params, config)    # the counters do see the kernel
+        assert calls.count("where") == 1 + config.n_enc_layers
 
     def test_stops_at_eos(self, small_config):
         params = M.init_params(small_config, seed=0)

@@ -226,6 +226,25 @@ class TestAttention:
 
             assert T.grad_check(f, store) < 1e-4
 
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    @pytest.mark.parametrize("case", ["cross_padded", "views"])
+    def test_no_mask_is_bit_equal_to_an_all_false_mask(self, case, n_heads):
+        """An unpadded source passes no mask: the output, the weights and
+        every input gradient equal an all-False mask's exactly, in the
+        value form and in the weights form over a stack of key sets."""
+        rng = np.random.default_rng(14 + n_heads)
+        q, k, v, mask = attention_case(case, rng, n_heads)
+        results = []
+        for m in (None, np.zeros_like(mask)):
+            inputs = [Tensor(a) for a in (q, k, v) if a is not None]
+            out, weights = T.attention(*inputs[:2], inputs[2] if v is not None else None,
+                                       m, n_heads)
+            weighted_total(out, np.random.default_rng(15).normal(size=out.data.shape)).backward()
+            results.append([out.data, weights, *(t.grad for t in inputs)])
+        assert len(results[0]) == (5 if v is not None else 4)
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+
     def test_fully_masked_row_in_a_batch_rejected(self):
         q, k, v, mask = attention_case("cross_padded", np.random.default_rng(13), 2)
         mask = mask.copy()
@@ -473,6 +492,19 @@ class TestGradCheck:
             probs = T.softmax(normed)
             scattered = T.scatter_add_cols(probs, np.array([0, 1, 0, 2, 1]), 4)
             return T.sequence_nll(scattered, [0, 2])
+
+        assert T.grad_check(f, store) < 1e-6
+
+    def test_concat_of_unequal_parts_on_a_middle_axis(self):
+        """Each part gets its own slice of the gradient back."""
+        rng = np.random.default_rng(10)
+        store = ParamStore({name: rng.normal(size=(2, n, 3))
+                            for name, n in (("a", 1), ("b", 3), ("c", 2))})
+        gold = np.array([[0, 1, 2, 0, 1, 2], [2, 2, 1, 0, 0, 1]])
+
+        def f(s):
+            joined = T.concat([s["a"], s["b"], s["c"]], axis=1)      # [2, 6, 3]
+            return T.sequence_nll(T.softmax(joined * 2.0), gold)
 
         assert T.grad_check(f, store) < 1e-6
 

@@ -223,6 +223,20 @@ class TestCheckpoints:
             assert np.array_equal(loaded.adam_m[name], params.adam_m[name])
             assert np.array_equal(loaded.adam_v[name], params.adam_v[name])
 
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        """The store is built from ``param_shapes`` and the file alone."""
+        model, vocab, params, config = self.make_trained(tmp_path)
+        path = tmp_path / "ckpt.json"
+        checkpoint_save(path, params, model, config, vocab, CATEGORIES, epochs_completed=2)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("checkpoint_load drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        loaded = checkpoint_load(path)[0]
+        for flat in ("flat", "flat_m", "flat_v"):
+            assert getattr(loaded, flat).tobytes() == getattr(params, flat).tobytes()
+
     def test_config_mismatch_rejected(self, tmp_path):
         model, vocab, params, config = self.make_trained(tmp_path)
         path = tmp_path / "ckpt.json"
