@@ -9,7 +9,8 @@ resolves them once per command.  Each artifact records them: a
 a checkpoint's model_config and train_config.  Identical runs produce
 identical bytes.
 
-Exit codes: 0 success, 1 usage or check failure, 2 data error.
+Exit codes: 0 success, 1 usage or check failure, 2 data error (any input or
+config file).
 """
 
 from __future__ import annotations
@@ -81,19 +82,17 @@ _PROMPT_FIELDS = ("prompt_version", "history_depth")
 
 
 def _load_config_dict(path: str | Path) -> dict:
-    """A JSON config file's settings, which must make a valid RunConfig alone."""
+    """A JSON config file's settings, which must make a valid RunConfig alone;
+    any fault of the file is a ``CorpusError`` naming it."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise CorpusError(f"{path}: malformed config JSON: {err}") from err
-    if not isinstance(payload, dict):
-        raise UsageError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(payload) - _CONFIG_KEYS)
-    if unknown:
-        raise UsageError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    try:
+        if type(payload) is not dict:
+            raise CorpusError("config must be a JSON object")
+        unknown = sorted(set(payload) - _CONFIG_KEYS)
+        if unknown:
+            raise CorpusError(f"unknown config keys: {', '.join(unknown)}")
         RunConfig(**payload)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError) as err:   # json.JSONDecodeError is a ValueError
         raise CorpusError(f"{path}: {err}") from err
     return payload
 
@@ -172,15 +171,13 @@ def _cmd_stats(args, config: RunConfig) -> int:
 def _cmd_prompts(args, config: RunConfig) -> int:
     examples = _load_examples_any(args.input)
     vocab = prompt.build_category_vocab(examples, config.top_k_categories)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        for p in _build_prompts(examples, config, vocab, None):
-            fh.write(json.dumps({
-                "story_id": p.origin.story_id,
-                "turn_id": p.origin.turn.turn_id,
-                "version": int(config.prompt_version),
-                "source_text": p.source_text,
-                "target_text": p.target_text,
-            }, ensure_ascii=False) + "\n")
+    corpus.write_records(args.output, ({
+        "story_id": p.origin.story_id,
+        "turn_id": p.origin.turn.turn_id,
+        "version": int(config.prompt_version),
+        "source_text": p.source_text,
+        "target_text": p.target_text,
+    } for p in _build_prompts(examples, config, vocab, None)))
     _write_sidecar(args.output, config)
     print(f"wrote {len(examples)} prompts to {args.output}")
     return 0
@@ -274,19 +271,15 @@ def _cmd_predict(args, config: RunConfig) -> int:
     config, store, model_config, token_vocab, category_vocab, _ = \
         _open_checkpoint(args.checkpoint, config, args)
     prompted = _build_prompts(examples, config, category_vocab, token_vocab)
-    skipped = []
-    with open(args.output, "w", encoding="utf-8") as fh:
-        for p in prompted:
-            if len(p.source_tokens) > model_config.max_source_len:
-                skipped.append([p.origin.story_id, p.origin.turn.turn_id])
-                continue
-            ids = M.greedy_decode(p, store, model_config)
-            tokens = token_vocab.decode_extended(ids, p.source_oov)
-            fh.write(json.dumps({
-                "story_id": p.origin.story_id,
-                "turn_id": p.origin.turn.turn_id,
-                "text": prompt.detokenize(tokens),
-            }, ensure_ascii=False) + "\n")
+    fits = [len(p.source_tokens) <= model_config.max_source_len for p in prompted]
+    skipped = [[p.origin.story_id, p.origin.turn.turn_id]
+               for p, fit in zip(prompted, fits) if not fit]
+    corpus.write_records(args.output, ({
+        "story_id": p.origin.story_id,
+        "turn_id": p.origin.turn.turn_id,
+        "text": prompt.detokenize(token_vocab.decode_extended(
+            M.greedy_decode(p, store, model_config), p.source_oov)),
+    } for p, fit in zip(prompted, fits) if fit))
     if skipped:
         print(f"skipped {len(skipped)} over-length examples", file=sys.stderr)
     # Named only when there are some, so an unskipped run's sidecar is unchanged.
@@ -296,36 +289,18 @@ def _cmd_predict(args, config: RunConfig) -> int:
 
 
 def _read_predictions(path, examples, multi_ref, coqa_path):
-    """One prediction per line, each for a distinct example of the store."""
+    """One prediction per line, exactly ``story_id``, ``turn_id`` and ``text``,
+    each for a distinct example of the store."""
     by_key = {(ex.story_id, ex.turn.turn_id): ex for ex in examples}
     extra = corpus.load_additional_answers(coqa_path) if (multi_ref and coqa_path) else {}
-    predictions, seen = [], set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            # EvalError is a ValueError, so each problem below gets path:line.
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise EvalError("expected a JSON object")
-                key = (record["story_id"], record["turn_id"])
-                text = record["text"]
-                if (type(key[0]), type(key[1]), type(text)) != (str, int, str):
-                    raise EvalError("story_id and text must be strings, turn_id an int")
-                if key not in by_key:
-                    raise EvalError(f"prediction for unknown example {key[0]}/{key[1]}")
-                if key in seen:
-                    raise EvalError(f"second prediction for {key[0]}/{key[1]}")
-            except KeyError as err:
-                raise EvalError(f"{path}:{line_no}: prediction lacks {err}") from err
-            except (TypeError, ValueError) as err:
-                raise EvalError(f"{path}:{line_no}: bad prediction record: {err}") from err
-            seen.add(key)
-            references = [by_key[key].turn.answer] + list(extra.get(key, []))
-            predictions.append(evalmod.Prediction(
-                story_id=key[0], turn_id=key[1], text=text, references=references))
-    return predictions
+
+    def build(record):
+        key = (record["story_id"], record["turn_id"])
+        if key not in by_key:
+            raise EvalError(f"prediction for unknown example {key[0]}/{key[1]}")
+        return key, evalmod.Prediction(**record, references=[by_key[key].turn.answer,
+                                                              *extra.get(key, [])])
+    return corpus.read_records(path, build)
 
 
 def _emit_report(report, args, config) -> None:
@@ -513,10 +488,14 @@ def run(argv=None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, ValueError) as err:   # CorpusError, EvalError, CheckpointError
+    except (OSError, ValueError) as err:   # a bad path; CorpusError, EvalError, CheckpointError
         print(f"data error: {err}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -8,11 +8,11 @@ sequence appears contiguously inside the normalised rationale;
 everything else (including unanswerable turns, which have no rationale)
 is generative.
 
-The store holds one JSON object per line: a ``DialogueExample``'s
-fields in declaration order, its turns as their ``ConversationTurn``
-fields and its answer class as the value.  Each record checks its own
-field types, so a line that is not exactly such a record is a
-``CorpusError`` naming ``path:line``.
+Every JSON-lines file (store, prompts, predictions) is written by
+``write_records`` and read by ``read_records``: each line is a record
+that checks its own field types, so a line that is not exactly one is a
+``CorpusError`` naming ``path:line``.  A store line is a ``DialogueExample``'s
+fields in order, its turns as ``ConversationTurn`` fields, its answer class as the value.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cache
 from pathlib import Path
-from typing import get_args, get_type_hints
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 _WHITESPACE_TOKEN = re.compile(r"\S+")
 _ARTICLES = re.compile(r"\b(a|an|the)\b")
@@ -43,7 +44,8 @@ class AnswerClass(Enum):
 @cache
 def _typed_fields(cls) -> tuple[tuple[str, tuple[type, ...]], ...]:
     """Each ``int``, ``float``, ``str`` or ``bool`` field, or ``X | None`` one, and its types."""
-    hints = ((name, get_args(t) or (t,)) for name, t in get_type_hints(cls).items())
+    hints = ((name, get_args(t) if get_origin(t) in (Union, UnionType) else (t,))
+             for name, t in get_type_hints(cls).items())
     return tuple(h for h in hints if set(h[1]) <= {int, float, str, bool, type(None)})
 
 
@@ -174,9 +176,9 @@ def compute_stats(examples: list[DialogueExample]) -> CorpusStats:
     )
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise CorpusError(message)
+def _require(condition: bool, message: str, *args) -> None:
+    if not condition:   # the message is built only on failure
+        raise CorpusError(message.format(*args))
 
 
 def _text(record: dict, key: str) -> str:
@@ -192,10 +194,10 @@ def _build_turn(question, answer) -> ConversationTurn:
              "a question or answer is not an object")
     _require("turn_id" in question, "a question lacks turn_id")
     turn_id, span_start = question["turn_id"], answer.get("span_start", -1)
-    _require(turn_id == answer.get("turn_id"),
-             f"question/answer turn_id mismatch ({turn_id} vs {answer.get('turn_id')})")
+    _require(turn_id == answer.get("turn_id"), "question/answer turn_id mismatch ({} vs {})",
+             turn_id, answer.get("turn_id"))
     _require(all(type(v) is int for v in (turn_id, answer["turn_id"], span_start)),
-             f"turn_id and span_start must be ints, got {turn_id!r} and {span_start!r}")
+             "turn_id and span_start must be ints, got {!r} and {!r}", turn_id, span_start)
     rationale = _text(answer, "span_text")
     if span_start == -1:
         rationale = ""  # unanswerable turns carry no copyable evidence
@@ -219,15 +221,15 @@ def _per_story(path: str | Path, read_story) -> list:
     except json.JSONDecodeError as err:
         raise CorpusError(f"{path}: malformed JSON at byte offset {err.pos}: {err.msg}") from err
     _require(isinstance(payload, dict) and isinstance(payload.get("data"), list),
-             f"{path}: expected a top-level 'data' array")
+             "{}: expected a top-level 'data' array", path)
     items, seen = [], set()
     for index, entry in enumerate(payload["data"]):
-        _require(isinstance(entry, dict), f"{path}: data entry {index} is not an object")
+        _require(isinstance(entry, dict), "{}: data entry {} is not an object", path, index)
         story_id = entry.get("id", "")
         if type(story_id) is not str:
             raise CorpusError(f"{path}: data entry {index}: id must be a string, "
                               f"got {json.dumps(story_id)}")
-        _require(story_id not in seen, f"{path}: story {story_id} appears twice")
+        _require(story_id not in seen, "{}: story {} appears twice", path, story_id)
         seen.add(story_id)
         try:
             items += read_story(story_id, entry)
@@ -239,8 +241,8 @@ def _per_story(path: str | Path, read_story) -> list:
 def _story_examples(story_id: str, entry: dict) -> list[DialogueExample]:
     _require("questions" in entry and "answers" in entry, "missing questions or answers")
     questions, answers = entry["questions"], entry["answers"]
-    _require(len(questions) == len(answers),
-             f"{len(questions)} questions vs {len(answers)} answers")
+    _require(len(questions) == len(answers), "{} questions vs {} answers",
+             len(questions), len(answers))
     turns = [_build_turn(question, answer) for question, answer in zip(questions, answers)]
     return [DialogueExample(story_id=story_id, turn=turn, history=tuple(turns[:i]),
                             answer_class=classify_answer(turn.answer, turn.rationale))
@@ -259,7 +261,7 @@ def _story_additional_answers(story_id: str, entry: dict) -> list:
     _require(all(isinstance(a, dict) and "turn_id" in a for a in answers),
              "an additional answer lacks turn_id")
     bad = [a["turn_id"] for a in answers if type(a["turn_id"]) is not int]
-    _require(not bad, f"an additional answer's turn_id must be an int, got {bad[:1]}")
+    _require(not bad, "an additional answer's turn_id must be an int, got {}", bad[:1])
     return [((story_id, a["turn_id"]), _text(a, "input_text")) for a in answers]
 
 
@@ -275,40 +277,55 @@ def load_additional_answers(path: str | Path) -> dict[tuple[str, int], list[str]
     return refs
 
 
-# -- line-delimited JSON example store --
+# -- JSON lines --
+
+def write_records(path: str | Path, records) -> None:
+    """One ``json.dumps(record, ensure_ascii=False)`` line per record."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def read_records(path: str | Path, build) -> list:
+    """The items of the non-blank lines in file order; ``build(record)`` gives
+    each line's ``(key, item)``, the key a ``(story_id, turn_id)`` pair.  A line
+    that is no JSON object, repeats a key or makes ``build`` raise ``KeyError``,
+    ``TypeError`` or ``ValueError`` is a ``CorpusError`` naming ``path:line``."""
+    items = {}
+    with open(path, "rb") as fh:   # decoded line by line, so a bad byte gets its line
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line.decode("utf-8"))
+                _require(type(record) is dict, "expected a JSON object")
+                key, item = build(record)
+                _require(key not in items, "a second record for {}/{}", *key)
+            except (KeyError, TypeError, ValueError) as err:
+                raise CorpusError(f"{path}:{line_no}: bad record: {err}") from err
+            items[key] = item
+    return list(items.values())
+
 
 def save_examples(examples: list[DialogueExample], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            record = {**vars(ex), "turn": vars(ex.turn),
-                      "history": [vars(t) for t in ex.history],
-                      "answer_class": ex.answer_class.value}
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    write_records(path, ({**vars(ex), "turn": vars(ex.turn),
+                          "history": [vars(t) for t in ex.history],
+                          "answer_class": ex.answer_class.value} for ex in examples))
+
+
+def _example(record: dict) -> tuple[tuple[str, int], DialogueExample]:
+    example = DialogueExample(**{
+        **record, "turn": ConversationTurn(**record["turn"]),
+        "history": tuple(ConversationTurn(**t) for t in record["history"]),
+        "answer_class": AnswerClass(record["answer_class"])})
+    derived = classify_answer(example.turn.answer, example.turn.rationale)
+    _require(example.answer_class is derived, "answer_class {} contradicts the answer and "
+             "rationale, which make it {}", example.answer_class.value, derived.value)
+    return (example.story_id, example.turn.turn_id), example
 
 
 def load_examples(path: str | Path) -> list[DialogueExample]:
     """The examples of a store in file order.  A line that repeats an
     earlier line's (story_id, turn_id), or whose answer_class is not
     ``classify_answer(answer, rationale)``, is a ``CorpusError`` too."""
-    by_key = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                _require(isinstance(record, dict), "expected a JSON object")
-                example = DialogueExample(**{
-                    **record, "turn": ConversationTurn(**record["turn"]),
-                    "history": tuple(ConversationTurn(**t) for t in record["history"]),
-                    "answer_class": AnswerClass(record["answer_class"])})
-                key = (example.story_id, example.turn.turn_id)
-                _require(key not in by_key, f"a second record for {key[0]}/{key[1]}")
-                derived = classify_answer(example.turn.answer, example.turn.rationale)
-                _require(example.answer_class is derived,
-                         f"answer_class {example.answer_class.value} contradicts the answer "
-                         f"and rationale, which make it {derived.value}")
-            except (KeyError, TypeError, ValueError) as err:
-                raise CorpusError(f"{path}:{line_no}: bad example record: {err}") from err
-            by_key[key] = example
-    return list(by_key.values())
+    return read_records(path, _example)

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .corpus import normalize, tighten_rationale
+from .corpus import check_fields, normalize, tighten_rationale
 from .prompt import categorize
 
 
@@ -62,6 +62,7 @@ class Prediction:
     references: list[str]
 
     def __post_init__(self):
+        check_fields(self)
         if not self.references:
             raise EvalError(f"prediction {self.story_id}/{self.turn_id} has no references")
 

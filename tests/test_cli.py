@@ -5,8 +5,12 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
-from dataclasses import fields
+import typing
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +18,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import pgc
 from pgc import cli
 from pgc.cli import RunConfig, load_config
-from pgc.corpus import AnswerClass, ConversationTurn, DialogueExample
+from pgc.corpus import AnswerClass, ConversationTurn, DialogueExample, check_fields
+from pgc.eval import Prediction
 from pgc.model import ModelConfig
 from pgc.train import TrainConfig
 
@@ -490,6 +496,14 @@ class TestMalformedStore:
                         "--output", str(tmp_path / "prompts.jsonl")]) == 2
         assert f"data error: {bad}:{line}: " in capsys.readouterr().err
 
+    def test_undecodable_line_names_the_line(self, store_lines, tmp_path, capsys):
+        bad = _write_lines(tmp_path / "bad.jsonl", store_lines)
+        lines = bad.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b'"question": "', b'"question": "\xff', 1)
+        bad.write_bytes(b"\n".join(lines))
+        assert cli.run(["stats", "--input", str(bad)]) == 2
+        assert f"data error: {bad}:3: " in capsys.readouterr().err
+
     def test_contradicted_answer_class_names_the_line(self, store_lines, tmp_path, capsys):
         record = json.loads(store_lines[0])
         assert record["answer_class"] == "Extractive"
@@ -567,6 +581,48 @@ def _write_value(payload, key, name, index, value) -> None:
     values = _vector(payload, key)
     values[offset + index] = value
     _set_vector(payload, key, values)
+
+
+class TestMalformedPredictions:
+    """A predictions line that is not exactly ``story_id``, ``turn_id`` and
+    ``text`` for a distinct example of the store ends in exit 2 naming
+    ``path:line``, never in a traceback."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_mutated_line_exits_2(self, store_lines, data):
+        """Drop a key, add one, give one a value of another JSON type,
+        repeat the line, or replace it with no JSON object."""
+        records = [{"story_id": r["story_id"], "turn_id": r["turn"]["turn_id"],
+                    "text": r["turn"]["answer"]} for r in map(json.loads, store_lines)]
+        lines = [json.dumps(r) for r in records]
+        index = data.draw(st.integers(0, len(lines) - 1), label="line index")
+        record, line = records[index], index + 1
+        how = data.draw(st.sampled_from(["drop", "add", "retype", "repeat", "replace"]))
+        if how == "drop":
+            del record[data.draw(st.sampled_from(sorted(record)), label="key")]
+        elif how == "add":
+            record[data.draw(st.text(min_size=1).filter(lambda k: k not in record))] = 1
+        elif how == "retype":
+            key = data.draw(st.sampled_from(sorted(record)), label="key")
+            value = data.draw(st.sampled_from([1.5, "1", True, [1], None]), label="value")
+            assume(type(value) is not type(record[key]))
+            record[key] = value
+        lines[index] = json.dumps(record, ensure_ascii=False)
+        if how == "repeat":
+            lines.insert(index + 1, lines[index])
+            line += 1
+        elif how == "replace":
+            lines[index] = data.draw(st.sampled_from(["[1]", "{broken"]))
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            store = _write_lines(Path(tmp, "store.jsonl"), store_lines)
+            bad = _write_lines(Path(tmp, "preds.jsonl"), lines)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.run(["eval", "--predictions", str(bad), "--examples", str(store)])
+        assert code == 2
+        assert f"data error: {bad}:{line}: " in err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 class TestMalformedCheckpoint:
@@ -762,12 +818,19 @@ class TestExitCodesAndConfig:
         bad.write_text("{broken")
         assert cli.run(["stats", "--input", str(bad)]) == 2
 
+    @pytest.mark.parametrize("flag", ["--input", "--config"])
+    def test_directory_for_a_file_is_exit_2(self, tmp_path, capsys, flag):
+        assert cli.run(["stats", "--input", "whatever", flag, str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(tmp_path) in err
+
     def test_unknown_config_key_listed(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"epochs": 2, "not_a_key": 1}))
         code = cli.run(["stats", "--input", "whatever", "--config", str(config)])
-        assert code == 1
-        assert "not_a_key" in capsys.readouterr().err
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"data error: {config}: " in err and "not_a_key" in err
 
     @pytest.mark.parametrize("key,value,expected", [
         ("epochs", "2", "int"),
@@ -870,6 +933,17 @@ class TestExitCodesAndConfig:
 _TURN = dict(turn_id=1, question="q", rationale="r", answer="a", span_start=0)
 
 
+@dataclass
+class _WithContainers:
+    name: str
+    count: int
+    refs: list[str]
+    counts: dict[str, int]
+
+    def __post_init__(self):
+        check_fields(self)
+
+
 class TestOneFieldCheck:
     """Records and settings share one field-type check, run from each
     class's own ``__post_init__``."""
@@ -881,7 +955,9 @@ class TestOneFieldCheck:
         (lambda: ModelConfig(d_model=True), "d_model"),
         (lambda: TrainConfig(epochs=True), "epochs"),
         (lambda: RunConfig(top_k_categories=True), "top_k_categories"),
-    ], ids=["ConversationTurn", "DialogueExample", "ModelConfig", "TrainConfig", "RunConfig"])
+        (lambda: Prediction(story_id="s", turn_id=True, text="t", references=["a"]), "turn_id"),
+    ], ids=["ConversationTurn", "DialogueExample", "ModelConfig", "TrainConfig", "RunConfig",
+            "Prediction"])
     def test_bool_is_refused(self, make, name):
         with pytest.raises(TypeError, match=f"^{name}: expected (int|str), got bool$"):
             make()
@@ -898,6 +974,37 @@ class TestOneFieldCheck:
         assert code == 2
         assert f"data error: {bad}: model_config: d_model: expected int, got bool" in err
         assert "Traceback" not in err
+
+    def test_container_fields_are_left_to_their_record(self):
+        """``list[str]`` is no ``str`` field, and ``dict[str, int]`` no ``str | int`` one."""
+        record = _WithContainers(name="a", count=1, refs=["x", "y"], counts={"x": 1})
+        assert record.refs == ["x", "y"] and record.counts == {"x": 1}
+        prediction = Prediction(story_id="s", turn_id=1, text="t", references=["a", "b"])
+        assert prediction.references == ["a", "b"]
+
+    @pytest.mark.parametrize("changes,message", [
+        ({"name": ["a"]}, "name: expected str, got list"),
+        ({"count": True}, "count: expected int, got bool"),
+        ({"name": None}, "name: expected str, got null"),
+    ], ids=["list-in-str", "bool-in-int", "null-in-str"])
+    def test_scalar_fields_beside_containers_are_checked(self, changes, message):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            _WithContainers(**{"name": "a", "count": 1, "refs": [], "counts": {}, **changes})
+
+
+class TestEntryPoints:
+    @pytest.mark.parametrize("module", ["pgc", "pgc.cli"])
+    def test_python_m_runs_the_cli(self, tmp_path, module):
+        src = str(Path(pgc.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = tmp_path / "s.jsonl"
+        done = subprocess.run([sys.executable, "-m", module, "synthetic", "--task", "copy",
+                               "--n", "3", "--output", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 3
+        assert "Warning" not in done.stderr
 
 
 class TestSettingSource:
@@ -921,12 +1028,48 @@ class TestSettingSource:
         assert not out.exists()
 
     @pytest.mark.parametrize("text", ["[]", "null"])
-    def test_config_that_is_no_object_is_usage_error(self, tmp_path, capsys, text):
+    def test_config_that_is_no_object_is_data_error(self, tmp_path, capsys, text):
         config = tmp_path / "config.json"
         config.write_text(text)
-        assert cli.run(["stats", "--input", "whatever", "--config", str(config)]) == 1
-        assert f"usage error: {config}: config must be a JSON object" in \
+        assert cli.run(["stats", "--input", "whatever", "--config", str(config)]) == 2
+        assert f"data error: {config}: config must be a JSON object" in \
             capsys.readouterr().err
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_mutated_config_exits_2_unless_the_field_takes_it(self, data):
+        """Add an unknown key, give one setting a value of another JSON type,
+        truncate the JSON or make its top level no object.  The run exits 2
+        naming the file, or 0 when the setting's type hint takes the new
+        value (``1.5`` in a float field, ``null`` in an optional one)."""
+        valid = {**asdict(RunConfig()), "d_k": 8, "d_ff": 32}
+        text, accepted = json.dumps(valid), False
+        how = data.draw(st.sampled_from(["add", "retype", "truncate", "top-level"]))
+        if how == "add":
+            key = data.draw(st.text(min_size=1).filter(lambda k: k not in valid))
+            text = json.dumps({**valid, key: 1})
+        elif how == "retype":
+            key = data.draw(st.sampled_from(sorted(valid)), label="key")
+            value = data.draw(st.sampled_from([1.5, "1", True, [1], None]), label="value")
+            assume(type(value) is not type(valid[key]))
+            hint = cli._SETTING_TYPES[key]
+            accepted = type(value) in (typing.get_args(hint) or (hint,))
+            text = json.dumps({**valid, key: value})
+        elif how == "truncate":
+            text = text[:data.draw(st.integers(0, len(text) - 1), label="length")]
+        else:
+            text = data.draw(st.sampled_from(["[]", "null"]))
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp, "config.json")
+            config.write_text(text, encoding="utf-8")
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.run(["synthetic", "--task", "copy", "--n", "3", "--config",
+                                str(config), "--output", str(Path(tmp, "s.jsonl"))])
+        assert code == (0 if accepted else 2), err.getvalue()
+        if not accepted:
+            assert f"data error: {config}: " in err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
     def test_bad_env_seed_is_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PGC_SEED", "x")
@@ -966,7 +1109,7 @@ class TestSettingSource:
         assert f"usage error: {detail}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_checkpoint_settings_rebuild_the_run(self, trained, tmp_path):
+    def test_checkpoint_validrebuild_the_run(self, trained, tmp_path):
         """``model_config``, ``train_config`` and the vocabularies fix the run:
         training again with the stored vocabulary sizes as the budgets
         writes the same bytes."""

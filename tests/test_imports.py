@@ -88,6 +88,7 @@ PINNED_GRAPH = {
     "model": {"corpus", "prompt", "tensor"},
     "train": {"corpus", "model", "prompt", "tensor"},
     "cli": {"corpus", "eval", "model", "prompt", "train"},
+    "__main__": {"cli"},
 }
 
 
