@@ -1109,7 +1109,7 @@ class TestSettingSource:
         assert f"usage error: {detail}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_checkpoint_validrebuild_the_run(self, trained, tmp_path):
+    def test_checkpoint_settings_rebuild_the_run(self, trained, tmp_path):
         """``model_config``, ``train_config`` and the vocabularies fix the run:
         training again with the stored vocabulary sizes as the budgets
         writes the same bytes."""
