@@ -25,7 +25,6 @@ from pathlib import Path
 
 from . import corpus, eval as evalmod, model as M, prompt, train as trainmod
 from .corpus import CorpusError
-from .eval import EvalError
 
 
 class UsageError(Exception):
@@ -84,15 +83,13 @@ _PROMPT_FIELDS = ("prompt_version", "history_depth")
 def _load_config_dict(path: str | Path) -> dict:
     """A JSON config file's settings, which must make a valid RunConfig alone;
     any fault of the file is a ``CorpusError`` naming it."""
+    payload = corpus.read_json(path)
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if type(payload) is not dict:
-            raise CorpusError("config must be a JSON object")
         unknown = sorted(set(payload) - _CONFIG_KEYS)
         if unknown:
             raise CorpusError(f"unknown config keys: {', '.join(unknown)}")
         RunConfig(**payload)
-    except (TypeError, ValueError) as err:   # json.JSONDecodeError is a ValueError
+    except (TypeError, ValueError) as err:
         raise CorpusError(f"{path}: {err}") from err
     return payload
 
@@ -138,12 +135,16 @@ def _build_prompts(examples, config: RunConfig, category_vocab, token_vocab):
             for ex in examples]
 
 
-def _fit_length(prompted_list, config: RunConfig):
-    """Split prompted examples into (usable, dropped) by the length limits."""
+def _fit_length(prompted_list, config: RunConfig, path):
+    """Split prompted examples into (usable, dropped) by the length limits;
+    an empty answer, which has nothing to train on, is a ``CorpusError``."""
     usable, dropped = [], 0
     for p in prompted_list:
-        target_len = len(prompt.tokenize(p.target_text)) + 1
-        if len(p.source_tokens) > config.max_source_len or target_len > config.max_target_len:
+        target = prompt.tokenize(p.target_text)
+        if not target:
+            raise CorpusError(f"{path}: example {p.origin.story_id}/{p.origin.turn.turn_id} "
+                              f"has an empty answer")
+        if len(p.source_tokens) > config.max_source_len or len(target) + 1 > config.max_target_len:
             dropped += 1
         else:
             usable.append(p)
@@ -220,7 +221,7 @@ def _cmd_train(args, config: RunConfig) -> int:
         model_config = replace(config.section(M.ModelConfig), vocab_size=token_vocab.size)
         store = M.init_params(model_config, config.seed)
     prompted = _build_prompts(examples, config, category_vocab, token_vocab)
-    prompted, dropped = _fit_length(prompted, config)
+    prompted, dropped = _fit_length(prompted, config, args.input)
     if dropped:
         print(f"dropped {dropped} over-length examples", file=sys.stderr)
     if not prompted:
@@ -295,11 +296,11 @@ def _read_predictions(path, examples, multi_ref, coqa_path):
     extra = corpus.load_additional_answers(coqa_path) if (multi_ref and coqa_path) else {}
 
     def build(record):
-        key = (record["story_id"], record["turn_id"])
+        checked = evalmod.Prediction(**record, references=[""])   # the types before the lookup
+        key = (checked.story_id, checked.turn_id)
         if key not in by_key:
-            raise EvalError(f"prediction for unknown example {key[0]}/{key[1]}")
-        return key, evalmod.Prediction(**record, references=[by_key[key].turn.answer,
-                                                              *extra.get(key, [])])
+            raise CorpusError(f"prediction for unknown example {key[0]}/{key[1]}")
+        return key, replace(checked, references=[by_key[key].turn.answer, *extra.get(key, [])])
     return corpus.read_records(path, build)
 
 
@@ -320,8 +321,7 @@ def _cmd_eval(args, config: RunConfig) -> int:
     vocab = prompt.build_category_vocab(examples, config.top_k_categories)
     predictions = _read_predictions(args.predictions, examples,
                                     config.multi_ref, args.coqa)
-    report = evalmod.evaluate(predictions, examples, vocab=vocab,
-                              multi=config.multi_ref, top_k=config.top_k_categories)
+    report = evalmod.evaluate(predictions, examples, vocab=vocab, top_k=config.top_k_categories)
     _emit_report(report, args, config)
     return 0
 
@@ -334,8 +334,7 @@ def _cmd_raw_baseline(args, config: RunConfig) -> int:
             raise UsageError("--multi-ref needs the original CoQA JSON as --input")
         extra = corpus.load_additional_answers(args.input)
     vocab = prompt.build_category_vocab(examples, config.top_k_categories)
-    report = evalmod.raw_baseline(examples, tighten=config.tighten,
-                                  multi=config.multi_ref, extra_references=extra,
+    report = evalmod.raw_baseline(examples, tighten=config.tighten, extra_references=extra,
                                   vocab=vocab, top_k=config.top_k_categories)
     _emit_report(report, args, config)
     return 0
@@ -488,7 +487,7 @@ def run(argv=None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as err:   # a bad path; CorpusError, EvalError, CheckpointError
+    except (OSError, ValueError) as err:   # a bad path; CorpusError
         print(f"data error: {err}", file=sys.stderr)
         return 2
 

@@ -8,10 +8,11 @@ sequence appears contiguously inside the normalised rationale;
 everything else (including unanswerable turns, which have no rationale)
 is generative.
 
-Every JSON-lines file (store, prompts, predictions) is written by
-``write_records`` and read by ``read_records``: each line is a record
-that checks its own field types, so a line that is not exactly one is a
-``CorpusError`` naming ``path:line``.  A store line is a ``DialogueExample``'s
+Every whole-file JSON input (CoQA, config, checkpoint) is read by
+``read_json``, and every JSON-lines file (store, prompts, predictions)
+is written by ``write_records`` and read by ``read_records``: each line
+is a record that checks its own field types, so a line that is not
+exactly one is a ``CorpusError`` naming ``path:line``.  A store line is a ``DialogueExample``'s
 fields in order, its turns as ``ConversationTurn`` fields, its answer class as the value.
 """
 
@@ -33,7 +34,8 @@ _DROP_PUNCT = str.maketrans("", "", string.punctuation)
 
 
 class CorpusError(ValueError):
-    """Malformed or structurally inconsistent input data."""
+    """Any fault of the input: a file, a record in it, or predictions that do
+    not fit the examples they score."""
 
 
 class AnswerClass(Enum):
@@ -113,16 +115,15 @@ def normalize(text: str) -> str:
 
 
 def _normalized_word_spans(text: str) -> list[tuple[int, int, str]]:
-    """Whitespace tokens with char offsets and their normalised forms.
+    """The tokens of normalize(text), each with the char span of the
+    whitespace token it comes from.
 
     Normalising a whitespace token independently gives exactly its
     contribution to normalize(text): zero tokens (pure punctuation or an
-    article) or one.
+    article) or more (``—the—kite`` gives ``—`` and ``—kite``).
     """
-    spans = []
-    for m in _WHITESPACE_TOKEN.finditer(text):
-        spans.append((m.start(), m.end(), normalize(m.group())))
-    return spans
+    return [(m.start(), m.end(), word) for m in _WHITESPACE_TOKEN.finditer(text)
+            for word in normalize(m.group()).split()]
 
 
 def _find_answer_window(answer: str, rationale: str) -> tuple[int, int] | None:
@@ -130,7 +131,7 @@ def _find_answer_window(answer: str, rationale: str) -> tuple[int, int] | None:
     want = normalize(answer).split()
     if not want:
         return None
-    spans = [(s, e, norm) for s, e, norm in _normalized_word_spans(rationale) if norm]
+    spans = _normalized_word_spans(rationale)
     have = [norm for _, _, norm in spans]
     best: tuple[int, int] | None = None
     for i in range(len(have) - len(want) + 1):
@@ -216,12 +217,8 @@ def _per_story(path: str | Path, read_story) -> list:
     """``read_story(story_id, entry)``'s items for every story of a
     CoQA-format JSON file, in file order.  A malformed field is a
     ``CorpusError`` naming the file and the story."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise CorpusError(f"{path}: malformed JSON at byte offset {err.pos}: {err.msg}") from err
-    _require(isinstance(payload, dict) and isinstance(payload.get("data"), list),
-             "{}: expected a top-level 'data' array", path)
+    payload = read_json(path)
+    _require(isinstance(payload.get("data"), list), "{}: expected a top-level 'data' array", path)
     items, seen = [], set()
     for index, entry in enumerate(payload["data"]):
         _require(isinstance(entry, dict), "{}: data entry {} is not an object", path, index)
@@ -277,7 +274,21 @@ def load_additional_answers(path: str | Path) -> dict[tuple[str, int], list[str]
     return refs
 
 
-# -- JSON lines --
+# -- JSON files and JSON lines --
+
+def read_json(path: str | Path) -> dict:
+    """The JSON object a whole file holds.  A byte that is not UTF-8, malformed
+    JSON (with its line) or another top-level value is a ``CorpusError`` naming the file."""
+    try:   # bytes, decoded once with no newline translation
+        payload = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as err:   # its "position" is the byte offset
+        raise CorpusError(f"{path}: {err}") from err
+    except json.JSONDecodeError as err:
+        raise CorpusError(f"{path}: malformed JSON at line {err.lineno}, byte offset "
+                          f"{len(err.doc[:err.pos].encode())}: {err.msg}") from err
+    _require(type(payload) is dict, "{}: expected a JSON object", path)
+    return payload
+
 
 def write_records(path: str | Path, records) -> None:
     """One ``json.dumps(record, ensure_ascii=False)`` line per record."""

@@ -3,8 +3,10 @@
 Answers are compared after ``normalize`` (defined in ``pgc.corpus``,
 which classifies answers with it, and importable from here).  Scores
 are kept at full precision internally and rounded to one decimal only
-for display.  A report's JSON form is its fields in declaration order,
-with ``per_category`` rows as objects.
+for display.  A turn with more than one reference (``--multi-ref``) is
+scored by CoQA's leave-one-out rule (``score_multi``).  A report's JSON
+form is its fields in declaration order, with ``per_category`` rows as
+objects.
 """
 
 from __future__ import annotations
@@ -15,12 +17,8 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .corpus import check_fields, normalize, tighten_rationale
+from .corpus import CorpusError, check_fields, normalize, tighten_rationale
 from .prompt import categorize
-
-
-class EvalError(ValueError):
-    """A prediction set that cannot be scored against the given examples."""
 
 
 def em(pred: str, gold: str) -> int:
@@ -43,14 +41,18 @@ def f1(pred: str, gold: str) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def score_multi(pred: str, references: list[str], multi: bool = False) -> tuple[int, float]:
-    """(EM, F1) against the primary reference, or the max over all of them."""
+def score_multi(pred: str, references: list[str]) -> tuple[float, float]:
+    """(EM, F1) as CoQA scores them: against a lone reference, the plain
+    scores; with n > 1, each reference is left out in turn and the maxima
+    over the other n - 1 are averaged."""
     if not references:
-        raise EvalError("a prediction needs at least one reference")
-    if not multi:
-        return em(pred, references[0]), f1(pred, references[0])
-    return (max(em(pred, ref) for ref in references),
-            max(f1(pred, ref) for ref in references))
+        raise CorpusError("a prediction needs at least one reference")
+    scores = [(em(pred, ref), f1(pred, ref)) for ref in references]
+    if len(scores) == 1:
+        return scores[0]
+    rests = [scores[:i] + scores[i + 1:] for i in range(len(scores))]
+    return (sum(max(em_i for em_i, _ in rest) for rest in rests) / len(scores),
+            sum(max(f1_i for _, f1_i in rest) for rest in rests) / len(scores))
 
 
 @dataclass
@@ -64,7 +66,7 @@ class Prediction:
     def __post_init__(self):
         check_fields(self)
         if not self.references:
-            raise EvalError(f"prediction {self.story_id}/{self.turn_id} has no references")
+            raise CorpusError(f"prediction {self.story_id}/{self.turn_id} has no references")
 
 
 @dataclass
@@ -111,12 +113,11 @@ def _mean_pct(values: list[float]) -> float | None:
     return 100.0 * sum(values) / len(values)
 
 
-def evaluate(predictions: list[Prediction], examples, vocab=None,
-             multi: bool = False, top_k: int = 10) -> EvalReport:
+def evaluate(predictions: list[Prediction], examples, vocab=None, top_k: int = 10) -> EvalReport:
     """Score predictions against their examples, split by answer class.
 
     Every prediction must match an example by (story_id, turn_id), at
-    most one per example, or ``EvalError`` is raised.  Examples without
+    most one per example, or ``CorpusError`` is raised.  Examples without
     a prediction are not scored; the report counts them in
     ``n_missing``.  ``vocab`` is a category vocabulary used for the
     per-category F1 breakdown (skipped if None).
@@ -129,12 +130,12 @@ def evaluate(predictions: list[Prediction], examples, vocab=None,
     for pred in predictions:
         key = (pred.story_id, pred.turn_id)
         if key not in by_key:
-            raise EvalError(f"prediction for unknown example {key[0]}/{key[1]}")
+            raise CorpusError(f"prediction for unknown example {key[0]}/{key[1]}")
         if key in seen:
-            raise EvalError(f"second prediction for {key[0]}/{key[1]}")
+            raise CorpusError(f"second prediction for {key[0]}/{key[1]}")
         seen.add(key)
         ex = by_key[key]
-        em_i, f1_i = score_multi(pred.text, pred.references, multi=multi)
+        em_i, f1_i = score_multi(pred.text, pred.references)
         cls = ex.answer_class.value
         ems[cls].append(float(em_i))
         f1s[cls].append(f1_i)
@@ -164,14 +165,14 @@ def evaluate(predictions: list[Prediction], examples, vocab=None,
     )
 
 
-def raw_baseline(examples, tighten: bool = False, multi: bool = False,
-                 extra_references=None, vocab=None, top_k: int = 10) -> EvalReport:
+def raw_baseline(examples, tighten: bool = False, extra_references=None, vocab=None,
+                 top_k: int = 10) -> EvalReport:
     """Score the annotated rationale itself as the predicted answer.
 
     With ``tighten``, extractive rationales are first cut down to the
     answer-matching sub-span, which forces EM/F1 of 1 on that split.
     ``extra_references`` maps (story_id, turn_id) to additional gold
-    texts used when ``multi`` scoring is on.
+    texts, scored with the primary answer by ``score_multi``.
     """
     extra_references = extra_references or {}
     predictions = []
@@ -182,7 +183,7 @@ def raw_baseline(examples, tighten: bool = False, multi: bool = False,
             story_id=ex.story_id, turn_id=ex.turn.turn_id,
             text=source.turn.rationale, references=refs,
         ))
-    return evaluate(predictions, examples, vocab=vocab, multi=multi, top_k=top_k)
+    return evaluate(predictions, examples, vocab=vocab, top_k=top_k)
 
 
 def write_report(report: EvalReport, path: Path, config: dict) -> None:

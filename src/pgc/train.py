@@ -23,17 +23,14 @@ import numpy as np
 
 from . import model as M
 from . import tensor as T
-from .corpus import ConversationTurn, DialogueExample, check_fields, classify_answer
+from .corpus import (ConversationTurn, CorpusError, DialogueExample, check_fields,
+                     classify_answer, read_json)
 from .model import ModelConfig
 from .prompt import (BOS, EOS, PAD, SPECIAL_TOKENS, UNK, CategoryVocab, PromptedExample,
                      PromptVersion, PromptVersionId, TokenVocab, tokenize)
 from .tensor import ParamStore
 
 CHECKPOINT_FORMAT_VERSION = 3
-
-
-class CheckpointError(ValueError):
-    """A checkpoint that cannot be loaded against the requested setup."""
 
 
 @dataclass(frozen=True)
@@ -341,15 +338,15 @@ def _config_from_checkpoint(path, payload: dict, key: str, cls):
     of its declared type and passing its own checks."""
     section = payload.get(key)
     if not isinstance(section, dict):
-        raise CheckpointError(f"{path}: {key} is missing or not an object")
+        raise CorpusError(f"{path}: {key} is missing or not an object")
     names = {f.name for f in fields(cls)}
     unknown, missing = sorted(set(section) - names), sorted(names - set(section))
     if unknown or missing:
-        raise CheckpointError(f"{path}: {key}: unknown keys {unknown}, missing keys {missing}")
+        raise CorpusError(f"{path}: {key}: unknown keys {unknown}, missing keys {missing}")
     try:
         return cls(**section)
     except (TypeError, ValueError) as err:
-        raise CheckpointError(f"{path}: {key}: {err}") from err
+        raise CorpusError(f"{path}: {key}: {err}") from err
 
 
 _CHECKPOINT_KEYS = {"format_version", "config_hash", "model_config", "train_config", "step",
@@ -369,24 +366,24 @@ def _fill_state(path, payload: dict, store: ParamStore) -> None:
     of exactly the store's number of float64 values, all finite."""
     layout = payload["layout"]
     if not isinstance(layout, list):
-        raise CheckpointError(f"{path}: layout is not a list")
+        raise CorpusError(f"{path}: layout is not a list")
     got, want = [json.dumps(e) for e in layout], [json.dumps(e) for e in _layout(store)]
     if got != want:
         i, have, expected = next((i, a, b) for i, (a, b) in
                                  enumerate(zip(got + ["nothing"], want + ["nothing"])) if a != b)
-        raise CheckpointError(f"{path}: layout entry {i} is {have}, expected {expected}")
+        raise CorpusError(f"{path}: layout entry {i} is {have}, expected {expected}")
     for key, flat in _vectors(store):
         try:   # TypeError: not a string; ValueError: not base64 (binascii.Error)
             raw = base64.b64decode(payload[key], validate=True)
         except (TypeError, ValueError) as err:
-            raise CheckpointError(f"{path}: {key} is not a base64 string: {err}") from err
+            raise CorpusError(f"{path}: {key} is not a base64 string: {err}") from err
         if len(raw) != flat.nbytes:
-            raise CheckpointError(f"{path}: {key} holds {len(raw)} bytes, expected "
-                                  f"{flat.size} float64 values ({flat.nbytes} bytes)")
+            raise CorpusError(f"{path}: {key} holds {len(raw)} bytes, expected "
+                              f"{flat.size} float64 values ({flat.nbytes} bytes)")
         flat[:] = np.frombuffer(raw, dtype="<f8")
         name = store.non_finite(flat)
         if name is not None:
-            raise CheckpointError(f"{path}: {key}: {name} holds NaN or inf")
+            raise CorpusError(f"{path}: {key}: {name} holds NaN or inf")
 
 
 def checkpoint_load(path: str | Path, expected_config: ModelConfig | None = None):
@@ -397,47 +394,40 @@ def checkpoint_load(path: str | Path, expected_config: ModelConfig | None = None
     section hold exactly that many finite values; ``step``
     and ``epochs_completed`` are ints >= 0, and the token vocabulary plus
     the special tokens is ``model_config.vocab_size`` long.  Anything
-    else is a ``CheckpointError`` naming the path.
+    else is a ``CorpusError`` naming the path.
     """
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise CheckpointError(f"{path}: not a checkpoint file: {err}") from err
-    if not isinstance(payload, dict):
-        raise CheckpointError(f"{path}: not a checkpoint file: not a JSON object")
+    payload = read_json(path)
     version = payload.get("format_version")
     if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint format version {version}")
+        raise CorpusError(f"{path}: unsupported checkpoint format version {version}")
     unknown = sorted(set(payload) - _CHECKPOINT_KEYS)
     missing = sorted(_CHECKPOINT_KEYS - set(payload))
     if unknown or missing:
-        raise CheckpointError(f"{path}: unknown keys {unknown}, missing keys {missing}")
+        raise CorpusError(f"{path}: unknown keys {unknown}, missing keys {missing}")
     model_config = _config_from_checkpoint(path, payload, "model_config", ModelConfig)
     if payload["config_hash"] != config_hash(model_config):
-        raise CheckpointError(f"{path}: config_hash does not match model_config")
+        raise CorpusError(f"{path}: config_hash does not match model_config")
     if expected_config is not None and expected_config != model_config:
-        raise CheckpointError(
-            f"{path}: checkpoint was written for a different model configuration")
+        raise CorpusError(f"{path}: checkpoint was written for a different model configuration")
     train_config = _config_from_checkpoint(path, payload, "train_config", TrainConfig)
     store = ParamStore({name: np.zeros(shape) for name, shape in M.param_shapes(model_config)})
     _fill_state(path, payload, store)
     step, epochs = payload["step"], payload["epochs_completed"]
     if type(step) is not int or step < 0 or type(epochs) is not int or epochs < 0:
-        raise CheckpointError(f"{path}: step and epochs_completed must be ints >= 0, "
-                              f"got {step!r} and {epochs!r}")
+        raise CorpusError(f"{path}: step and epochs_completed must be ints >= 0, "
+                          f"got {step!r} and {epochs!r}")
     store.step = step
     tokens, categories = payload["token_vocab"], payload["category_vocab"]
     if not (_is_str_list(tokens) and _is_str_list(categories)):
-        raise CheckpointError(f"{path}: token_vocab and category_vocab must be lists of "
-                              f"strings")
+        raise CorpusError(f"{path}: token_vocab and category_vocab must be lists of strings")
     try:
         vocab = TokenVocab(tokens)
         category_vocab = CategoryVocab(tuple(categories))
     except ValueError as err:
-        raise CheckpointError(f"{path}: {err}") from err
+        raise CorpusError(f"{path}: {err}") from err
     if vocab.tokens[len(SPECIAL_TOKENS):] != tokens or vocab.size != model_config.vocab_size:
-        raise CheckpointError(f"{path}: token_vocab must be {model_config.vocab_size} - "
-                              f"{len(SPECIAL_TOKENS)} tokens other than the special ones, "
-                              f"got {len(tokens)}")
+        raise CorpusError(f"{path}: token_vocab must be {model_config.vocab_size} - "
+                          f"{len(SPECIAL_TOKENS)} tokens other than the special ones, "
+                          f"got {len(tokens)}")
     meta = {"epochs_completed": epochs, "category_vocab": category_vocab}
     return store, model_config, train_config, vocab, meta

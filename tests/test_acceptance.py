@@ -337,7 +337,7 @@ def test_criterion_10_metric_golden_vectors():
         evalmod.em("the nap", "nap") == 1,
         evalmod.f1("red kite", "red kite") == 1.0,
         evalmod.f1("red kite", "blue dune") == 0.0,
-        evalmod.score_multi("no", ["no", "No."], multi=True) == (1, 1.0),
+        evalmod.score_multi("no", ["no", "No."]) == (1, 1.0),
         corpus.classify_answer(
             "surgical anesthetic propofol",
             "overdose of sedatives and the surgical anesthetic propofol",

@@ -245,6 +245,24 @@ class _Stopped(Exception):
     """Ends a training run from inside a checkpoint write."""
 
 
+def test_train_refuses_an_empty_answer_before_the_first_step(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "copy.jsonl"
+    assert cli.run(["synthetic", "--task", "copy", "--n", "64", "--min-len", "2",
+                    "--max-len", "4", "--lexicon-size", "48", "--output", str(data)]) == 0
+    lines = data.read_text(encoding="utf-8").splitlines()
+    last = json.loads(lines[-1])
+    last["turn"]["answer"], last["answer_class"] = "", "Generative"
+    _write_lines(data, lines[:-1] + [json.dumps(last)])
+    steps = []
+    monkeypatch.setattr("pgc.train.train_loop", lambda *args, **kwargs: steps.append(args))
+    ckpt = tmp_path / "ckpt.json"
+    assert cli.run(["train", "--input", str(data), "--output", str(ckpt),
+                    *TINY_TRAIN_FLAGS]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {data}: example {last['story_id']}/1 has an empty answer" in err
+    assert steps == [] and not ckpt.exists()
+
+
 class TestIntervalCheckpoint:
     def test_stopped_run_predicts_with_the_training_categories(self, tmp_path,
                                                                monkeypatch):
@@ -588,6 +606,21 @@ class TestMalformedPredictions:
     ``text`` for a distinct example of the store ends in exit 2 naming
     ``path:line``, never in a traceback."""
 
+    @pytest.mark.parametrize("key,value,detail", [
+        ("story_id", [1], "story_id: expected str, got list"),
+        ("story_id", {"id": 1}, "story_id: expected str, got dict"),
+        ("turn_id", [1], "turn_id: expected int, got list"),
+        ("turn_id", {"id": 1}, "turn_id: expected int, got dict"),
+    ], ids=["story_id-list", "story_id-object", "turn_id-list", "turn_id-object"])
+    def test_a_key_field_of_another_type_is_named(self, store_path, tmp_path, capsys,
+                                                  key, value, detail):
+        preds = _write_lines(tmp_path / "preds.jsonl", [
+            json.dumps(TestEvalInput.GOOD), json.dumps({**TestEvalInput.GOOD, key: value})])
+        assert cli.run(["eval", "--predictions", str(preds), "--examples", str(store_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {preds}:2: bad record: {detail}" in err
+        assert "Traceback" not in err
+
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_mutated_line_exits_2(self, store_lines, data):
@@ -803,6 +836,42 @@ class TestExportAttention:
         assert cli.run(["export-attention", "--checkpoint", str(ckpt),
                         "--input", str(data), "--index", "999", "--layer", "0",
                         "--heads", "0", "--out-dir", str(tmp_path / "x")]) == 2
+
+
+class TestWholeFileFaults:
+    """A byte that is not UTF-8, or malformed JSON, in a CoQA file, a config
+    file or a checkpoint ends in exit 2 with a message that starts with the
+    file's name, and malformed JSON also gives its line."""
+
+    COMMANDS = {
+        "ingest": lambda bad, store, ckpt, out: [
+            "ingest", "--input", bad, "--output", out],
+        "stats": lambda bad, store, ckpt, out: ["stats", "--input", bad],
+        "eval-coqa": lambda bad, store, ckpt, out: [
+            "eval", "--predictions", store, "--examples", store, "--multi-ref", "--coqa", bad],
+        "config": lambda bad, store, ckpt, out: [
+            "stats", "--input", store, "--config", bad],
+        "predict": lambda bad, store, ckpt, out: [
+            "predict", "--input", store, "--checkpoint", bad, "--output", out],
+        "resume": lambda bad, store, ckpt, out: [
+            "train", "--input", store, "--resume", bad, "--output", out],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("fault,detail", [
+        (b'{"data": [\xff]}', "'utf-8' codec can't decode byte 0xff in position 10"),
+        (b'{\n  "data": [}', "malformed JSON at line 2, byte offset 13"),
+    ], ids=["byte-0xff", "malformed"])
+    def test_exit_2_starts_with_the_file(self, trained, tmp_path, capsys, command, fault,
+                                         detail):
+        data, ckpt = trained
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(fault)
+        argv = self.COMMANDS[command](str(bad), str(data), str(ckpt), str(tmp_path / "out"))
+        assert cli.run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {bad}: {detail}")
+        assert "Traceback" not in err
 
 
 class TestExitCodesAndConfig:
@@ -1032,8 +1101,7 @@ class TestSettingSource:
         config = tmp_path / "config.json"
         config.write_text(text)
         assert cli.run(["stats", "--input", "whatever", "--config", str(config)]) == 2
-        assert f"data error: {config}: config must be a JSON object" in \
-            capsys.readouterr().err
+        assert f"data error: {config}: expected a JSON object" in capsys.readouterr().err
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())

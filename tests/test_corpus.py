@@ -80,6 +80,28 @@ class TestTightenRationale:
         ["red", "kite", "dune", "wind", "rocks", "a", "the", "sat", "ran."]),
         min_size=1, max_size=8)
 
+    def test_a_token_that_normalises_to_two_words_gets_its_window(self):
+        ex = make_example("— —kite", "she flew —the—kite today")
+        assert ex.answer_class is AnswerClass.EXTRACTIVE
+        assert tighten_rationale(ex).turn.rationale == "—the—kite"
+
+    @given(data=st.data(), rationale_words=st.lists(st.sampled_from(
+        ["red", "kite", "the", "a", "—", "—the—kite", "a—red", "kite—", "ran.", "—a"]),
+        min_size=1, max_size=8))
+    def test_every_extractive_answer_has_a_window(self, data, rationale_words):
+        """An answer made of a run of the rationale's normalised words is
+        extractive, and tightening keeps it extractive."""
+        rationale = " ".join(rationale_words)
+        have = normalize(rationale).split()
+        assume(have)
+        i = data.draw(st.integers(0, len(have) - 1), label="start")
+        j = data.draw(st.integers(i + 1, len(have)), label="end")
+        ex = make_example(" ".join(have[i:j]), rationale)
+        assert ex.answer_class is AnswerClass.EXTRACTIVE
+        assert corpus._find_answer_window(ex.turn.answer, rationale) is not None
+        tightened = tighten_rationale(ex).turn.rationale
+        assert classify_answer(ex.turn.answer, tightened) is AnswerClass.EXTRACTIVE
+
     @given(answer_words=words, rationale_words=words)
     def test_idempotent(self, answer_words, rationale_words):
         ex = make_example(" ".join(answer_words), " ".join(rationale_words))

@@ -8,8 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pgc import eval as evalmod
-from pgc.eval import (EvalError, EvalReport, Prediction, em, evaluate, f1,
-                      normalize, raw_baseline, score_multi)
+from pgc.corpus import CorpusError
+from pgc.eval import (EvalReport, Prediction, em, evaluate, f1, normalize, raw_baseline,
+                      score_multi)
 from pgc.prompt import CategoryVocab
 
 from test_corpus import make_example
@@ -71,25 +72,50 @@ class TestF1:
             assert f1(a, b) == 1.0
 
 
+def coqa_turn_score(pred, references):
+    """CoQA evaluate-v1.0's ``_compute_turn_score``, loop for loop."""
+    em_sum = f1_sum = 0.0
+    if len(references) > 1:
+        for i in range(len(references)):
+            rest = references[0:i] + references[i + 1:]
+            em_sum += max(em(ref, pred) for ref in rest)
+            f1_sum += max(f1(ref, pred) for ref in rest)
+    else:
+        em_sum += max(em(ref, pred) for ref in references)
+        f1_sum += max(f1(ref, pred) for ref in references)
+    return em_sum / max(1, len(references)), f1_sum / max(1, len(references))
+
+
 class TestScoreMulti:
-    def test_single_reference_mode_uses_primary(self):
-        assert score_multi("no", ["yes", "no"]) == (0, 0.0)
+    """One reference gives the plain score; with n > 1, each reference is
+    left out in turn and the maxima over the others are averaged."""
 
-    def test_max_mode_over_references(self):
-        assert score_multi("no", ["no", "No."], multi=True) == (1, 1.0)
+    words = st.lists(st.sampled_from(["red", "kite", "dune", "the", "a", "ran", "no"]),
+                     max_size=4).map(" ".join)
 
-    def test_max_mode_dominates_single(self):
+    def test_one_reference_is_the_plain_score(self):
+        assert score_multi("no", ["yes"]) == (0, 0.0)
+        assert score_multi("took a nap", ["taking a nap"]) == (0, 0.5)
+
+    def test_leave_one_out_golden_vectors(self):
         refs = ["red kite", "kite", "a kite ran"]
-        for pred in ("kite", "red", "dune", "a kite"):
-            single = score_multi(pred, refs)
-            multi = score_multi(pred, refs, multi=True)
-            assert multi[0] >= single[0]
-            assert multi[1] >= single[1]
+        assert score_multi("red", refs)[1] == pytest.approx(4 / 9)   # (0 + 2/3 + 2/3) / 3
+        assert score_multi("red kite", refs)[0] == pytest.approx(2 / 3)
+        assert score_multi("no", ["no", "No."]) == (1, 1.0)
+        assert score_multi("no", ["yes", "no"]) == (0.5, 0.5)
+
+    @given(pred=words, refs=st.lists(words, min_size=1, max_size=4))
+    def test_matches_coqas_loop_and_lies_within_the_references(self, pred, refs):
+        got = score_multi(pred, refs)
+        assert got == coqa_turn_score(pred, refs)
+        for score, metric in zip(got, (em, f1)):
+            each = [metric(pred, ref) for ref in refs]
+            assert min(each) - 1e-12 <= score <= max(each) + 1e-12   # a mean's rounding
 
     def test_no_references_rejected(self):
-        with pytest.raises(EvalError):
+        with pytest.raises(CorpusError):
             score_multi("x", [])
-        with pytest.raises(EvalError):
+        with pytest.raises(CorpusError):
             Prediction(story_id="s", turn_id=1, text="x", references=[])
 
 
@@ -128,7 +154,7 @@ class TestEvaluate:
     def test_unknown_prediction_rejected(self):
         examples = self.examples()
         bad = Prediction(story_id="nope", turn_id=7, text="x", references=["x"])
-        with pytest.raises(EvalError):
+        with pytest.raises(CorpusError):
             evaluate([bad], examples)
 
     def five_examples(self):
@@ -138,7 +164,7 @@ class TestEvaluate:
     def test_duplicate_prediction_rejected(self):
         examples = self.five_examples()
         preds = predictions_for(examples[:1], ["red kite"]) * 3
-        with pytest.raises(EvalError, match="second prediction for s0/1"):
+        with pytest.raises(CorpusError, match="second prediction for s0/1"):
             evaluate(preds, examples)
 
     def test_examples_without_a_prediction_are_counted(self):
@@ -214,9 +240,10 @@ class TestRawBaseline:
         key = (examples[0].story_id, examples[0].turn.turn_id)
         extra = {key: ["she flew a red kite today"]}
         single = raw_baseline(examples)
-        multi = raw_baseline(examples, multi=True, extra_references=extra)
+        multi = raw_baseline(examples, extra_references=extra)
         assert single.e_em == 0.0
-        assert multi.e_em == 100.0
+        assert multi.e_em == 50.0   # (1 without the answer + 0 without the extra one) / 2
+        assert multi.e_f1 > single.e_f1
 
 
 class TestReportOutput:

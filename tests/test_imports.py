@@ -1,7 +1,9 @@
 """The package's modules import one way: only at module level, and with
-no cycle among their relative imports."""
+no cycle among their relative imports.  Only ``pgc.corpus`` parses JSON,
+and its ``CorpusError`` is the one error for bad input."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -49,6 +51,27 @@ def find_cycle(graph: dict[str, set[str]]) -> list[str] | None:
             if cycle:
                 return cycle
     return None
+
+
+def json_parse_lines(tree: ast.Module) -> list[int]:
+    """Line numbers of the calls of ``json.loads`` and ``json.load``."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("load", "loads") and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "json"]
+
+
+def exception_classes(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:
+    """The ``(module, class)`` pairs of the classes that derive, directly or
+    through another such class, from a built-in exception."""
+    classes = {(name, node.name): {b.id for b in node.bases if isinstance(b, ast.Name)}
+               for name, tree in trees.items()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    found, names = set(), {b for b in dir(builtins) if b.endswith(("Error", "Exception"))}
+    while more := {key for key, bases in classes.items() if bases & names} - found:
+        found |= more
+        names |= {cls for _, cls in more}
+    return found
 
 
 def parse(sources: dict[str, str]) -> dict[str, ast.Module]:
@@ -107,3 +130,24 @@ def test_the_checks_see_what_they_forbid():
     assert find_cycle(import_graph(trees)) is None   # c's import is not at module level
     trees["c"] = ast.parse("from .a import z\n")
     assert find_cycle(import_graph(trees)) == ["a", "b", "c", "a"]
+
+
+def test_only_corpus_parses_json(package_trees):
+    found = {name: lines for name, tree in package_trees.items()
+             if (lines := json_parse_lines(tree))}
+    assert set(found) == {"corpus"}
+
+
+def test_corpus_error_and_usage_error_are_the_only_exceptions(package_trees):
+    assert exception_classes(package_trees) == {("corpus", "CorpusError"), ("cli", "UsageError")}
+
+
+def test_the_structure_checks_see_what_they_forbid():
+    trees = parse({
+        "a": "import json\n\nclass AError(ValueError):\n    pass\n\nx = json.loads('1')\n",
+        "b": "class BError(AError):\n    pass\n\nclass Plain:\n    pass\n\n"
+             "def f(fh):\n    return json.load(fh)\n",
+        "c": "class Parser(argparse.ArgumentParser):\n    pass\n\nx = json.dumps(1)\n",
+    })
+    assert [json_parse_lines(trees[name]) for name in "abc"] == [[6], [8], []]
+    assert exception_classes(trees) == {("a", "AError"), ("b", "BError")}

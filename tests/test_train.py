@@ -16,11 +16,11 @@ from pgc import model as M
 from pgc import prompt as P
 from pgc import tensor as T
 from pgc import train as TR
-from pgc.corpus import AnswerClass
+from pgc.corpus import AnswerClass, CorpusError
 from pgc.model import ModelConfig
 from pgc.prompt import PromptVersion, PromptVersionId, TokenVocab
 from pgc.tensor import Tensor
-from pgc.train import (CheckpointError, SyntheticSpec, TrainConfig,
+from pgc.train import (SyntheticSpec, TrainConfig,
                        checkpoint_load, checkpoint_save, make_synthetic,
                        teacher_forced_loss, token_accuracy,
                        train_loop)
@@ -242,13 +242,13 @@ class TestCheckpoints:
         path = tmp_path / "ckpt.json"
         checkpoint_save(path, params, model, config, vocab, CATEGORIES, 2)
         other = replace(model, d_model=32)
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CorpusError):
             checkpoint_load(path, expected_config=other)
 
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("not json")
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CorpusError):
             checkpoint_load(path)
 
     @pytest.mark.parametrize("damage", [
@@ -283,7 +283,7 @@ class TestCheckpoints:
         else:
             del payload[damage.split()[1]]
         path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match=str(path)):
+        with pytest.raises(CorpusError, match=str(path)):
             checkpoint_load(path)
 
     def test_extreme_values_round_trip_byte_exactly(self, tmp_path):
