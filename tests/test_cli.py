@@ -844,17 +844,12 @@ class TestWholeFileFaults:
     file's name, and malformed JSON also gives its line."""
 
     COMMANDS = {
-        "ingest": lambda bad, store, ckpt, out: [
-            "ingest", "--input", bad, "--output", out],
-        "stats": lambda bad, store, ckpt, out: ["stats", "--input", bad],
-        "eval-coqa": lambda bad, store, ckpt, out: [
-            "eval", "--predictions", store, "--examples", store, "--multi-ref", "--coqa", bad],
-        "config": lambda bad, store, ckpt, out: [
-            "stats", "--input", store, "--config", bad],
-        "predict": lambda bad, store, ckpt, out: [
-            "predict", "--input", store, "--checkpoint", bad, "--output", out],
-        "resume": lambda bad, store, ckpt, out: [
-            "train", "--input", store, "--resume", bad, "--output", out],
+        "ingest": "ingest --input {bad} --output {out}",
+        "stats": "stats --input {bad}",
+        "eval-coqa": "eval --predictions {store} --examples {store} --multi-ref --coqa {bad}",
+        "config": "stats --input {store} --config {bad}",
+        "predict": "predict --input {store} --checkpoint {bad} --output {out}",
+        "resume": "train --input {store} --resume {bad} --output {out}",
     }
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -864,11 +859,11 @@ class TestWholeFileFaults:
     ], ids=["byte-0xff", "malformed"])
     def test_exit_2_starts_with_the_file(self, trained, tmp_path, capsys, command, fault,
                                          detail):
-        data, ckpt = trained
+        data, _ = trained
         bad = tmp_path / "bad.json"
         bad.write_bytes(fault)
-        argv = self.COMMANDS[command](str(bad), str(data), str(ckpt), str(tmp_path / "out"))
-        assert cli.run(argv) == 2
+        argv = self.COMMANDS[command].format(bad=bad, store=data, out=tmp_path / "out")
+        assert cli.run(argv.split()) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {bad}: {detail}")
         assert "Traceback" not in err
