@@ -355,6 +355,12 @@ def _cmd_export_attention(args, config: RunConfig) -> int:
         raise CorpusError(f"example index {args.index} out of range")
     config, store, model_config, token_vocab, category_vocab, _ = \
         _open_checkpoint(args.checkpoint, config, args)
+    if not 0 <= args.layer < model_config.n_enc_layers:
+        raise UsageError(f"--layer {args.layer} out of range "
+                         f"(0..{model_config.n_enc_layers - 1})")
+    bad = [h for h in args.heads if not 0 <= h < model_config.n_heads]
+    if bad:
+        raise UsageError(f"--heads {bad} out of range (0..{model_config.n_heads - 1})")
     p = prompt.build_prompt(examples[args.index], config.prompt_version_obj(),
                             category_vocab, token_vocab)
     paths = M.export_attention(p.source_tokens, p.source_ids, store, model_config,

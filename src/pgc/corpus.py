@@ -8,12 +8,14 @@ sequence appears contiguously inside the normalised rationale;
 everything else (including unanswerable turns, which have no rationale)
 is generative.
 
-Every whole-file JSON input (CoQA, config, checkpoint) is read by
-``read_json``, and every JSON-lines file (store, prompts, predictions)
-is written by ``write_records`` and read by ``read_records``: each line
-is a record that checks its own field types, so a line that is not
-exactly one is a ``CorpusError`` naming ``path:line``.  A store line is a ``DialogueExample``'s
-fields in order, its turns as ``ConversationTurn`` fields, its answer class as the value.
+Every whole-file JSON input (CoQA, config) is read by ``read_json``, and
+the JSON header line of a checkpoint is parsed by ``parse_json``, the
+part of ``read_json`` that parses bytes already read.  Every JSON-lines
+file (store, prompts, predictions) is written by ``write_records`` and
+read by ``read_records``: each line is a record that checks its own
+field types, so a line that is not exactly one is a ``CorpusError``
+naming ``path:line``.  A store line is a ``DialogueExample``'s fields in
+order, its turns as ``ConversationTurn`` fields, its answer class as the value.
 """
 
 from __future__ import annotations
@@ -277,10 +279,16 @@ def load_additional_answers(path: str | Path) -> dict[tuple[str, int], list[str]
 # -- JSON files and JSON lines --
 
 def read_json(path: str | Path) -> dict:
-    """The JSON object a whole file holds.  A byte that is not UTF-8, malformed
-    JSON (with its line) or another top-level value is a ``CorpusError`` naming the file."""
-    try:   # bytes, decoded once with no newline translation
-        payload = json.loads(Path(path).read_bytes().decode("utf-8"))
+    """The JSON object a whole file holds, as ``parse_json`` reads it."""
+    return parse_json(path, Path(path).read_bytes())
+
+
+def parse_json(path: str | Path, raw: bytes) -> dict:
+    """The JSON object in ``raw``, bytes of ``path``.  A byte that is not UTF-8,
+    malformed JSON (with its line) or another top-level value is a
+    ``CorpusError`` naming the file."""
+    try:   # decoded once with no newline translation
+        payload = json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as err:   # its "position" is the byte offset
         raise CorpusError(f"{path}: {err}") from err
     except json.JSONDecodeError as err:

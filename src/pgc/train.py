@@ -9,11 +9,15 @@ a copy task whose answers repeat the rationale verbatim (including
 generator-OOV words, so only the copy path can solve it) and a gate
 task whose yes/no answers never occur in the source (so only the
 generation path can solve it).
+
+A checkpoint is one line of JSON, the header, followed by the store's
+three flat vectors as raw little-endian float64 bytes; the loader reads
+the file once, parses the header line through ``pgc.corpus`` and finds
+each vector by its length, so values round-trip bit-exactly.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
@@ -24,13 +28,13 @@ import numpy as np
 from . import model as M
 from . import tensor as T
 from .corpus import (ConversationTurn, CorpusError, DialogueExample, check_fields,
-                     classify_answer, read_json)
+                     classify_answer, parse_json)
 from .model import ModelConfig
 from .prompt import (BOS, EOS, PAD, SPECIAL_TOKENS, UNK, CategoryVocab, PromptedExample,
                      PromptVersion, PromptVersionId, TokenVocab, tokenize)
 from .tensor import ParamStore
 
-CHECKPOINT_FORMAT_VERSION = 3
+CHECKPOINT_FORMAT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -302,22 +306,22 @@ def _layout(store: ParamStore) -> list:
 
 
 def _vectors(store: ParamStore):
-    """Each vector section's key and the store vector it holds."""
+    """The store's vectors in file order, each with the name messages give it."""
     return ("params", store.flat), ("adam_m", store.flat_m), ("adam_v", store.flat_v)
 
 
 def checkpoint_save(path: str | Path, store: ParamStore, model_config: ModelConfig,
                     train_config: TrainConfig, vocab: TokenVocab,
                     category_vocab: CategoryVocab, epochs_completed: int) -> None:
-    """Write parameters, Adam state, and both vocabularies as one JSON file.
+    """Write parameters, Adam state, and both vocabularies as one file.
 
-    ``layout`` lists each parameter's ``[name, shape]`` in store order;
-    ``params``, ``adam_m`` and ``adam_v`` are the base64 of the store's
-    flat vectors as little-endian float64 bytes, so values round-trip
-    bit-exactly.
+    The first line is ``json.dumps`` of the header: settings, vocabularies
+    and ``layout``, each parameter's ``[name, shape]`` in store order.
+    Then come ``params``, ``adam_m`` and ``adam_v``, the store's flat
+    vectors as little-endian float64 bytes, and nothing after them.
     """
     _check_vocab_size(vocab, model_config)
-    payload = {
+    header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config_hash": config_hash(model_config),
         "model_config": asdict(model_config),
@@ -327,16 +331,17 @@ def checkpoint_save(path: str | Path, store: ParamStore, model_config: ModelConf
         "token_vocab": vocab.tokens[len(SPECIAL_TOKENS):],
         "category_vocab": list(category_vocab.categories),
         "layout": _layout(store),
-        **{key: base64.b64encode(flat.astype("<f8", copy=False).tobytes()).decode("ascii")
-           for key, flat in _vectors(store)},
     }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    with open(path, "wb") as fh:   # json.dumps escapes every newline, so the header has none
+        fh.write(json.dumps(header).encode("ascii") + b"\n")
+        for _, flat in _vectors(store):
+            fh.write(flat.astype("<f8", copy=False).data)
 
 
-def _config_from_checkpoint(path, payload: dict, key: str, cls):
+def _config_from_checkpoint(path, header: dict, key: str, cls):
     """The ``cls`` section ``key`` of a checkpoint: exactly its fields, each
     of its declared type and passing its own checks."""
-    section = payload.get(key)
+    section = header.get(key)
     if not isinstance(section, dict):
         raise CorpusError(f"{path}: {key} is missing or not an object")
     names = {f.name for f in fields(cls)}
@@ -349,38 +354,35 @@ def _config_from_checkpoint(path, payload: dict, key: str, cls):
         raise CorpusError(f"{path}: {key}: {err}") from err
 
 
-_CHECKPOINT_KEYS = {"format_version", "config_hash", "model_config", "train_config", "step",
-                    "epochs_completed", "token_vocab", "category_vocab", "layout", "params",
-                    "adam_m", "adam_v"}
+_HEADER_KEYS = {"format_version", "config_hash", "model_config", "train_config", "step",
+                "epochs_completed", "token_vocab", "category_vocab", "layout"}
 
 
 def _is_str_list(value) -> bool:
     return isinstance(value, list) and all(type(item) is str for item in value)
 
 
-def _fill_state(path, payload: dict, store: ParamStore) -> None:
-    """Copy the checkpoint's parameters and Adam moments into ``store``.
+def _fill_state(path, header: dict, raw: bytes, start: int, store: ParamStore) -> None:
+    """Copy the parameters and Adam moments, from byte ``start`` of ``raw``
+    on, into ``store``'s own vectors.
 
     ``layout`` must be the store's ``[name, shape]`` list, JSON types
-    included (``true`` is not ``1``), and each vector section the base64
-    of exactly the store's number of float64 values, all finite."""
-    layout = payload["layout"]
+    included (``true`` is not ``1``), and ``raw`` hold from ``start`` on
+    exactly the store's three vectors of float64 values, all finite."""
+    layout = header["layout"]
     if not isinstance(layout, list):
         raise CorpusError(f"{path}: layout is not a list")
-    got, want = [json.dumps(e) for e in layout], [json.dumps(e) for e in _layout(store)]
-    if got != want:
+    if json.dumps(layout) != json.dumps(_layout(store)):   # entries only to name the first
+        got, want = [json.dumps(e) for e in layout], [json.dumps(e) for e in _layout(store)]
         i, have, expected = next((i, a, b) for i, (a, b) in
                                  enumerate(zip(got + ["nothing"], want + ["nothing"])) if a != b)
         raise CorpusError(f"{path}: layout entry {i} is {have}, expected {expected}")
-    for key, flat in _vectors(store):
-        try:   # TypeError: not a string; ValueError: not base64 (binascii.Error)
-            raw = base64.b64decode(payload[key], validate=True)
-        except (TypeError, ValueError) as err:
-            raise CorpusError(f"{path}: {key} is not a base64 string: {err}") from err
-        if len(raw) != flat.nbytes:
-            raise CorpusError(f"{path}: {key} holds {len(raw)} bytes, expected "
-                              f"{flat.size} float64 values ({flat.nbytes} bytes)")
-        flat[:] = np.frombuffer(raw, dtype="<f8")
+    size, n = len(raw) - start, store.n_values()
+    if size != 3 * 8 * n:
+        raise CorpusError(f"{path}: {size} bytes follow the header, expected 3 vectors of "
+                          f"{n} float64 values ({3 * 8 * n} bytes)")
+    for i, (key, flat) in enumerate(_vectors(store)):   # found by length, never searched
+        flat[:] = np.frombuffer(raw, dtype="<f8", count=n, offset=start + 8 * n * i)
         name = store.non_finite(flat)
         if name is not None:
             raise CorpusError(f"{path}: {key}: {name} holds NaN or inf")
@@ -389,35 +391,40 @@ def _fill_state(path, payload: dict, store: ParamStore) -> None:
 def checkpoint_load(path: str | Path, expected_config: ModelConfig | None = None):
     """Load a checkpoint; returns (store, model_config, train_config, vocab, meta).
 
-    Every section ``checkpoint_save`` writes must be there with its type.
-    ``layout`` must list ``param_shapes(model_config)``, and each vector
-    section hold exactly that many finite values; ``step``
+    The header line must hold every section ``checkpoint_save`` writes,
+    each with its type, and nothing else.  ``layout`` must list
+    ``param_shapes(model_config)``, and the bytes after the header be
+    exactly three vectors of that many finite values; ``step``
     and ``epochs_completed`` are ints >= 0, and the token vocabulary plus
     the special tokens is ``model_config.vocab_size`` long.  Anything
     else is a ``CorpusError`` naming the path.
     """
-    payload = read_json(path)
-    version = payload.get("format_version")
+    raw = Path(path).read_bytes()
+    end = raw.find(b"\n")   # the header's end: json.dumps writes no newline
+    header = parse_json(path, raw if end < 0 else raw[:end])
+    version = header.get("format_version")
     if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:
         raise CorpusError(f"{path}: unsupported checkpoint format version {version}")
-    unknown = sorted(set(payload) - _CHECKPOINT_KEYS)
-    missing = sorted(_CHECKPOINT_KEYS - set(payload))
+    if end < 0:
+        raise CorpusError(f"{path}: no newline after the header")
+    unknown = sorted(set(header) - _HEADER_KEYS)
+    missing = sorted(_HEADER_KEYS - set(header))
     if unknown or missing:
         raise CorpusError(f"{path}: unknown keys {unknown}, missing keys {missing}")
-    model_config = _config_from_checkpoint(path, payload, "model_config", ModelConfig)
-    if payload["config_hash"] != config_hash(model_config):
+    model_config = _config_from_checkpoint(path, header, "model_config", ModelConfig)
+    if header["config_hash"] != config_hash(model_config):
         raise CorpusError(f"{path}: config_hash does not match model_config")
     if expected_config is not None and expected_config != model_config:
         raise CorpusError(f"{path}: checkpoint was written for a different model configuration")
-    train_config = _config_from_checkpoint(path, payload, "train_config", TrainConfig)
+    train_config = _config_from_checkpoint(path, header, "train_config", TrainConfig)
     store = ParamStore({name: np.zeros(shape) for name, shape in M.param_shapes(model_config)})
-    _fill_state(path, payload, store)
-    step, epochs = payload["step"], payload["epochs_completed"]
+    _fill_state(path, header, raw, end + 1, store)
+    step, epochs = header["step"], header["epochs_completed"]
     if type(step) is not int or step < 0 or type(epochs) is not int or epochs < 0:
         raise CorpusError(f"{path}: step and epochs_completed must be ints >= 0, "
                           f"got {step!r} and {epochs!r}")
     store.step = step
-    tokens, categories = payload["token_vocab"], payload["category_vocab"]
+    tokens, categories = header["token_vocab"], header["category_vocab"]
     if not (_is_str_list(tokens) and _is_str_list(categories)):
         raise CorpusError(f"{path}: token_vocab and category_vocab must be lists of strings")
     try:

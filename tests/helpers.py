@@ -1,10 +1,14 @@
-"""Plain test helpers: a tiny CoQA-format payload and small model inputs.
+"""Plain test helpers: a tiny CoQA-format payload, small model inputs and
+a reader and writer of the checkpoint container.
 
 Kept apart from ``conftest.py`` under a name no other test directory
 uses, so ``from helpers import ...`` always resolves here.
 """
 
+import json
+import math
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -169,3 +173,42 @@ def random_copy_batch(rng: np.random.Generator, vocab: prompt.TokenVocab,
         target = rng.choice(words + oov, size=int(rng.integers(1, max_target)))
         batch.append(make_prompted(source, oov=oov, target_text=" ".join(target)))
     return batch
+
+
+VECTOR_KEYS = ("params", "adam_m", "adam_v")
+
+
+def read_checkpoint(path) -> dict:
+    """A checkpoint as one dict: its header's sections, and each vector
+    under its key in ``VECTOR_KEYS`` as a float64 array.
+
+    Read here from the format alone, not through ``pgc.train``: one JSON
+    line, then three vectors of little-endian float64 values, each as
+    long as the ``layout`` says, and nothing after them."""
+    head, newline, body = Path(path).read_bytes().partition(b"\n")
+    assert newline, f"{path}: no header line"
+    payload = json.loads(head)
+    n = sum(math.prod(shape) for _, shape in payload["layout"])
+    assert len(body) == 8 * n * len(VECTOR_KEYS), f"{path}: {len(body)} bytes of vectors"
+    for i, key in enumerate(VECTOR_KEYS):
+        payload[key] = np.frombuffer(body, dtype="<f8", count=n, offset=8 * n * i).copy()
+    return payload
+
+
+def checkpoint_bytes(payload: dict) -> bytes:
+    """``payload`` as a checkpoint file: every section that is no numpy
+    array in one ``json.dumps`` line, then each array, in ``payload``'s
+    order, as little-endian float64 bytes.  A vector set to a list or
+    any other JSON value so lands in the header."""
+    header = {key: value for key, value in payload.items()
+              if not isinstance(value, np.ndarray)}
+    vectors = [value.astype("<f8").tobytes() for value in payload.values()
+               if isinstance(value, np.ndarray)]
+    return b"".join([json.dumps(header).encode("ascii"), b"\n", *vectors])
+
+
+def write_checkpoint(path, payload: dict) -> Path:
+    """Write ``checkpoint_bytes(payload)`` to ``path``; returns the path."""
+    path = Path(path)
+    path.write_bytes(checkpoint_bytes(payload))
+    return path

@@ -1,6 +1,5 @@
 """End-to-end subcommand behaviour, exit codes, config precedence."""
 
-import base64
 import contextlib
 import io
 import json
@@ -26,7 +25,8 @@ from pgc.eval import Prediction
 from pgc.model import ModelConfig
 from pgc.train import TrainConfig
 
-from helpers import tiny_coqa_dict
+from helpers import (VECTOR_KEYS, checkpoint_bytes, read_checkpoint, tiny_coqa_dict,
+                     write_checkpoint)
 
 
 TINY_MODEL_FLAGS = [
@@ -178,7 +178,7 @@ class TestTrainPredictEval:
                         *TINY_MODEL_FLAGS,
                         "--epochs", "3", "--batch-size", "8",
                         "--learning-rate", "1e-3"]) == 0
-        payload = json.loads(resumed.read_text())
+        payload = read_checkpoint(resumed)
         assert payload["epochs_completed"] == 3
 
     def test_resume_to_fewer_epochs_is_refused_before_writing(self, trained, tmp_path,
@@ -213,9 +213,9 @@ class TestTrainPredictEval:
         assert cli.run(["train", "--input", str(data), "--output", str(resumed),
                         "--resume", str(first), "--epochs", "2", "--loss-curve", str(curve),
                         *given]) == 0
-        payload = json.loads(resumed.read_text())
+        payload = read_checkpoint(resumed)
         assert payload["epochs_completed"] == 2
-        assert payload["model_config"] == json.loads(first.read_text())["model_config"]
+        assert payload["model_config"] == read_checkpoint(first)["model_config"]
         assert payload["train_config"]["prompt_version"] == 2
         assert payload["model_config"]["max_source_len"] == 12 and "extra" not in payload
         sidecar = json.loads((tmp_path / "curve.csv.run.json").read_text())
@@ -283,7 +283,7 @@ class TestIntervalCheckpoint:
                      *TINY_MODEL_FLAGS, "--version", "2", "--epochs", "2",
                      "--checkpoint-interval", "1"])
         monkeypatch.undo()
-        payload = json.loads(ckpt.read_text())
+        payload = read_checkpoint(ckpt)
         assert payload["epochs_completed"] == 1
         assert payload["category_vocab"] == ["what", "did"]
         assert payload["train_config"]["prompt_version"] == 2
@@ -561,30 +561,19 @@ class TestMalformedStore:
         assert "Traceback" not in err.getvalue()
 
 
-_VECTOR_SECTIONS = ("params", "adam_m", "adam_v")
-
-
 def _predict_damaged(trained, payload) -> tuple[int, Path, str]:
-    """``pgc predict`` with ``payload`` as the checkpoint: (exit code,
+    """``pgc predict`` with ``payload`` as the checkpoint, a dict that
+    ``checkpoint_bytes`` writes or the file's bytes: (exit code,
     checkpoint path, stderr)."""
     data, _ = trained
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         bad = Path(tmp, "damaged-ckpt.json")
-        bad.write_text(json.dumps(payload))
+        bad.write_bytes(payload if isinstance(payload, bytes) else checkpoint_bytes(payload))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.run(["predict", "--input", str(data), "--checkpoint", str(bad),
                             "--output", str(Path(tmp, "p.jsonl"))])
     return code, bad, err.getvalue()
-
-
-def _vector(payload, key) -> np.ndarray:
-    """A vector section decoded: its little-endian float64 values."""
-    return np.frombuffer(base64.b64decode(payload[key]), dtype="<f8").copy()
-
-
-def _set_vector(payload, key, values) -> None:
-    payload[key] = base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
 def _entry(payload, name) -> list:
@@ -596,9 +585,7 @@ def _write_value(payload, key, name, index, value) -> None:
     """Write ``value`` at ``index`` of parameter ``name`` in vector ``key``."""
     names = [entry[0] for entry in payload["layout"]]
     offset = sum(math.prod(shape) for _, shape in payload["layout"][:names.index(name)])
-    values = _vector(payload, key)
-    values[offset + index] = value
-    _set_vector(payload, key, values)
+    payload[key][offset + index] = value
 
 
 class TestMalformedPredictions:
@@ -682,15 +669,18 @@ class TestMalformedCheckpoint:
          "adam_m: copy.a_raw holds NaN or inf"),
         (lambda p: _entry(p, "gate.b").__setitem__(1, ["1"]),
          'is ["gate.b", ["1"]], expected ["gate.b", [1]]'),
-        (lambda p: _set_vector(p, "adam_m", _vector(p, "adam_m")[:-1]),
-         "adam_m holds 60104 bytes, expected 7514 float64 values (60112 bytes)"),
-        (lambda p: _set_vector(p, "params", [*_vector(p, "params"), 0.0]),
-         "params holds 60120 bytes, expected 7514 float64 values"),
-        (lambda p: p.update({"params": "!" + p["params"][1:]}),
-         "params is not a base64 string"),
-        (lambda p: p.update({"adam_v": p["adam_v"][:-1]}), "adam_v is not a base64 string"),
-        (lambda p: p.update({"params": _vector(p, "params").tolist()}),
-         "params is not a base64 string"),
+        (lambda p: p.update({"adam_m": p["adam_m"][:-1]}),
+         "180328 bytes follow the header, expected 3 vectors of 7514 float64 values "
+         "(180336 bytes)"),
+        (lambda p: p.update({"params": np.append(p["params"], 0.0)}),
+         "180344 bytes follow the header, expected 3 vectors of 7514 float64 values"),
+        (lambda p: checkpoint_bytes(p)[:-3],
+         "180333 bytes follow the header, expected 3 vectors of 7514 float64 values"),
+        (lambda p: checkpoint_bytes(p) + b"\n",
+         "180337 bytes follow the header, expected 3 vectors of 7514 float64 values"),
+        (lambda p: p.update({"params": p["params"].tolist()}),
+         "unknown keys ['params'], missing keys []"),
+        (lambda p: checkpoint_bytes(p).partition(b"\n")[0], "no newline after the header"),
         (lambda p: p.update({"format_version": 1}),
          "unsupported checkpoint format version 1"),
         (lambda p: p.update({"format_version": 2, "extra": {"run_config": {"seed": 0}}}),
@@ -710,14 +700,16 @@ class TestMalformedCheckpoint:
     ], ids=["missing-param", "extra-param", "misshaped-param", "renamed-param",
             "true-for-1-in-shape", "layout-object", "nan-param", "inf-adam_v",
             "minus-inf-adam_m", "string-value", "short-adam_m", "long-params",
-            "not-base64", "cut-base64", "float-list-params", "format-version-1", "format-version-2",
+            "vectors-cut-inside-a-value", "one-byte-too-many", "params-in-header",
+            "no-newline-after-the-header", "format-version-1", "format-version-2",
             "negative-step", "short-token_vocab", "special-token",
             "category_vocab-string", "null-category_vocab", "empty-category_vocab",
             "null-train_config", "prompt_version-7", "no-epochs_completed"])
     def test_exit_2_names_the_file(self, trained, damage, detail):
-        payload = json.loads(trained[1].read_text())
-        damage(payload)
-        code, bad, err = _predict_damaged(trained, payload)
+        """``damage`` edits the checkpoint's sections, or gives the bytes to write."""
+        payload = read_checkpoint(trained[1])
+        raw = damage(payload)
+        code, bad, err = _predict_damaged(trained, raw if isinstance(raw, bytes) else payload)
         assert code == 2
         assert f"data error: {bad}: " in err and detail in err
         assert "Traceback" not in err
@@ -727,10 +719,11 @@ class TestMalformedCheckpoint:
     def test_damaged_section_exits_2(self, trained, data):
         """Drop a section, give a section (or a layout entry, its name, shape
         or a dimension) another JSON type, resize a vector, the layout or
-        the token list, garble a vector's base64, or write NaN/inf into a
-        parameter's part of a vector."""
-        payload = json.loads(trained[1].read_text())
-        how = data.draw(st.sampled_from(["drop", "retype", "resize", "garble", "non-finite"]))
+        the token list, move a vector into the header as a JSON value, or
+        write NaN/inf into a parameter's part of a vector."""
+        payload = read_checkpoint(trained[1])
+        how = data.draw(st.sampled_from(["drop", "retype", "resize", "into-header",
+                                         "non-finite"]))
         detail = ""
         if how == "drop":
             del payload[data.draw(st.sampled_from(sorted(payload)))]
@@ -749,7 +742,7 @@ class TestMalformedCheckpoint:
             assume(type(value) is not type(container[key]))
             container[key] = value
         elif how == "resize":
-            key = data.draw(st.sampled_from([*_VECTOR_SECTIONS, "layout", "token_vocab"]),
+            key = data.draw(st.sampled_from([*VECTOR_KEYS, "layout", "token_vocab"]),
                             label="section")
             grow = data.draw(st.booleans(), label="grow")
             if key == "token_vocab":
@@ -757,17 +750,14 @@ class TestMalformedCheckpoint:
             elif key == "layout":
                 payload[key] = payload[key] + [["zz.new", [1]]] if grow else payload[key][:-1]
             else:
-                values = _vector(payload, key)
-                _set_vector(payload, key, [*values, 0.0] if grow else values[:-1])
-        elif how == "garble":
-            key = data.draw(st.sampled_from(_VECTOR_SECTIONS), label="section")
-            text = payload[key]
-            at = data.draw(st.integers(0, len(text) - 1), label="at")
-            payload[key] = text[:at] + data.draw(st.sampled_from(["!", " ", "\u00e9", ""])) \
-                + text[at + 1:]
-            detail = f"{key} is not a base64 string"
+                payload[key] = np.append(payload[key], 0.0) if grow else payload[key][:-1]
+                detail = "bytes follow the header"
+        elif how == "into-header":
+            key = data.draw(st.sampled_from(VECTOR_KEYS), label="section")
+            payload[key] = data.draw(st.sampled_from([payload[key].tolist(), "", None, 7]))
+            detail = f"unknown keys ['{key}']"
         else:
-            key = data.draw(st.sampled_from(_VECTOR_SECTIONS), label="section")
+            key = data.draw(st.sampled_from(VECTOR_KEYS), label="section")
             name, shape = data.draw(st.sampled_from(payload["layout"]), label="parameter")
             _write_value(payload, key, name, data.draw(st.integers(0, math.prod(shape) - 1)),
                          data.draw(st.sampled_from([float("nan"), float("inf"),
@@ -776,6 +766,27 @@ class TestMalformedCheckpoint:
         code, bad, err = _predict_damaged(trained, payload)
         assert code == 2
         assert f"data error: {bad}: " in err and detail in err
+        assert "Traceback" not in err
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_cut_grown_or_flipped_file_exits_2(self, trained, data):
+        """Cut the file at any offset, append bytes, or change one header
+        byte: flip its high bit (no longer UTF-8) or make it a newline (the
+        header ends early)."""
+        raw = trained[1].read_bytes()
+        how = data.draw(st.sampled_from(["cut", "append", "flip"]))
+        if how == "cut":
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+        elif how == "append":
+            raw += data.draw(st.binary(min_size=1, max_size=32), label="tail")
+        else:
+            at = data.draw(st.integers(0, raw.index(b"\n") - 1), label="at")
+            byte = data.draw(st.sampled_from([raw[at] ^ 0x80, ord("\n")]), label="byte")
+            raw = raw[:at] + bytes([byte]) + raw[at + 1:]
+        code, bad, err = _predict_damaged(trained, raw)
+        assert code == 2
+        assert err.startswith(f"data error: {bad}: ")
         assert "Traceback" not in err
 
 
@@ -831,6 +842,22 @@ class TestExportAttention:
             capsys.readouterr().err
         assert not (tmp_path / "attn").exists()
 
+    @pytest.mark.parametrize("flags,detail", [
+        (["--layer", "9", "--heads", "0"], "--layer 9 out of range (0..0)"),
+        (["--layer", "-1", "--heads", "0"], "--layer -1 out of range (0..0)"),
+        (["--layer", "0", "--heads", "0,5"], "--heads [5] out of range (0..1)"),
+        (["--layer", "0", "--heads", "-1"], "--heads [-1] out of range (0..1)"),
+    ], ids=["layer-9", "layer-minus-1", "head-5", "head-minus-1"])
+    def test_flag_beyond_the_model_is_usage_error(self, trained, tmp_path, capsys, flags,
+                                                  detail):
+        data, ckpt = trained
+        out_dir = tmp_path / "attn"
+        assert cli.run(["export-attention", "--checkpoint", str(ckpt), "--input", str(data),
+                        *flags, "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: {detail}" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
     def test_bad_index_is_data_error(self, trained, tmp_path):
         data, ckpt = trained
         assert cli.run(["export-attention", "--checkpoint", str(ckpt),
@@ -841,7 +868,8 @@ class TestExportAttention:
 class TestWholeFileFaults:
     """A byte that is not UTF-8, or malformed JSON, in a CoQA file, a config
     file or a checkpoint ends in exit 2 with a message that starts with the
-    file's name, and malformed JSON also gives its line."""
+    file's name, and malformed JSON also gives its line.  A checkpoint's
+    JSON is its first line only."""
 
     COMMANDS = {
         "ingest": "ingest --input {bad} --output {out}",
@@ -852,14 +880,22 @@ class TestWholeFileFaults:
         "resume": "train --input {store} --resume {bad} --output {out}",
     }
 
+    CHECKPOINT_COMMANDS = {"predict", "resume"}
+
     @pytest.mark.parametrize("command", sorted(COMMANDS))
-    @pytest.mark.parametrize("fault,detail", [
-        (b'{"data": [\xff]}', "'utf-8' codec can't decode byte 0xff in position 10"),
-        (b'{\n  "data": [}', "malformed JSON at line 2, byte offset 13"),
+    @pytest.mark.parametrize("fault,detail,header_detail", [
+        (b'{"data": [\xff]}', "'utf-8' codec can't decode byte 0xff in position 10",
+         "'utf-8' codec can't decode byte 0xff in position 10"),
+        (b'{\n  "data": [}', "malformed JSON at line 2, byte offset 13",
+         "malformed JSON at line 1, byte offset 1"),
     ], ids=["byte-0xff", "malformed"])
     def test_exit_2_starts_with_the_file(self, trained, tmp_path, capsys, command, fault,
-                                         detail):
+                                         detail, header_detail):
+        """``header_detail`` is the message for a checkpoint, whose header ends
+        at the first newline."""
         data, _ = trained
+        if command in self.CHECKPOINT_COMMANDS:
+            detail = header_detail
         bad = tmp_path / "bad.json"
         bad.write_bytes(fault)
         argv = self.COMMANDS[command].format(bad=bad, store=data, out=tmp_path / "out")
@@ -921,10 +957,9 @@ class TestExitCodesAndConfig:
 
     def test_bad_checkpoint_config_is_data_error(self, trained, tmp_path, capsys):
         data, ckpt = trained
-        payload = json.loads(ckpt.read_text())
+        payload = read_checkpoint(ckpt)
         payload["model_config"]["bogus"] = 1
-        bad = tmp_path / "bad-ckpt.json"
-        bad.write_text(json.dumps(payload))
+        bad = write_checkpoint(tmp_path / "bad-ckpt.json", payload)
         code = cli.run(["predict", "--input", str(data), "--checkpoint", str(bad),
                         "--output", str(tmp_path / "p.jsonl")])
         assert code == 2
@@ -1032,7 +1067,7 @@ class TestOneFieldCheck:
         assert value == 1.0 and type(value) is float
 
     def test_bool_in_checkpoint_model_config_names_the_file(self, trained):
-        payload = json.loads(trained[1].read_text())
+        payload = read_checkpoint(trained[1])
         payload["model_config"]["d_model"] = True
         code, bad, err = _predict_damaged(trained, payload)
         assert code == 2
@@ -1177,7 +1212,7 @@ class TestSettingSource:
         training again with the stored vocabulary sizes as the budgets
         writes the same bytes."""
         data, ckpt = trained
-        payload = json.loads(ckpt.read_text())
+        payload = read_checkpoint(ckpt)
         flags = ["--top-k-categories", str(len(payload["category_vocab"]))]
         for name, value in {**payload["model_config"], **payload["train_config"]}.items():
             flag = "--version" if name == "prompt_version" else "--" + name.replace("_", "-")

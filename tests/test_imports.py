@@ -138,6 +138,14 @@ def test_only_corpus_parses_json(package_trees):
     assert set(found) == {"corpus"}
 
 
+def test_no_module_imports_base64(package_trees):
+    """Checkpoint vectors are raw bytes; nothing encodes them as text."""
+    found = {name for name, tree in package_trees.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Import) and any(a.name == "base64" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and node.module == "base64"}
+    assert found == set()
+
+
 def test_corpus_error_and_usage_error_are_the_only_exceptions(package_trees):
     assert exception_classes(package_trees) == {("corpus", "CorpusError"), ("cli", "UsageError")}
 

@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from pgc.train import (SyntheticSpec, TrainConfig,
                        teacher_forced_loss, token_accuracy,
                        train_loop)
 
-from helpers import make_prompted, random_copy_batch, tensor_constructions
+from helpers import (make_prompted, random_copy_batch, read_checkpoint, tensor_constructions,
+                     write_checkpoint)
 
 TINY_MODEL = ModelConfig(n_enc_layers=1, n_dec_layers=1, d_model=16, n_heads=2,
                          vocab_size=40, max_source_len=24, max_target_len=16,
@@ -263,7 +265,7 @@ class TestCheckpoints:
                         TokenVocab([f"w{i}" for i in range(TINY_MODEL.vocab_size - 4)]),
                         CATEGORIES, 0)
         checkpoint_load(path)   # only the damage makes it unloadable
-        payload = json.loads(path.read_text())
+        payload = read_checkpoint(path)
         model, train = payload["model_config"], payload["train_config"]
         if damage == "unknown model key":
             model["bogus"] = 1
@@ -278,11 +280,10 @@ class TestCheckpoints:
         elif damage == "ill-typed train value":
             train["epochs"] = True
         elif damage == "adam_v entry missing":   # one value short
-            raw = base64.b64decode(payload["adam_v"])
-            payload["adam_v"] = base64.b64encode(raw[:-8]).decode("ascii")
+            payload["adam_v"] = payload["adam_v"][:-1]
         else:
             del payload[damage.split()[1]]
-        path.write_text(json.dumps(payload))
+        write_checkpoint(path, payload)
         with pytest.raises(CorpusError, match=str(path)):
             checkpoint_load(path)
 
@@ -299,9 +300,84 @@ class TestCheckpoints:
         for name in ("flat", "flat_m", "flat_v"):
             assert getattr(loaded, name).tobytes() == getattr(store, name).tobytes()
 
+    def test_every_byte_value_round_trips_bit_exactly(self, tmp_path):
+        """Vectors whose bytes hold every value 0x00-0xFF, the newline 0x0A
+        among them, load back bit-exactly: the loader finds them by length
+        after the header and never searches them."""
+        store = M.init_params(TINY_MODEL, seed=0)
+        rng = np.random.default_rng(1)
+        for flat in (store.flat, store.flat_m, store.flat_v):
+            raw = flat.view(np.uint8).reshape(-1, 8)
+            raw[:] = rng.integers(0, 256, size=raw.shape, dtype=np.uint8)
+            raw[:, 7] &= 0xBF   # the exponent's top bit clear: every value finite
+            raw[:256, 0] = np.arange(256, dtype=np.uint8)
+        path = tmp_path / "ckpt.json"
+        checkpoint_save(path, store, TINY_MODEL, TrainConfig(),
+                        TokenVocab([f"w{i}" for i in range(TINY_MODEL.vocab_size - 4)]),
+                        CATEGORIES, 0)
+        vectors = path.read_bytes().partition(b"\n")[2]
+        assert set(vectors) == set(range(256)) and vectors.count(b"\n") > 3
+        loaded = checkpoint_load(path)[0]
+        for name in ("flat", "flat_m", "flat_v"):
+            assert getattr(loaded, name).tobytes() == getattr(store, name).tobytes()
+
+    def test_format_3_file_is_refused(self, tmp_path):
+        """A format-3 file, one JSON object with the vectors as base64
+        strings and no newline, names its version."""
+        store = M.init_params(TINY_MODEL, seed=0)
+        path = tmp_path / "ckpt.json"
+        checkpoint_save(path, store, TINY_MODEL, TrainConfig(),
+                        TokenVocab([f"w{i}" for i in range(TINY_MODEL.vocab_size - 4)]),
+                        CATEGORIES, 0)
+        payload = read_checkpoint(path)
+        payload["format_version"] = 3
+        for key in ("params", "adam_m", "adam_v"):
+            payload[key] = base64.b64encode(payload[key].tobytes()).decode("ascii")
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(CorpusError) as refused:
+            checkpoint_load(path)
+        assert str(refused.value) == f"{path}: unsupported checkpoint format version 3"
+
+    def test_repeated_round_trips_on_one_path(self, tmp_path, monkeypatch):
+        """21 saves and loads on one path, as the benchmark does them, the
+        store changed by an Adam step before each save: every loaded store
+        keeps the values saved with it after later saves overwrite the
+        file, its vectors are writable and share no memory with the bytes
+        read, and an Adam step on it equals one on the saved store."""
+        model, vocab, store, config = self.make_trained(tmp_path, epochs=1)
+        path = tmp_path / "ckpt.json"
+        read = []
+        read_bytes = Path.read_bytes
+
+        def recorded(self):
+            read.append(read_bytes(self))
+            return read[-1]
+
+        monkeypatch.setattr(Path, "read_bytes", recorded)
+        rng = np.random.default_rng(2)
+        saved, loaded = [], []
+        for _ in range(21):
+            store.flat_grad[:] = rng.normal(size=store.n_values())
+            T.adam_step(store, 1e-3)
+            checkpoint_save(path, store, model, config, vocab, CATEGORIES, 1)
+            saved.append(state_bytes(store))
+            loaded.append(checkpoint_load(path)[0])
+        assert len(read) == 21
+        for state, copy, buffer in zip(saved, loaded, read):
+            assert state_bytes(copy) == state
+            for flat in (copy.flat, copy.flat_m, copy.flat_v):
+                assert flat.flags.writeable
+                assert not np.shares_memory(flat, np.frombuffer(buffer, dtype=np.uint8))
+        grad = rng.normal(size=store.n_values())
+        for one in (store, loaded[-1]):
+            one.flat_grad[:] = grad
+            T.adam_step(one, 1e-3)
+        assert state_bytes(loaded[-1]) == state_bytes(store)
+
     def test_bench_copy_shape_is_written_as_bytes_under_2_mb(self, tmp_path):
-        """The parameters and Adam moments are base64 bytes, not JSON float
-        lists, so the 60,131-value bench copy model stays under 2.0 MB."""
+        """The parameters and Adam moments are raw float64 bytes after a
+        JSON header that holds no float list, so the 60,131-value bench
+        copy model takes 24 bytes a value plus a header under 8 KB."""
         model = ModelConfig(n_enc_layers=2, n_dec_layers=1, d_model=32, n_heads=2,
                             vocab_size=256, max_source_len=24, max_target_len=14)
         store = M.init_params(model, seed=0)
@@ -319,10 +395,10 @@ class TestCheckpoints:
             return (isinstance(value, list) and any(type(v) is float for v in value)) or \
                 any(holds_float_list(child) for child in children)
 
-        payload = json.loads(path.read_text())
+        header = json.loads(path.read_bytes().partition(b"\n")[0])
         assert store.n_values() == 60131
-        assert [key for key, value in payload.items() if holds_float_list(value)] == []
-        assert path.stat().st_size <= 2.0e6
+        assert [key for key, value in header.items() if holds_float_list(value)] == []
+        assert path.stat().st_size - 24 * store.n_values() < 8192
 
     def test_resume_matches_uninterrupted_run(self, tmp_path):
         prompted, vocab, model = fitted_setup(n=12)
