@@ -51,10 +51,12 @@ class CliSettings:
 
 def _check_settings(config) -> None:
     """Each setting has its type; the ModelConfig, TrainConfig and CliSettings
-    parts pass their checks."""
+    parts pass their checks, and vocab_size has room past the special tokens."""
     corpus.check_fields(config)
     for section in (M.ModelConfig, trainmod.TrainConfig, CliSettings):
         config.section(section)
+    if config.vocab_size <= len(prompt.SPECIAL_TOKENS):
+        raise ValueError(f"vocab_size must exceed the {len(prompt.SPECIAL_TOKENS)} special tokens")
 
 
 class RunConfig(make_dataclass("RunConfig", [
@@ -396,8 +398,8 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def int_list(text: str) -> list[int]:   # a flag type: comma-separated ints
-        return [int(item) for item in text.split(",") if item != ""]
+    def int_list(text: str) -> list[int]:   # a flag type: comma-separated ints, none empty
+        return [int(item) for item in text.split(",")]
 
     def common(p, *settings):
         p.add_argument("--config", help="JSON config file; flags override it")

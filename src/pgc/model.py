@@ -156,8 +156,8 @@ def _glorot(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(n_in, n_out))
 
 
-def param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """Every parameter's name and shape, in store order; draws nothing."""
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The store's layout: each parameter's name -> shape, in store order."""
     d, v, dff, dk = config.d_model, config.vocab_size, config.ffn_dim, config.copy_d_k
     shapes = [("embed", (v, d))]
 
@@ -181,23 +181,23 @@ def param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     shapes.extend((f"copy.w_h{i}", (d, dk)) for i in range(config.n_enc_layers))
     shapes += [("copy.a_raw", (config.n_enc_layers,)), ("gate.w_c", (d,)), ("gate.w_s", (d,)),
                ("gate.b", (1,)), ("out.w_v", (d, v)), ("out.b_v", (v,))]
-    return shapes
+    return dict(shapes)
 
 
 def init_params(config: ModelConfig, seed: int = 0) -> ParamStore:
-    """Fresh parameter store for the given shape: normal(0, 0.02)
-    embeddings, Glorot-uniform matrices, unit layer-norm gains and zero
-    vectors, drawn in ``param_shapes`` order."""
+    """A store built from ``param_shapes``, its views filled in that order
+    with finite draws: normal(0, 0.02) embeddings, Glorot-uniform matrices
+    and unit layer-norm gains; the other vectors stay zero."""
     rng = np.random.default_rng(seed)
-    arrays = {}
-    for name, shape in param_shapes(config):
+    store = ParamStore(param_shapes(config))
+    for name, param in store.items():
         if name == "embed":
-            arrays[name] = rng.normal(0.0, 0.02, size=shape)
-        elif len(shape) == 2:
-            arrays[name] = _glorot(rng, *shape)
-        else:
-            arrays[name] = np.ones(shape) if name.endswith(".g") else np.zeros(shape)
-    return ParamStore(arrays)
+            param.data[...] = rng.normal(0.0, 0.02, size=param.data.shape)
+        elif param.data.ndim == 2:
+            param.data[...] = _glorot(rng, *param.data.shape)
+        elif name.endswith(".g"):
+            param.data.fill(1.0)
+    return store
 
 
 def _keys_values(x: Tensor, prefix: str, params: ParamStore) -> tuple[Tensor, Tensor]:

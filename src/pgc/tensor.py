@@ -23,8 +23,10 @@ the finiteness check and Adam are each a few whole-vector numpy calls
 that write in place: a parameter's ``data`` array is updated, never
 replaced.
 
-NaN/inf is rejected where values enter: by a public ``Tensor(...)``, and
-by ``add``/``mul`` for a Python number, which stays a plain float.  Op
+NaN/inf is rejected where values enter: by a public ``Tensor(...)``, by
+``add``/``mul`` for a Python number, which stays a plain float, and by
+``train.checkpoint_load``; a ``ParamStore`` is built zeroed and filled
+only there and by ``model.init_params``, whose draws are finite.  Op
 results are not scanned; the model checks its output distributions once
 per forward pass and training checks the loss and gradients each step.
 """
@@ -476,14 +478,13 @@ def sequence_nll(p_rows, gold_ids, weights=None) -> Tensor:
 
 
 class ParamStore:
-    """Named trainable arrays plus their gradients and Adam state: views,
-    in the order of ``arrays``, into the vectors ``flat``, ``flat_grad``,
-    ``flat_m`` and ``flat_v``.  A fifth vector of that size is scratch
-    space for the norm and Adam."""
+    """Named trainable arrays plus their gradients and Adam state, built
+    zeroed from their layout (a name -> shape dict): views, in its order,
+    into the vectors ``flat``, ``flat_grad``, ``flat_m`` and ``flat_v``.
+    A fifth vector of that size is scratch space for the norm and Adam."""
 
-    def __init__(self, arrays: dict[str, np.ndarray]):
-        arrays = {name: np.asarray(a, dtype=np.float64) for name, a in arrays.items()}
-        n = sum(a.size for a in arrays.values())
+    def __init__(self, shapes: dict[str, tuple[int, ...]]):
+        n = sum(math.prod(shape) for shape in shapes.values())
         self.flat, self.flat_grad, self.flat_m, self.flat_v = np.zeros((4, n))
         self._scratch = np.empty(n)
         self._params: dict[str, Tensor] = {}
@@ -491,19 +492,15 @@ class ParamStore:
         self.adam_v: dict[str, np.ndarray] = {}
         self._slices: list[slice] = []
         lo = 0
-        for name, a in arrays.items():
-            part = slice(lo, lo + a.size)
-            self.flat[part] = a.reshape(-1)
-            data, grad, m, v = (flat[part].reshape(a.shape) for flat in
+        for name, shape in shapes.items():
+            part = slice(lo, lo + math.prod(shape))
+            data, grad, m, v = (flat[part].reshape(shape) for flat in
                                 (self.flat, self.flat_grad, self.flat_m, self.flat_v))
             param = self._params[name] = Tensor(data, _check=False)
             param.grad = grad
             self.adam_m[name], self.adam_v[name] = m, v
             self._slices.append(part)
             lo = part.stop
-        bad = self.non_finite(self.flat)
-        if bad is not None:
-            raise ValueError(f"non-finite values in parameter {bad}")
         self.step = 0
 
     def __getitem__(self, name: str) -> Tensor:

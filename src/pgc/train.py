@@ -392,12 +392,12 @@ def checkpoint_load(path: str | Path, expected_config: ModelConfig | None = None
     """Load a checkpoint; returns (store, model_config, train_config, vocab, meta).
 
     The header line must hold every section ``checkpoint_save`` writes,
-    each with its type, and nothing else.  ``layout`` must list
-    ``param_shapes(model_config)``, and the bytes after the header be
-    exactly three vectors of that many finite values; ``step``
-    and ``epochs_completed`` are ints >= 0, and the token vocabulary plus
-    the special tokens is ``model_config.vocab_size`` long.  Anything
-    else is a ``CorpusError`` naming the path.
+    each with its type, and nothing else.  The store is built from its
+    layout, ``param_shapes(model_config)``, which ``layout`` must list;
+    the bytes after the header, exactly its three vectors of finite
+    values, are copied into it.  ``step`` and ``epochs_completed`` are
+    ints >= 0, and the token vocabulary with the special tokens fills
+    ``model_config.vocab_size``.  Anything else is a path-naming ``CorpusError``.
     """
     raw = Path(path).read_bytes()
     end = raw.find(b"\n")   # the header's end: json.dumps writes no newline
@@ -417,7 +417,7 @@ def checkpoint_load(path: str | Path, expected_config: ModelConfig | None = None
     if expected_config is not None and expected_config != model_config:
         raise CorpusError(f"{path}: checkpoint was written for a different model configuration")
     train_config = _config_from_checkpoint(path, header, "train_config", TrainConfig)
-    store = ParamStore({name: np.zeros(shape) for name, shape in M.param_shapes(model_config)})
+    store = ParamStore(M.param_shapes(model_config))
     _fill_state(path, header, raw, end + 1, store)
     step, epochs = header["step"], header["epochs_completed"]
     if type(step) is not int or step < 0 or type(epochs) is not int or epochs < 0:

@@ -25,6 +25,15 @@ def weighted_total(x, w=None) -> Tensor:
     return T.reshape(x, (1, -1)) @ Tensor(w.reshape(-1, 1))
 
 
+def store_of(arrays: dict) -> T.ParamStore:
+    """A store built from the arrays' layout, with each array written into
+    its parameter's view, in the dict's order."""
+    store = T.ParamStore({name: np.shape(a) for name, a in arrays.items()})
+    for name, a in arrays.items():
+        store[name].data[...] = a
+    return store
+
+
 @contextmanager
 def tensor_constructions():
     """Yields a list that gets one entry per Tensor built inside the block:

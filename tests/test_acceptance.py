@@ -21,7 +21,7 @@ from pgc import train as TR
 from pgc.model import ModelConfig
 from pgc.prompt import PromptVersion, PromptVersionId, TokenVocab
 
-from helpers import make_prompted, random_model_draws
+from helpers import make_prompted, random_model_draws, store_of
 from test_model import plain_attention
 
 DATA_DIR = Path(os.environ.get("PGC_COQA_DIR", Path(__file__).parent.parent / "data"))
@@ -127,8 +127,8 @@ def test_criterion_05_oracle_equivalence():
         d, dk, length = 6, 3, int(rng.integers(1, 9))
         hidden = rng.normal(size=(length, d))
         state = rng.normal(size=d)
-        store = T.ParamStore({"copy.w_s": rng.normal(size=(d, dk)),
-                              "copy.w_h0": rng.normal(size=(d, dk)), "copy.a_raw": np.zeros(1)})
+        store = store_of({"copy.w_s": rng.normal(size=(d, dk)),
+                          "copy.w_h0": rng.normal(size=(d, dk)), "copy.a_raw": np.zeros(1)})
         w_s, w_h = store["copy.w_s"], store["copy.w_h0"]
         stack = M.EncoderStack(layers=[T.Tensor(hidden)], attn_maps=[],
                                pad_mask=np.zeros(length, bool),

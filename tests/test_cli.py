@@ -847,7 +847,9 @@ class TestExportAttention:
         (["--layer", "-1", "--heads", "0"], "--layer -1 out of range (0..0)"),
         (["--layer", "0", "--heads", "0,5"], "--heads [5] out of range (0..1)"),
         (["--layer", "0", "--heads", "-1"], "--heads [-1] out of range (0..1)"),
-    ], ids=["layer-9", "layer-minus-1", "head-5", "head-minus-1"])
+        (["--layer", "0", "--heads", ""], "argument --heads: invalid int_list value: ''"),
+        (["--layer", "0", "--heads", ","], "argument --heads: invalid int_list value: ','"),
+    ], ids=["layer-9", "layer-minus-1", "head-5", "head-minus-1", "no-head", "comma-only"])
     def test_flag_beyond_the_model_is_usage_error(self, trained, tmp_path, capsys, flags,
                                                   detail):
         data, ckpt = trained
@@ -1117,7 +1119,9 @@ class TestSettingSource:
         ({"n_heads": 3}, "d_model must be divisible by n_heads"),
         ({"seed": -1}, "seed must be >= 0"),
         ({"top_k_categories": 0}, "top_k_categories must be >= 1"),
-    ], ids=["prompt_version", "history_depth", "n_heads", "seed", "top_k_categories"])
+        ({"vocab_size": 4}, "vocab_size must exceed the 4 special tokens"),
+    ], ids=["prompt_version", "history_depth", "n_heads", "seed", "top_k_categories",
+            "vocab_size"])
     def test_bad_config_value_names_the_file(self, tmp_path, capsys, settings, detail):
         config, out = tmp_path / "config.json", tmp_path / "s.jsonl"
         config.write_text(json.dumps(settings))
@@ -1184,7 +1188,9 @@ class TestSettingSource:
          "batch_size and epochs must be >= 1, checkpoint_interval >= 0"),
         ("--top-k-categories", "0", "top_k_categories must be >= 1"),
         ("--seed", "-1", "seed must be >= 0"),
-    ], ids=["n_heads", "d_k", "clip_norm", "checkpoint_interval", "top_k_categories", "seed"])
+        ("--vocab-size", "3", "vocab_size must exceed the 4 special tokens"),
+    ], ids=["n_heads", "d_k", "clip_norm", "checkpoint_interval", "top_k_categories", "seed",
+            "vocab_size"])
     @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
     def test_bad_flag_is_usage_error(self, trained, tmp_path, capsys, resume, flag, value,
                                      detail):

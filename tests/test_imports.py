@@ -1,6 +1,7 @@
 """The package's modules import one way: only at module level, and with
 no cycle among their relative imports.  Only ``pgc.corpus`` parses JSON,
-and its ``CorpusError`` is the one error for bad input."""
+and its ``CorpusError`` is the one error for bad input.  Only
+``model.init_params`` and ``train.checkpoint_load`` build a ``ParamStore``."""
 
 import ast
 import builtins
@@ -59,6 +60,14 @@ def json_parse_lines(tree: ast.Module) -> list[int]:
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and node.func.attr in ("load", "loads") and isinstance(node.func.value, ast.Name)
             and node.func.value.id == "json"]
+
+
+def store_builds(tree: ast.Module) -> list[str]:
+    """Where ``ParamStore(...)`` or ``T.ParamStore(...)`` is called: the
+    name of each call's top-level function or class, or ``"<module>"``."""
+    return [getattr(top, "name", "<module>") for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Call) and "ParamStore" in (getattr(node.func, "id", None),
+                                                               getattr(node.func, "attr", None))]
 
 
 def exception_classes(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:
@@ -138,6 +147,13 @@ def test_only_corpus_parses_json(package_trees):
     assert set(found) == {"corpus"}
 
 
+def test_only_init_params_and_checkpoint_load_build_a_store(package_trees):
+    """A store is built zeroed, so these two are where its values enter."""
+    found = {(name, where) for name, tree in package_trees.items()
+             for where in store_builds(tree)}
+    assert found == {("model", "init_params"), ("train", "checkpoint_load")}
+
+
 def test_no_module_imports_base64(package_trees):
     """Checkpoint vectors are raw bytes; nothing encodes them as text."""
     found = {name for name, tree in package_trees.items() for node in ast.walk(tree)
@@ -156,6 +172,8 @@ def test_the_structure_checks_see_what_they_forbid():
         "b": "class BError(AError):\n    pass\n\nclass Plain:\n    pass\n\n"
              "def f(fh):\n    return json.load(fh)\n",
         "c": "class Parser(argparse.ArgumentParser):\n    pass\n\nx = json.dumps(1)\n",
+        "d": "def load(shapes):\n    return T.ParamStore(shapes)\n\nstore = ParamStore({})\n",
     })
     assert [json_parse_lines(trees[name]) for name in "abc"] == [[6], [8], []]
+    assert [store_builds(trees[name]) for name in "abcd"] == [[], [], [], ["load", "<module>"]]
     assert exception_classes(trees) == {("a", "AError"), ("b", "BError")}

@@ -11,9 +11,9 @@ from pgc import model as M
 from pgc import tensor as T
 from pgc.model import EncoderStack, ModelConfig
 from pgc.prompt import BOS, EOS, PAD, UNK
-from pgc.tensor import ParamStore, Tensor
+from pgc.tensor import Tensor
 
-from helpers import (make_prompted, random_model_draws, random_small_config,
+from helpers import (make_prompted, random_model_draws, random_small_config, store_of,
                      tensor_constructions, weighted_total)
 
 
@@ -107,7 +107,8 @@ class TestInitParams:
         for config in configs:
             for seed in (0, 3):
                 store, want = M.init_params(config, seed), former_init_params(config, seed)
-                assert M.param_shapes(config) == [(n, a.shape) for n, a in want.items()]
+                assert list(M.param_shapes(config).items()) == [(n, a.shape)
+                                                                for n, a in want.items()]
                 assert store.names() == list(want)
                 assert store.flat.tobytes() == b"".join(a.tobytes() for a in want.values())
 
@@ -188,8 +189,8 @@ class TestCopyAttention:
         d, dk, length = 6, 3, 5
         hidden = rng.normal(size=(length, d))
         state = rng.normal(size=d)
-        store = ParamStore({"copy.w_s": rng.normal(size=(d, dk)),
-                            "copy.w_h0": rng.normal(size=(d, dk)), "copy.a_raw": np.zeros(1)})
+        store = store_of({"copy.w_s": rng.normal(size=(d, dk)),
+                          "copy.w_h0": rng.normal(size=(d, dk)), "copy.a_raw": np.zeros(1)})
         w_s, w_h = store["copy.w_s"], store["copy.w_h0"]
         stack = manual_stack([hidden])
         got = M.copy_attention(Tensor(state[None]), stack, store)
@@ -202,15 +203,15 @@ class TestCopyAttention:
         d, dk = 4, 2
         row = rng.normal(size=d)
         hidden = np.stack([row, row])  # identical source positions
-        store = ParamStore({"copy.w_s": rng.normal(size=(d, dk)),
-                            "copy.w_h0": rng.normal(size=(d, dk)), "copy.a_raw": np.zeros(1)})
+        store = store_of({"copy.w_s": rng.normal(size=(d, dk)),
+                          "copy.w_h0": rng.normal(size=(d, dk)), "copy.a_raw": np.zeros(1)})
         got = M.copy_attention(Tensor(rng.normal(size=(1, d))), manual_stack([hidden]), store)
         assert np.allclose(got.data, [[0.5, 0.5]], atol=1e-12)
 
     def test_two_views_combine_convexly(self):
         # per-layer attentions are exactly [1,0] and [0,1]; weights 1/4, 3/4
-        store = ParamStore({"copy.w_s": np.array([[1.0]]), "copy.w_h0": np.array([[1.0]]),
-                            "copy.w_h1": np.array([[1.0]]), "copy.a_raw": np.log([0.25, 0.75])})
+        store = store_of({"copy.w_s": np.array([[1.0]]), "copy.w_h0": np.array([[1.0]]),
+                          "copy.w_h1": np.array([[1.0]]), "copy.a_raw": np.log([0.25, 0.75])})
         stack = manual_stack([np.array([[1000.0], [0.0]]),
                               np.array([[0.0], [1000.0]])])
         got = M.copy_attention(Tensor([[1.0]]), stack, store)
@@ -226,7 +227,7 @@ class TestCopyAttention:
     def test_layer_weights_stay_on_the_simplex(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            store = ParamStore({"copy.a_raw": rng.normal(size=rng.integers(1, 7)) * 5})
+            store = store_of({"copy.a_raw": rng.normal(size=rng.integers(1, 7)) * 5})
             w = M.layer_weights(store).data
             assert np.all(w >= 0)
             assert abs(w.sum() - 1.0) < 1e-9
@@ -248,7 +249,7 @@ class TestCopyAttention:
         states = rng.normal(size=(batch, rows, d))
         results = []
         for head in (M.copy_attention, per_layer_copy_attention):
-            store = ParamStore(arrays)
+            store = store_of(arrays)
             stack = EncoderStack(layers=[Tensor(h) for h in hidden], attn_maps=[],
                                  pad_mask=pad_mask, source_ext_ids=np.full((batch, length), 4),
                                  extended_size=5)
@@ -332,8 +333,8 @@ class TestScatterCopy:
 
 class TestGenerationGate:
     def test_zero_parameters_give_half(self):
-        store = ParamStore({"gate.w_c": np.zeros(4), "gate.w_s": np.zeros(4),
-                            "gate.b": np.zeros(1)})
+        store = store_of({"gate.w_c": np.zeros(4), "gate.w_s": np.zeros(4),
+                          "gate.b": np.zeros(1)})
         stack = manual_stack([np.random.default_rng(0).normal(size=(3, 4))])
         gate = M.generation_gate(Tensor(np.zeros((1, 4))), Tensor([[0.2, 0.3, 0.5]]), stack,
                                  store)
@@ -341,16 +342,16 @@ class TestGenerationGate:
         assert gate.data[0, 0] == 0.5
 
     def test_large_bias_saturates_towards_generation(self):
-        store = ParamStore({"gate.w_c": np.zeros(4), "gate.w_s": np.zeros(4),
-                            "gate.b": np.full(1, 1e9)})
+        store = store_of({"gate.w_c": np.zeros(4), "gate.w_s": np.zeros(4),
+                          "gate.b": np.full(1, 1e9)})
         stack = manual_stack([np.ones((2, 4))])
         gate = M.generation_gate(Tensor(np.zeros((1, 4))), Tensor([[0.5, 0.5]]), stack, store)
         assert gate.data[0, 0] > 1.0 - 1e-9
         assert gate.data[0, 0] < 1.0
 
     def test_two_position_case_matches_hand_arithmetic(self):
-        store = ParamStore({"gate.w_c": np.array([0.1, -0.2]),
-                            "gate.w_s": np.array([0.05, 0.02]), "gate.b": np.array([0.3])})
+        store = store_of({"gate.w_c": np.array([0.1, -0.2]),
+                          "gate.w_s": np.array([0.05, 0.02]), "gate.b": np.array([0.3])})
         hidden = np.array([[1.0, 2.0], [3.0, 4.0]])
         alpha = np.array([0.3, 0.7])
         state = np.array([0.5, -1.0])
@@ -365,8 +366,8 @@ class TestGenerationGate:
 
 class TestVocabDistribution:
     def make_store(self, d, v, w=None, b=None):
-        return ParamStore({"out.w_v": np.zeros((d, v)) if w is None else w,
-                           "out.b_v": np.zeros(v) if b is None else b})
+        return store_of({"out.w_v": np.zeros((d, v)) if w is None else w,
+                         "out.b_v": np.zeros(v) if b is None else b})
 
     def test_zero_parameters_give_uniform(self):
         got = M.vocab_distribution(Tensor(np.ones((1, 3))), self.make_store(3, 5))
