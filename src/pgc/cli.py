@@ -9,8 +9,8 @@ resolves them once per command.  Each artifact records them: a
 a checkpoint's model_config and train_config.  Identical runs produce
 identical bytes.
 
-Exit codes: 0 success, 1 usage or check failure, 2 data error (any input or
-config file).
+Exit codes: 0 success, 1 usage or check failure (a training run that
+diverges among them), 2 data error (any input or config file).
 """
 
 from __future__ import annotations
@@ -494,6 +494,9 @@ def run(argv=None) -> int:
         return args.handler(args, effective_config(args))
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
+        return 1
+    except FloatingPointError as err:   # a diverging training run: a failed check
+        print(err, file=sys.stderr)
         return 1
     except (OSError, ValueError) as err:   # a bad path; CorpusError
         print(f"data error: {err}", file=sys.stderr)

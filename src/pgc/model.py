@@ -16,11 +16,13 @@ Training and inference share one forward pass.  ``encode`` and
 ``forward_distributions`` take one id list or a padded mini-batch of
 them; every other function takes Tensor rows ``[..., R, width]``, one
 per position.  Training passes a whole batch at once, and greedy
-decoding is the batch of one.
+decoding one id list.
 Inference is greedy (ties go to the lowest id) and incremental: it runs
 without a graph, computes the encoder-side projections and the
-parameter-only values once per source and feeds the decoder one new
-position per step against cached self-attention keys and values.
+parameter-only values once per source and feeds the decoder only new
+positions against cached self-attention keys and values: the token just
+emitted and a draft, the source ids that follow that token in the
+source, whose rows are checked against it in the same pass.
 """
 
 from __future__ import annotations
@@ -129,6 +131,15 @@ class DecoderCache:
             self.layers[layer] = tuple(T.concat([old, new], axis=-2)
                                        for old, new in zip(self.layers[layer], (keys, values)))
         return self.layers[layer]
+
+    def rollback(self, length: int) -> None:
+        """Keep only the first ``length`` positions of every layer, as rows
+        without a graph (decoding runs without one)."""
+        if not 0 <= length <= self.length:
+            raise ValueError(f"cannot roll a cache of {self.length} positions back to {length}")
+        if length < self.length:
+            self.layers = [tuple(Tensor(t.data[..., :length, :], _check=False) for t in pair)
+                           for pair in self.layers]
 
 
 @dataclass
@@ -402,29 +413,42 @@ def greedy_decode(prompted: PromptedExample, params: ParamStore, config: ModelCo
                   max_len: int | None = None) -> list[int]:
     """Greedy argmax decoding; returns emitted extended-vocabulary ids.
 
-    Runs without a graph, as a batch of one.  Each step passes only the
-    newest id to ``forward_distributions``, against a decoder cache
-    holding the earlier positions.  Stops at EOS or after ``max_len``
-    tokens, which may not exceed ``config.max_target_len``.  Emitted ids
-    map back to surface tokens via the token vocabulary plus
-    ``prompted.source_oov``.
+    Runs without a graph on one source, against a decoder cache holding
+    the earlier positions.  After each pass the source proposes a
+    draft: the ids that follow the source position holding the token just
+    emitted (where several do, the one its row's copy attention weighs
+    most).  The next pass feeds that token and the draft together; each
+    row's argmax is read in order, draft ids are accepted while they
+    match, the first row that disagrees emits its own argmax, and the
+    cache drops the rejected draft positions.  So the ids are those of
+    one position per pass, and a token the source does not hold gives an
+    empty draft, which is exactly that one-position step.  Stops at EOS
+    or after ``max_len`` tokens, which may not exceed
+    ``config.max_target_len``.  Emitted ids map back to surface tokens
+    via the token vocabulary plus ``prompted.source_oov``.
     """
     limit = max_len if max_len is not None else config.max_target_len
     if limit > config.max_target_len:
         raise ValueError(f"max_len {limit} exceeds max_target_len {config.max_target_len}")
     emitted: list[int] = []
     with T.no_grad():
-        stack = encode([prompted.source_ids], params, config)
+        stack = encode(prompted.source_ids, params, config)
+        source = stack.source_ext_ids
         cache = DecoderCache()
-        next_ids = [[BOS]]
-        for _ in range(limit):
-            p_next = forward_distributions(next_ids, stack, params, config,
-                                           cache).p_final.data[0, -1]
-            next_id = int(np.argmax(p_next))
-            if next_id == EOS:
-                break
-            emitted.append(next_id)
-            next_ids = [[next_id if next_id < config.vocab_size else UNK]]
+        new_ids, draft = [BOS], []
+        while len(emitted) < limit:
+            fwd = forward_distributions(new_ids, stack, params, config, cache)
+            for row, next_id in enumerate(np.argmax(fwd.p_final.data, axis=-1).tolist()):
+                if next_id == EOS:
+                    return emitted
+                emitted.append(next_id)
+                if row == len(draft) or next_id != draft[row]:
+                    break
+            cache.rollback(cache.length - len(draft) + row)
+            hits = np.flatnonzero(source == next_id)
+            start = hits[np.argmax(fwd.alpha.data[row, hits])] + 1 if hits.size else len(source)
+            draft = source[start:start + limit - len(emitted) - 1].tolist()
+            new_ids = [i if i < config.vocab_size else UNK for i in [next_id] + draft]
     return emitted
 
 

@@ -236,7 +236,8 @@ def train_loop(prompted_examples: list[PromptedExample], store: ParamStore,
 
     Each mini-batch is one ``teacher_forced_loss`` graph.  Before the
     gradients are clipped and Adam writes any parameter, the loss and
-    every gradient must be finite, or ``ValueError`` is raised.  The
+    every gradient must be finite, or ``FloatingPointError`` says the run
+    diverged (numpy's own warnings are kept quiet for the step).  The
     shuffle order is a pure function of (seed, epoch), so resuming from
     a checkpoint at an epoch boundary replays the exact run.  ``log``
     gets one line per epoch: the mean loss, the largest pre-clip
@@ -253,9 +254,10 @@ def train_loop(prompted_examples: list[PromptedExample], store: ParamStore,
         batch_losses, max_norm, clipped = [], 0.0, 0
         for lo in range(0, len(order), config.batch_size):
             batch = [prompted_examples[j] for j in order[lo:lo + config.batch_size]]
-            loss = teacher_forced_loss(batch, store, model_config, vocab)
-            store.zero_grad()
-            loss.backward()
+            with np.errstate(all="ignore"):   # _check_finite names what went non-finite
+                loss = teacher_forced_loss(batch, store, model_config, vocab)
+                store.zero_grad()
+                loss.backward()
             _check_finite(loss, store, step + 1)
             norm = store.clip_grad_norm(config.clip_norm)
             max_norm, clipped = max(max_norm, norm), clipped + (norm > config.clip_norm)
@@ -281,12 +283,11 @@ def _check_vocab_size(vocab: TokenVocab, model_config: ModelConfig) -> None:
 
 
 def _check_finite(loss: T.Tensor, store: ParamStore, step: int) -> None:
-    """Raise ``ValueError`` unless the loss and every gradient are finite."""
-    if not np.isfinite(loss.data).all():
-        raise ValueError(f"step {step}: non-finite loss {loss.item()}")
-    name = store.non_finite(store.flat_grad)
-    if name is not None:
-        raise ValueError(f"step {step}: non-finite gradient for {name}")
+    """Raise ``FloatingPointError`` unless the loss and every gradient are finite."""
+    finite_loss, name = np.isfinite(loss.data).all(), store.non_finite(store.flat_grad)
+    if not finite_loss or name is not None:
+        fault = f"gradient for {name}" if finite_loss else f"loss {loss.item()}"
+        raise FloatingPointError(f"training diverged at step {step}: non-finite {fault}")
 
 
 def write_loss_curve(curve: list[tuple[int, int, float]], path: str | Path) -> None:

@@ -1,4 +1,5 @@
-"""Plain test helpers: a tiny CoQA-format payload, small model inputs and
+"""Plain test helpers: a tiny CoQA-format payload, small model inputs, the
+one-position greedy decoder that drafted decoding is checked against, and
 a reader and writer of the checkpoint container.
 
 Kept apart from ``conftest.py`` under a name no other test directory
@@ -126,6 +127,26 @@ def make_prompted(source_ids, oov=(), target_text=""):
         source_tokens=[f"t{i}" for i in range(len(source_ids))],
         source_ids=list(source_ids), origin=origin, source_oov=list(oov),
     )
+
+
+def one_position_decode(prompted, params, config, max_len=None):
+    """Reference greedy decoder, as it was before drafting: one new
+    position per cached pass of a batch of one, the argmax of its one row
+    emitted (ties to the lowest id) until EOS or ``max_len`` tokens."""
+    limit = config.max_target_len if max_len is None else max_len
+    emitted = []
+    with T.no_grad():
+        stack = M.encode([prompted.source_ids], params, config)
+        cache, next_id = M.DecoderCache(), prompt.BOS
+        for _ in range(limit):
+            fed = next_id if next_id < config.vocab_size else prompt.UNK
+            p_next = M.forward_distributions([[fed]], stack, params, config,
+                                             cache).p_final.data[0, -1]
+            next_id = int(np.argmax(p_next))
+            if next_id == prompt.EOS:
+                break
+            emitted.append(next_id)
+    return emitted
 
 
 def random_small_config(rng: np.random.Generator) -> M.ModelConfig:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import typing
+import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -18,15 +19,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pgc
-from pgc import cli
+from pgc import cli, model as M
 from pgc.cli import RunConfig, load_config
 from pgc.corpus import AnswerClass, ConversationTurn, DialogueExample, check_fields
 from pgc.eval import Prediction
 from pgc.model import ModelConfig
 from pgc.train import TrainConfig
 
-from helpers import (VECTOR_KEYS, checkpoint_bytes, read_checkpoint, tiny_coqa_dict,
-                     write_checkpoint)
+from helpers import (VECTOR_KEYS, checkpoint_bytes, one_position_decode, read_checkpoint,
+                     tiny_coqa_dict, write_checkpoint)
 
 
 TINY_MODEL_FLAGS = [
@@ -146,6 +147,31 @@ class TestTrainPredictEval:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_prediction_bytes_equal_one_position_per_pass(self, tmp_path, monkeypatch):
+        """Drafted decoding writes the bytes of the one-position reference
+        decoder, on a checkpoint that copies well enough to accept drafts."""
+        data = tmp_path / "copy.jsonl"
+        assert cli.run(["synthetic", "--task", "copy", "--n", "48", "--min-len", "2",
+                        "--max-len", "4", "--lexicon-size", "48", "--output", str(data)]) == 0
+        ckpt = tmp_path / "ckpt"
+        assert cli.run(["train", "--input", str(data), "--output", str(ckpt),
+                        *TINY_MODEL_FLAGS, "--epochs", "6", "--learning-rate", "1e-2"]) == 0
+        passes, forward = [], M.forward_distributions
+        monkeypatch.setattr(M, "forward_distributions",
+                            lambda *args: passes.append(1) or forward(*args))
+        outputs = {}
+        for name in ("drafted", "reference"):
+            outputs[name] = tmp_path / f"{name}.jsonl"
+            assert cli.run(["predict", "--input", str(data), "--checkpoint", str(ckpt),
+                            "--output", str(outputs[name])]) == 0
+            if name == "drafted":
+                drafted_passes = len(passes)
+                monkeypatch.setattr(M, "greedy_decode", one_position_decode)
+        assert outputs["drafted"].read_bytes() == outputs["reference"].read_bytes()
+        words = sum(len(json.loads(line)["text"].split())
+                    for line in outputs["drafted"].read_text().splitlines())
+        assert drafted_passes < words
+
     def test_predict_names_skipped_examples(self, trained, tmp_path, capsys):
         data, ckpt = trained
         long_record = json.loads(data.read_text().splitlines()[0])
@@ -239,6 +265,23 @@ def _synthetic_mix(tmp_path, name, n_copy, n_gate, seed):
     path = tmp_path / f"{name}.jsonl"
     path.write_text("".join(lines))
     return path
+
+
+def test_a_diverging_run_exits_1_quietly_and_writes_nothing(tmp_path, capsys):
+    data = tmp_path / "copy.jsonl"
+    assert cli.run(["synthetic", "--task", "copy", "--n", "16", "--output", str(data)]) == 0
+    ckpt, curve = tmp_path / "ckpt", tmp_path / "curve.csv"
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.run(["train", "--input", str(data), "--output", str(ckpt),
+                        "--loss-curve", str(curve), "--learning-rate", "1e30",
+                        "--d-model", "8", "--n-heads", "2", "--epochs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "training diverged at step 2: non-finite gradient for embed"
+    assert "data error" not in err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert not ckpt.exists() and not curve.exists()
 
 
 class _Stopped(Exception):

@@ -1,7 +1,8 @@
 """The package's modules import one way: only at module level, and with
 no cycle among their relative imports.  Only ``pgc.corpus`` parses JSON,
 and its ``CorpusError`` is the one error for bad input.  Only
-``model.init_params`` and ``train.checkpoint_load`` build a ``ParamStore``."""
+``model.init_params`` and ``train.checkpoint_load`` build a ``ParamStore``,
+and only ``model.greedy_decode`` decodes against a ``DecoderCache``."""
 
 import ast
 import builtins
@@ -68,6 +69,17 @@ def store_builds(tree: ast.Module) -> list[str]:
     return [getattr(top, "name", "<module>") for top in tree.body for node in ast.walk(top)
             if isinstance(node, ast.Call) and "ParamStore" in (getattr(node.func, "id", None),
                                                                getattr(node.func, "attr", None))]
+
+
+def cached_forward_calls(tree: ast.Module) -> list[str]:
+    """Where ``forward_distributions`` is called with a decoder cache (a
+    fifth argument or ``cache=``): the name of each call's top-level
+    function or class, or ``"<module>"``."""
+    return [getattr(top, "name", "<module>") for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Call)
+            and "forward_distributions" in (getattr(node.func, "id", None),
+                                            getattr(node.func, "attr", None))
+            and (len(node.args) > 4 or any(k.arg == "cache" for k in node.keywords))]
 
 
 def exception_classes(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:
@@ -152,6 +164,20 @@ def test_only_init_params_and_checkpoint_load_build_a_store(package_trees):
     found = {(name, where) for name, tree in package_trees.items()
              for where in store_builds(tree)}
     assert found == {("model", "init_params"), ("train", "checkpoint_load")}
+
+
+def test_only_greedy_decode_passes_a_decoder_cache(package_trees):
+    """One decoder loop: drafting lives inside it, with no second path."""
+    found = {(name, where) for name, tree in package_trees.items()
+             for where in cached_forward_calls(tree)}
+    assert found == {("model", "greedy_decode")}
+
+
+def test_the_cached_forward_check_sees_what_it_forbids():
+    tree = ast.parse("def f(s):\n    return M.forward_distributions(i, s, p, c, cache)\n\n"
+                     "def g(s):\n    return forward_distributions(i, s, p, c, cache=k)\n\n"
+                     "def h(s):\n    return forward_distributions(i, s, p, c)\n")
+    assert cached_forward_calls(tree) == ["f", "g"]
 
 
 def test_no_module_imports_base64(package_trees):

@@ -13,8 +13,8 @@ from pgc.model import EncoderStack, ModelConfig
 from pgc.prompt import BOS, EOS, PAD, UNK
 from pgc.tensor import Tensor
 
-from helpers import (make_prompted, random_model_draws, random_small_config, store_of,
-                     tensor_constructions, weighted_total)
+from helpers import (make_prompted, one_position_decode, random_model_draws,
+                     random_small_config, store_of, tensor_constructions, weighted_total)
 
 
 def manual_stack(layer_arrays, ext_ids=None, extended_size=None):
@@ -284,7 +284,7 @@ class TestKeyMask:
         """Over criterion 4's draws, a stack whose ``key_mask`` is forced
         to the unpadded source's all-False mask gives the same
         distributions and parameter gradients, bit for bit."""
-        for config, params, source, prefix in random_model_draws(seed=42, n=300):
+        for config, params, source, prefix in random_model_draws(seed=42, n=100):
             results = []
             for forced in (False, True):
                 params.zero_grad()
@@ -645,6 +645,169 @@ class TestGreedyDecode:
         out = M.greedy_decode(make_prompted([4, 5]), params, small_config)
         assert out == []
 
+
+
+def decode_with_passes(prompted, params, config, max_len=None):
+    """``M.greedy_decode``'s ids, and per decoder pass the cache length
+    before it, the ids fed and the ``p_final`` and ``alpha`` rows."""
+    passes, forward = [], M.forward_distributions
+
+    def recorded(ids, stack, params, config, cache):
+        start = cache.length
+        fwd = forward(ids, stack, params, config, cache)
+        passes.append((start, list(ids), fwd.p_final.data, fwd.alpha.data))
+        return fwd
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(M, "forward_distributions", recorded)
+        ids = M.greedy_decode(prompted, params, config, max_len)
+    return ids, passes
+
+
+def one_position_rows(source_ids, fed, params, config):
+    """The ``p_final`` rows of ``fed`` passed one position per cached pass."""
+    with T.no_grad():
+        stack, cache = M.encode(source_ids, params, config), M.DecoderCache()
+        return np.concatenate([M.forward_distributions([i], stack, params, config,
+                                                       cache).p_final.data for i in fed])
+
+
+def check_drafted(prompted, params, config, max_len=None) -> dict:
+    """Assert that the drafted decoder emits the one-position decoder's ids,
+    that every row of every pass is within 1e-12 of that position's row
+    fed alone, and that each draft is the source's ids after the position
+    holding the token just emitted that its row's copy attention weighs
+    most (the lowest on ties), cut to the budget.  Returns counts of the
+    drafts, of those rejected at their first id, and of those taken after
+    a repeat that is not the token's first position."""
+    want = one_position_decode(prompted, params, config, max_len)
+    got, passes = decode_with_passes(prompted, params, config, max_len)
+    assert got == want, f"argmax flip: drafted {got}, one position per pass {want}"
+    limit = config.max_target_len if max_len is None else max_len
+    source = np.asarray(prompted.source_ids)
+    counts = dict(drafts=0, rejected_first=0, later_repeat=0)
+    fed = []
+    for k, (start, ids, p_final, _) in enumerate(passes):
+        fed = fed[:start] + ids
+        gap = np.abs(p_final - one_position_rows(prompted.source_ids, fed, params,
+                                                 config)[start:])
+        assert gap.max() <= 1e-12
+        if k == 0:
+            continue
+        before, _, _, alpha = passes[k - 1]
+        hits = np.flatnonzero(source == got[start - 1])
+        pos = hits[np.argmax(alpha[start - before - 1, hits])] if hits.size else len(source)
+        draft = [int(i) for i in source[pos + 1:pos + limit - start]]
+        assert ids[1:] == [i if i < config.vocab_size else UNK for i in draft]
+        counts["drafts"] += bool(draft)
+        counts["later_repeat"] += int(bool(draft) and pos != hits[0])
+        counts["rejected_first"] += (bool(draft) and k + 1 < len(passes)
+                                     and passes[k + 1][0] == start + 1)
+    return counts
+
+
+class TestDrafting:
+    """Greedy decoding checks a draft copied from the source in one pass;
+    the reference is one position per pass (``helpers.one_position_decode``)."""
+
+    def test_equal_to_one_position_per_pass_over_random_draws(self):
+        totals = dict(drafts=0, rejected_first=0, later_repeat=0)
+        for config, params, source, prefix in random_model_draws(seed=42, n=100):
+            for max_len in (None, len(prefix)):
+                counts = check_drafted(make_prompted(source), params, config, max_len)
+                for key, value in counts.items():
+                    totals[key] += value
+        assert totals["drafts"] > totals["rejected_first"] > 0
+        assert totals["later_repeat"] > 0
+
+    @pytest.mark.parametrize("n_dec_layers", [1, 2])
+    def test_repeated_source_tokens(self, n_dec_layers):
+        config = replace(TestGreedyDecode.wired_config, n_dec_layers=n_dec_layers)
+        prompted = make_prompted([4, 7, 4, 9, 4, 6])
+        ids, passes = decode_with_passes(prompted, copy_wired_params(config), config, 6)
+        assert ids == prompted.source_ids
+        assert [fed for _, fed, _, _ in passes] == [[BOS], [4, 7, 4, 9, 4]]
+        check_drafted(prompted, copy_wired_params(config), config, max_len=6)
+
+    def test_oov_copies_are_fed_as_unk(self):
+        config = TestGreedyDecode.wired_config
+        source = [4, 13, 14, 5, 13]   # source-only ids past the vocabulary of 12
+        prompted = make_prompted(source, oov=["x", "y"])
+        ids, passes = decode_with_passes(prompted, copy_wired_params(config), config, 5)
+        assert ids == source
+        assert [fed for _, fed, _, _ in passes] == [[BOS], [4, UNK, UNK, 5]]   # cut to 3
+        check_drafted(prompted, copy_wired_params(config), config, max_len=5)
+
+    def test_draft_cut_by_max_len(self):
+        config = TestGreedyDecode.wired_config
+        source = [4, 7, 5, 9, 6, 8]
+        ids, passes = decode_with_passes(make_prompted(source), copy_wired_params(config),
+                                         config, 3)
+        assert ids == source[:3]
+        assert [fed for _, fed, _, _ in passes] == [[BOS], [4, 7]]
+
+    def test_draft_cut_by_max_target_len(self):
+        config = replace(TestGreedyDecode.wired_config, max_target_len=4)
+        source = [4, 7, 5, 9, 6, 8, 10, 11]
+        prompted = make_prompted(source)
+        ids, passes = decode_with_passes(prompted, copy_wired_params(config), config)
+        assert ids == source[:4]
+        assert [fed for _, fed, _, _ in passes] == [[BOS], [4, 7, 5]]
+        check_drafted(prompted, copy_wired_params(config), config)
+
+    def test_draft_rejected_at_its_first_id(self, small_config):
+        # the exact tie of test_exact_tie_breaks_to_lowest_id: 6 follows 6,
+        # so each draft [9] is refused at once and rolled back
+        params = M.init_params(small_config, seed=0)
+        for name, t in params.items():
+            t.data[:] = 0.0 if not name.endswith(".g") else 1.0
+        params["out.b_v"].data[6] = 1000.0
+        params["out.b_v"].data[9] = 1000.0
+        prompted = make_prompted([6, 9])
+        ids, passes = decode_with_passes(prompted, params, small_config, 4)
+        assert ids == [6, 6, 6, 6]
+        assert [(start, fed) for start, fed, _, _ in passes] == [
+            (0, [BOS]), (1, [6, 9]), (2, [6, 9]), (3, [6])]   # the last draft is cut to 0
+        assert check_drafted(prompted, params, small_config, 4)["rejected_first"] == 2
+
+    def test_eos_inside_a_fully_matching_draft(self):
+        config = TestGreedyDecode.wired_config
+        prompted = make_prompted([4, 7, EOS, 5, 6])
+        ids, passes = decode_with_passes(prompted, copy_wired_params(config), config)
+        assert ids == [4, 7]
+        assert [fed for _, fed, _, _ in passes] == [[BOS], [4, 7, EOS, 5, 6]]
+        check_drafted(prompted, copy_wired_params(config), config)
+
+
+class TestDecoderCacheRollback:
+    def test_next_pass_matches_a_cache_that_never_held_the_dropped_positions(self):
+        worst = 0.0
+        for config, params, source, prefix in random_model_draws(seed=7, n=200):
+            with T.no_grad():
+                stack = M.encode(source, params, config)
+                rolled, clean = M.DecoderCache(), M.DecoderCache()
+                M.forward_distributions(prefix + [5, 4], stack, params, config, rolled)
+                rolled.rollback(len(prefix))
+                M.forward_distributions(prefix, stack, params, config, clean)
+                got = M.forward_distributions([6, 4], stack, params, config, rolled)
+                want = M.forward_distributions([6, 4], stack, params, config, clean)
+            assert rolled.length == clean.length == len(prefix) + 2
+            worst = max(worst, float(np.abs(got.p_final.data - want.p_final.data).max()))
+        assert worst <= 1e-12
+
+    def test_a_length_above_the_current_one_is_refused(self, small_params, small_config):
+        with T.no_grad():
+            stack = M.encode([4, 5], small_params, small_config)
+            cache = M.DecoderCache()
+            M.forward_distributions([BOS, 4], stack, small_params, small_config, cache)
+        kept = cache.layers
+        for length in (3, -1):
+            with pytest.raises(ValueError, match=f"back to {length}"):
+                cache.rollback(length)
+        cache.rollback(2)
+        assert cache.layers is kept
+        cache.rollback(0)
+        assert cache.length == 0
 
 class TestExportAttention:
     def test_csv_rows_are_distributions(self, small_params, small_config, tmp_path):

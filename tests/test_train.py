@@ -566,9 +566,9 @@ class TestFiniteStep:
         train_loop(prompted, params, TrainConfig(batch_size=4, epochs=1), model, vocab)
         return prompted, vocab, model, params
 
-    def assert_step_refused(self, prompted, vocab, model, params, match):
+    def assert_step_refused(self, prompted, vocab, model, params, match, error=ValueError):
         before = state_bytes(params)
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(error, match=match):
             train_loop(prompted, params, TrainConfig(batch_size=4, epochs=2), model,
                        vocab, start_epoch=1)
         assert state_bytes(params) == before
@@ -600,7 +600,8 @@ class TestFiniteStep:
 
         monkeypatch.setattr(TR, "teacher_forced_loss", with_bad_gradient)
         self.assert_step_refused(prompted, vocab, model, params,
-                                 "non-finite gradient for gate.b")
+                                 "training diverged at step 3: non-finite gradient for gate.b",
+                                 FloatingPointError)
 
 
 BENCH_SHAPES = {
