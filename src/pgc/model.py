@@ -415,15 +415,14 @@ def greedy_decode(prompted: PromptedExample, params: ParamStore, config: ModelCo
 
     Runs without a graph on one source, against a decoder cache holding
     the earlier positions.  After each pass the source proposes a
-    draft: the ids that follow the source position holding the token just
-    emitted (where several do, the one its row's copy attention weighs
-    most).  The next pass feeds that token and the draft together; each
-    row's argmax is read in order, draft ids are accepted while they
-    match, the first row that disagrees emits its own argmax, and the
-    cache drops the rejected draft positions.  So the ids are those of
-    one position per pass, and a token the source does not hold gives an
-    empty draft, which is exactly that one-position step.  Stops at EOS
-    or after ``max_len`` tokens, which may not exceed
+    draft: the ids that follow the first source position holding the
+    token just emitted.  The next pass feeds that token and the draft
+    together; each row's argmax is read in order, draft ids are accepted
+    while they match, the first row that disagrees emits its own argmax,
+    and the cache drops the rejected draft positions.  So the ids are
+    those of one position per pass, and a token the source does not hold
+    gives an empty draft, which is exactly that one-position step.  Stops
+    at EOS or after ``max_len`` tokens, which may not exceed
     ``config.max_target_len``.  Emitted ids map back to surface tokens
     via the token vocabulary plus ``prompted.source_oov``.
     """
@@ -437,8 +436,8 @@ def greedy_decode(prompted: PromptedExample, params: ParamStore, config: ModelCo
         cache = DecoderCache()
         new_ids, draft = [BOS], []
         while len(emitted) < limit:
-            fwd = forward_distributions(new_ids, stack, params, config, cache)
-            for row, next_id in enumerate(np.argmax(fwd.p_final.data, axis=-1).tolist()):
+            p_final = forward_distributions(new_ids, stack, params, config, cache).p_final.data
+            for row, next_id in enumerate(np.argmax(p_final, axis=-1).tolist()):
                 if next_id == EOS:
                     return emitted
                 emitted.append(next_id)
@@ -446,7 +445,7 @@ def greedy_decode(prompted: PromptedExample, params: ParamStore, config: ModelCo
                     break
             cache.rollback(cache.length - len(draft) + row)
             hits = np.flatnonzero(source == next_id)
-            start = hits[np.argmax(fwd.alpha.data[row, hits])] + 1 if hits.size else len(source)
+            start = hits[0] + 1 if hits.size else len(source)
             draft = source[start:start + limit - len(emitted) - 1].tolist()
             new_ids = [i if i < config.vocab_size else UNK for i in [next_id] + draft]
     return emitted

@@ -284,7 +284,7 @@ class TestKeyMask:
         """Over criterion 4's draws, a stack whose ``key_mask`` is forced
         to the unpadded source's all-False mask gives the same
         distributions and parameter gradients, bit for bit."""
-        for config, params, source, prefix in random_model_draws(seed=42, n=100):
+        for config, params, source, prefix in random_model_draws(seed=42, n=300):
             results = []
             for forced in (False, True):
                 params.zero_grad()
@@ -649,13 +649,13 @@ class TestGreedyDecode:
 
 def decode_with_passes(prompted, params, config, max_len=None):
     """``M.greedy_decode``'s ids, and per decoder pass the cache length
-    before it, the ids fed and the ``p_final`` and ``alpha`` rows."""
+    before it, the ids fed and the ``p_final`` rows."""
     passes, forward = [], M.forward_distributions
 
     def recorded(ids, stack, params, config, cache):
         start = cache.length
         fwd = forward(ids, stack, params, config, cache)
-        passes.append((start, list(ids), fwd.p_final.data, fwd.alpha.data))
+        passes.append((start, list(ids), fwd.p_final.data))
         return fwd
 
     with pytest.MonkeyPatch.context() as patch:
@@ -664,45 +664,38 @@ def decode_with_passes(prompted, params, config, max_len=None):
     return ids, passes
 
 
-def one_position_rows(source_ids, fed, params, config):
-    """The ``p_final`` rows of ``fed`` passed one position per cached pass."""
-    with T.no_grad():
-        stack, cache = M.encode(source_ids, params, config), M.DecoderCache()
-        return np.concatenate([M.forward_distributions([i], stack, params, config,
-                                                       cache).p_final.data for i in fed])
-
-
 def check_drafted(prompted, params, config, max_len=None) -> dict:
     """Assert that the drafted decoder emits the one-position decoder's ids,
     that every row of every pass is within 1e-12 of that position's row
-    fed alone, and that each draft is the source's ids after the position
-    holding the token just emitted that its row's copy attention weighs
-    most (the lowest on ties), cut to the budget.  Returns counts of the
-    drafts, of those rejected at their first id, and of those taken after
-    a repeat that is not the token's first position."""
+    fed one position per pass after the accepted ids, and that each draft
+    is the source's ids after the first position holding the token just
+    emitted, cut to the budget.  Returns counts of the drafts and of those
+    rejected at their first id."""
     want = one_position_decode(prompted, params, config, max_len)
     got, passes = decode_with_passes(prompted, params, config, max_len)
     assert got == want, f"argmax flip: drafted {got}, one position per pass {want}"
     limit = config.max_target_len if max_len is None else max_len
-    source = np.asarray(prompted.source_ids)
-    counts = dict(drafts=0, rejected_first=0, later_repeat=0)
-    fed = []
-    for k, (start, ids, p_final, _) in enumerate(passes):
-        fed = fed[:start] + ids
-        gap = np.abs(p_final - one_position_rows(prompted.source_ids, fed, params,
-                                                 config)[start:])
-        assert gap.max() <= 1e-12
-        if k == 0:
-            continue
-        before, _, _, alpha = passes[k - 1]
-        hits = np.flatnonzero(source == got[start - 1])
-        pos = hits[np.argmax(alpha[start - before - 1, hits])] if hits.size else len(source)
-        draft = [int(i) for i in source[pos + 1:pos + limit - start]]
-        assert ids[1:] == [i if i < config.vocab_size else UNK for i in draft]
-        counts["drafts"] += bool(draft)
-        counts["later_repeat"] += int(bool(draft) and pos != hits[0])
-        counts["rejected_first"] += (bool(draft) and k + 1 < len(passes)
-                                     and passes[k + 1][0] == start + 1)
+    source = list(prompted.source_ids)
+    accepted = [BOS] + [i if i < config.vocab_size else UNK for i in got]
+    counts = dict(drafts=0, rejected_first=0)
+    with T.no_grad():
+        stack, reference = M.encode(source, params, config), M.DecoderCache()
+        for k, (start, ids, p_final) in enumerate(passes):
+            while reference.length < start:   # each accepted position is fed once per draw
+                M.forward_distributions([accepted[reference.length]], stack, params, config,
+                                        reference)
+            fork = M.DecoderCache(list(reference.layers))
+            rows = np.concatenate([M.forward_distributions([i], stack, params, config,
+                                                           fork).p_final.data for i in ids])
+            assert ids[0] == accepted[start] and np.abs(p_final - rows).max() <= 1e-12
+            if k == 0:
+                continue
+            pos = source.index(got[start - 1]) if got[start - 1] in source else len(source)
+            draft = source[pos + 1:pos + limit - start]
+            assert ids[1:] == [i if i < config.vocab_size else UNK for i in draft]
+            counts["drafts"] += bool(draft)
+            counts["rejected_first"] += (bool(draft) and k + 1 < len(passes)
+                                         and passes[k + 1][0] == start + 1)
     return counts
 
 
@@ -711,14 +704,13 @@ class TestDrafting:
     the reference is one position per pass (``helpers.one_position_decode``)."""
 
     def test_equal_to_one_position_per_pass_over_random_draws(self):
-        totals = dict(drafts=0, rejected_first=0, later_repeat=0)
+        totals = dict(drafts=0, rejected_first=0)
         for config, params, source, prefix in random_model_draws(seed=42, n=100):
             for max_len in (None, len(prefix)):
                 counts = check_drafted(make_prompted(source), params, config, max_len)
                 for key, value in counts.items():
                     totals[key] += value
         assert totals["drafts"] > totals["rejected_first"] > 0
-        assert totals["later_repeat"] > 0
 
     @pytest.mark.parametrize("n_dec_layers", [1, 2])
     def test_repeated_source_tokens(self, n_dec_layers):
@@ -726,7 +718,7 @@ class TestDrafting:
         prompted = make_prompted([4, 7, 4, 9, 4, 6])
         ids, passes = decode_with_passes(prompted, copy_wired_params(config), config, 6)
         assert ids == prompted.source_ids
-        assert [fed for _, fed, _, _ in passes] == [[BOS], [4, 7, 4, 9, 4]]
+        assert [fed for _, fed, _ in passes] == [[BOS], [4, 7, 4, 9, 4]]
         check_drafted(prompted, copy_wired_params(config), config, max_len=6)
 
     def test_oov_copies_are_fed_as_unk(self):
@@ -735,7 +727,7 @@ class TestDrafting:
         prompted = make_prompted(source, oov=["x", "y"])
         ids, passes = decode_with_passes(prompted, copy_wired_params(config), config, 5)
         assert ids == source
-        assert [fed for _, fed, _, _ in passes] == [[BOS], [4, UNK, UNK, 5]]   # cut to 3
+        assert [fed for _, fed, _ in passes] == [[BOS], [4, UNK, UNK, 5]]   # cut to 3
         check_drafted(prompted, copy_wired_params(config), config, max_len=5)
 
     def test_draft_cut_by_max_len(self):
@@ -744,7 +736,7 @@ class TestDrafting:
         ids, passes = decode_with_passes(make_prompted(source), copy_wired_params(config),
                                          config, 3)
         assert ids == source[:3]
-        assert [fed for _, fed, _, _ in passes] == [[BOS], [4, 7]]
+        assert [fed for _, fed, _ in passes] == [[BOS], [4, 7]]
 
     def test_draft_cut_by_max_target_len(self):
         config = replace(TestGreedyDecode.wired_config, max_target_len=4)
@@ -752,7 +744,7 @@ class TestDrafting:
         prompted = make_prompted(source)
         ids, passes = decode_with_passes(prompted, copy_wired_params(config), config)
         assert ids == source[:4]
-        assert [fed for _, fed, _, _ in passes] == [[BOS], [4, 7, 5]]
+        assert [fed for _, fed, _ in passes] == [[BOS], [4, 7, 5]]
         check_drafted(prompted, copy_wired_params(config), config)
 
     def test_draft_rejected_at_its_first_id(self, small_config):
@@ -766,7 +758,7 @@ class TestDrafting:
         prompted = make_prompted([6, 9])
         ids, passes = decode_with_passes(prompted, params, small_config, 4)
         assert ids == [6, 6, 6, 6]
-        assert [(start, fed) for start, fed, _, _ in passes] == [
+        assert [(start, fed) for start, fed, _ in passes] == [
             (0, [BOS]), (1, [6, 9]), (2, [6, 9]), (3, [6])]   # the last draft is cut to 0
         assert check_drafted(prompted, params, small_config, 4)["rejected_first"] == 2
 
@@ -775,7 +767,7 @@ class TestDrafting:
         prompted = make_prompted([4, 7, EOS, 5, 6])
         ids, passes = decode_with_passes(prompted, copy_wired_params(config), config)
         assert ids == [4, 7]
-        assert [fed for _, fed, _, _ in passes] == [[BOS], [4, 7, EOS, 5, 6]]
+        assert [fed for _, fed, _ in passes] == [[BOS], [4, 7, EOS, 5, 6]]
         check_drafted(prompted, copy_wired_params(config), config)
 
 
