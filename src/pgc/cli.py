@@ -137,6 +137,14 @@ def _build_prompts(examples, config: RunConfig, category_vocab, token_vocab):
             for ex in examples]
 
 
+def _category_vocab(examples, config: RunConfig, path):
+    """The store's question categories, or a ``CorpusError`` naming it."""
+    try:
+        return prompt.build_category_vocab(examples, config.top_k_categories)
+    except CorpusError as err:
+        raise CorpusError(f"{path}: {err}") from err
+
+
 def _fit_length(prompted_list, config: RunConfig, path):
     """Split prompted examples into (usable, dropped) by the length limits;
     an empty answer, which has nothing to train on, is a ``CorpusError``."""
@@ -173,7 +181,7 @@ def _cmd_stats(args, config: RunConfig) -> int:
 
 def _cmd_prompts(args, config: RunConfig) -> int:
     examples = _load_examples_any(args.input)
-    vocab = prompt.build_category_vocab(examples, config.top_k_categories)
+    vocab = _category_vocab(examples, config, args.input)
     corpus.write_records(args.output, ({
         "story_id": p.origin.story_id,
         "turn_id": p.origin.turn.turn_id,
@@ -215,7 +223,7 @@ def _cmd_train(args, config: RunConfig) -> int:
             raise UsageError(f"{args.resume} has {start_epoch} epochs completed, more than "
                              f"the {config.epochs} epochs asked for")
     else:
-        category_vocab = prompt.build_category_vocab(examples, config.top_k_categories)
+        category_vocab = _category_vocab(examples, config, args.input)
         bare = _build_prompts(examples, config, category_vocab, None)
         token_lists = [p.source_tokens for p in bare]
         token_lists += [prompt.tokenize(p.target_text) for p in bare]
@@ -320,7 +328,7 @@ def _cmd_eval(args, config: RunConfig) -> int:
     examples = _load_examples_any(args.examples)
     if config.multi_ref and not args.coqa:
         raise UsageError("--multi-ref needs --coqa pointing at the original CoQA JSON")
-    vocab = prompt.build_category_vocab(examples, config.top_k_categories)
+    vocab = _category_vocab(examples, config, args.examples)
     predictions = _read_predictions(args.predictions, examples,
                                     config.multi_ref, args.coqa)
     report = evalmod.evaluate(predictions, examples, vocab=vocab, top_k=config.top_k_categories)
@@ -335,7 +343,7 @@ def _cmd_raw_baseline(args, config: RunConfig) -> int:
         if str(args.input).endswith(".jsonl"):
             raise UsageError("--multi-ref needs the original CoQA JSON as --input")
         extra = corpus.load_additional_answers(args.input)
-    vocab = prompt.build_category_vocab(examples, config.top_k_categories)
+    vocab = _category_vocab(examples, config, args.input)
     report = evalmod.raw_baseline(examples, tighten=config.tighten, extra_references=extra,
                                   vocab=vocab, top_k=config.top_k_categories)
     _emit_report(report, args, config)
@@ -365,6 +373,9 @@ def _cmd_export_attention(args, config: RunConfig) -> int:
         raise UsageError(f"--heads {bad} out of range (0..{model_config.n_heads - 1})")
     p = prompt.build_prompt(examples[args.index], config.prompt_version_obj(),
                             category_vocab, token_vocab)
+    if len(p.source_tokens) > model_config.max_source_len:
+        raise CorpusError(f"{args.input}: example {args.index} has {len(p.source_tokens)} "
+                          f"source tokens, more than max_source_len {model_config.max_source_len}")
     paths = M.export_attention(p.source_tokens, p.source_ids, store, model_config,
                                args.layer, args.heads, args.out_dir)
     for path in paths:
@@ -498,7 +509,7 @@ def run(argv=None) -> int:
     except FloatingPointError as err:   # a diverging training run: a failed check
         print(err, file=sys.stderr)
         return 1
-    except (OSError, ValueError) as err:   # a bad path; CorpusError
+    except (OSError, CorpusError) as err:   # a bad path; bad input
         print(f"data error: {err}", file=sys.stderr)
         return 2
 

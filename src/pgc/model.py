@@ -21,8 +21,9 @@ Inference is greedy (ties go to the lowest id) and incremental: it runs
 without a graph, computes the encoder-side projections and the
 parameter-only values once per source and feeds the decoder only new
 positions against cached self-attention keys and values: the token just
-emitted and a draft, the source ids that follow that token in the
-source, whose rows are checked against it in the same pass.
+emitted and a draft whose rows are checked against it in the same pass,
+first the current turn's rationale, then the source ids that follow the
+token just emitted.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import tensor as T
 from .corpus import check_fields
-from .prompt import BOS, EOS, PAD, UNK, PromptedExample
+from .prompt import BOS, EOS, PAD, UNK, PromptedExample, rationale_span
 from .tensor import ParamStore, Tensor
 
 
@@ -414,14 +415,15 @@ def greedy_decode(prompted: PromptedExample, params: ParamStore, config: ModelCo
     """Greedy argmax decoding; returns emitted extended-vocabulary ids.
 
     Runs without a graph on one source, against a decoder cache holding
-    the earlier positions.  After each pass the source proposes a
-    draft: the ids that follow the first source position holding the
-    token just emitted.  The next pass feeds that token and the draft
-    together; each row's argmax is read in order, draft ids are accepted
+    the earlier positions.  Each pass feeds the token just emitted (BOS
+    first) and a draft from the source: first the current turn's
+    rationale (``prompt.rationale_span``), the extracted answer to edit,
+    then the ids after the first source position holding the token just
+    emitted.  Each row's argmax is read in order, draft ids are accepted
     while they match, the first row that disagrees emits its own argmax,
     and the cache drops the rejected draft positions.  So the ids are
-    those of one position per pass, and a token the source does not hold
-    gives an empty draft, which is exactly that one-position step.  Stops
+    those of one position per pass, and an empty draft (no rationale
+    run, or a token the source does not hold) is that one-position step.  Stops
     at EOS or after ``max_len`` tokens, which may not exceed
     ``config.max_target_len``.  Emitted ids map back to surface tokens
     via the token vocabulary plus ``prompted.source_oov``.
@@ -434,8 +436,10 @@ def greedy_decode(prompted: PromptedExample, params: ParamStore, config: ModelCo
         stack = encode(prompted.source_ids, params, config)
         source = stack.source_ext_ids
         cache = DecoderCache()
-        new_ids, draft = [BOS], []
+        next_id, (start, stop) = BOS, rationale_span(prompted)
         while len(emitted) < limit:
+            draft = source[start:min(stop, start + limit - len(emitted) - 1)].tolist()
+            new_ids = [i if i < config.vocab_size else UNK for i in [next_id] + draft]
             p_final = forward_distributions(new_ids, stack, params, config, cache).p_final.data
             for row, next_id in enumerate(np.argmax(p_final, axis=-1).tolist()):
                 if next_id == EOS:
@@ -446,8 +450,7 @@ def greedy_decode(prompted: PromptedExample, params: ParamStore, config: ModelCo
             cache.rollback(cache.length - len(draft) + row)
             hits = np.flatnonzero(source == next_id)
             start = hits[0] + 1 if hits.size else len(source)
-            draft = source[start:start + limit - len(emitted) - 1].tolist()
-            new_ids = [i if i < config.vocab_size else UNK for i in [next_id] + draft]
+            stop = len(source)
     return emitted
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterable
 
-from .corpus import DialogueExample
+from .corpus import CorpusError, DialogueExample
 
 _TOKEN = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 _EDGE_PUNCT = re.compile(r"^\W+|\W+$", re.UNICODE)
@@ -82,6 +82,16 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
+def rationale_span(prompted: PromptedExample) -> tuple[int, int]:
+    """Source positions ``[start, stop)`` of the last run of the current turn's
+    rationale tokens (V3 puts the current turn last), or an empty range."""
+    run, tokens = tokenize(prompted.origin.turn.rationale), prompted.source_tokens
+    for start in range(len(tokens) - len(run), -1, -1):
+        if tokens[start:start + len(run)] == run:
+            return start, start + len(run)
+    return 0, 0
+
+
 def detokenize(tokens: Iterable[str]) -> str:
     return " ".join(tokens)
 
@@ -94,14 +104,15 @@ def _first_word(question: str) -> str:
 
 
 def build_category_vocab(examples: list[DialogueExample], k: int) -> CategoryVocab:
-    """The k most frequent question-opening words, ties broken alphabetically."""
+    """The k most frequent question-opening words, ties broken alphabetically;
+    no example or no question word to rank is a ``CorpusError``."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if not examples:
-        raise ValueError("cannot build a category vocabulary from no examples")
+        raise CorpusError("cannot build a category vocabulary from no examples")
     counts = Counter(w for w in (_first_word(ex.turn.question) for ex in examples) if w)
     if not counts:
-        raise ValueError("no question words found to build a category vocabulary")
+        raise CorpusError("no question words found to build a category vocabulary")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return CategoryVocab(categories=tuple(word for word, _ in ranked[:k]))
 

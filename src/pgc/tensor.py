@@ -320,9 +320,9 @@ def attention(q, k, v=None, mask=None, n_heads: int = 1) -> tuple[Tensor, np.nda
     if mask is not None:
         mask = np.asarray(mask)
         logits = np.where(mask[..., None, :, :] if mask.ndim > 1 else mask, -np.inf, logits)
+        if mask.all(axis=-1).any():
+            raise ValueError("attention row is fully masked")
     top = logits.max(axis=-1, keepdims=True)
-    if mask is not None and (top == -np.inf).any():
-        raise ValueError("attention row is fully masked")
     e = np.exp(logits - top)
     w = e / e.sum(axis=-1, keepdims=True)
 

@@ -235,9 +235,9 @@ def train_loop(prompted_examples: list[PromptedExample], store: ParamStore,
     """Shuffled mini-batch training with gradient clipping and Adam.
 
     Each mini-batch is one ``teacher_forced_loss`` graph.  Before the
-    gradients are clipped and Adam writes any parameter, the loss and
-    every gradient must be finite, or ``FloatingPointError`` says the run
-    diverged (numpy's own warnings are kept quiet for the step).  The
+    gradients are clipped and Adam writes any parameter, the forward pass
+    must not overflow and the loss and every gradient must be finite, or
+    ``FloatingPointError`` says the run diverged, with no numpy warning.  The
     shuffle order is a pure function of (seed, epoch), so resuming from
     a checkpoint at an epoch boundary replays the exact run.  ``log``
     gets one line per epoch: the mean loss, the largest pre-clip
@@ -254,11 +254,15 @@ def train_loop(prompted_examples: list[PromptedExample], store: ParamStore,
         batch_losses, max_norm, clipped = [], 0.0, 0
         for lo in range(0, len(order), config.batch_size):
             batch = [prompted_examples[j] for j in order[lo:lo + config.batch_size]]
-            with np.errstate(all="ignore"):   # _check_finite names what went non-finite
-                loss = teacher_forced_loss(batch, store, model_config, vocab)
-                store.zero_grad()
-                loss.backward()
-            _check_finite(loss, store, step + 1)
+            try:
+                with np.errstate(all="ignore", over="raise", invalid="raise"):
+                    loss = teacher_forced_loss(batch, store, model_config, vocab)
+                with np.errstate(all="ignore"):   # _check_finite names what went non-finite
+                    store.zero_grad()
+                    loss.backward()
+                _check_finite(loss, store)
+            except FloatingPointError as err:
+                raise FloatingPointError(f"training diverged at step {step + 1}: {err}") from None
             norm = store.clip_grad_norm(config.clip_norm)
             max_norm, clipped = max(max_norm, norm), clipped + (norm > config.clip_norm)
             T.adam_step(store, config.learning_rate)
@@ -282,12 +286,12 @@ def _check_vocab_size(vocab: TokenVocab, model_config: ModelConfig) -> None:
                          f"vocab_size {model_config.vocab_size}")
 
 
-def _check_finite(loss: T.Tensor, store: ParamStore, step: int) -> None:
+def _check_finite(loss: T.Tensor, store: ParamStore) -> None:
     """Raise ``FloatingPointError`` unless the loss and every gradient are finite."""
     finite_loss, name = np.isfinite(loss.data).all(), store.non_finite(store.flat_grad)
     if not finite_loss or name is not None:
         fault = f"gradient for {name}" if finite_loss else f"loss {loss.item()}"
-        raise FloatingPointError(f"training diverged at step {step}: non-finite {fault}")
+        raise FloatingPointError(f"non-finite {fault}")
 
 
 def write_loss_curve(curve: list[tuple[int, int, float]], path: str | Path) -> None:

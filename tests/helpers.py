@@ -116,17 +116,30 @@ def tiny_coqa_dict() -> dict:
     }
 
 
-def make_prompted(source_ids, oov=(), target_text=""):
-    """Bare PromptedExample wrapper for direct model-level tests."""
-    turn = corpus.ConversationTurn(turn_id=1, question="q", rationale="r",
-                                   answer=target_text or "a", span_start=0)
+def make_prompted(source_ids, oov=(), target_text="", rationale="r"):
+    """Bare PromptedExample wrapper for direct model-level tests.  Source
+    id ``i`` has the token ``t{i}``, so a ``rationale`` such as ``"t4 t7"``
+    names the source run of ids 4, 7; the default ``"r"`` names none."""
+    turn = corpus.ConversationTurn(turn_id=1, question="q", rationale=rationale,
+                                   answer=target_text or "a",
+                                   span_start=0 if rationale else -1)
     origin = corpus.DialogueExample(story_id="test", turn=turn, history=(),
                                     answer_class=corpus.AnswerClass.GENERATIVE)
     return prompt.PromptedExample(
         source_text="", target_text=target_text,
-        source_tokens=[f"t{i}" for i in range(len(source_ids))],
+        source_tokens=[f"t{i}" for i in source_ids],
         source_ids=list(source_ids), origin=origin, source_oov=list(oov),
     )
+
+
+def rationale_draft(prompted, limit) -> list[int]:
+    """The first pass's draft: the source ids under the last run of the
+    rationale's tokens (none when no run matches), cut to ``limit - 1``."""
+    run, tokens = prompt.tokenize(prompted.origin.turn.rationale), prompted.source_tokens
+    starts = [s for s in range(len(tokens) - len(run) + 1) if tokens[s:s + len(run)] == run]
+    if not starts:
+        return []
+    return list(prompted.source_ids[starts[-1]:starts[-1] + len(run)])[:max(limit - 1, 0)]
 
 
 def one_position_decode(prompted, params, config, max_len=None):

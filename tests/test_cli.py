@@ -149,28 +149,38 @@ class TestTrainPredictEval:
 
     def test_prediction_bytes_equal_one_position_per_pass(self, tmp_path, monkeypatch):
         """Drafted decoding writes the bytes of the one-position reference
-        decoder, on a checkpoint that copies well enough to accept drafts."""
-        data = tmp_path / "copy.jsonl"
-        assert cli.run(["synthetic", "--task", "copy", "--n", "48", "--min-len", "2",
-                        "--max-len", "4", "--lexicon-size", "48", "--output", str(data)]) == 0
+        decoder, on a checkpoint that copies well enough to accept drafts:
+        some first drafts (the rationale) are accepted whole, and the
+        yes/no answers reject theirs at the first id."""
+        data = _synthetic_mix(tmp_path, "mix", 48, 16, seed=0)
         ckpt = tmp_path / "ckpt"
         assert cli.run(["train", "--input", str(data), "--output", str(ckpt),
                         *TINY_MODEL_FLAGS, "--epochs", "6", "--learning-rate", "1e-2"]) == 0
-        passes, forward = [], M.forward_distributions
+        passes, forward = [], M.forward_distributions   # (cache length, ids fed) per pass
         monkeypatch.setattr(M, "forward_distributions",
-                            lambda *args: passes.append(1) or forward(*args))
+                            lambda *args: passes.append((args[4].length, list(args[0])))
+                            or forward(*args))
         outputs = {}
         for name in ("drafted", "reference"):
             outputs[name] = tmp_path / f"{name}.jsonl"
             assert cli.run(["predict", "--input", str(data), "--checkpoint", str(ckpt),
                             "--output", str(outputs[name])]) == 0
             if name == "drafted":
-                drafted_passes = len(passes)
+                drafted = passes[:]
                 monkeypatch.setattr(M, "greedy_decode", one_position_decode)
         assert outputs["drafted"].read_bytes() == outputs["reference"].read_bytes()
         words = sum(len(json.loads(line)["text"].split())
                     for line in outputs["drafted"].read_text().splitlines())
-        assert drafted_passes < words
+        assert len(drafted) < words
+        # each decode starts at cache length 0, its first pass feeding BOS and the rationale
+        firsts = [k for k, (start, fed) in enumerate(drafted) if start == 0]
+        assert all(len(drafted[k][1]) > 1 for k in firsts)
+        after = [drafted[k + 1][0] if k + 1 < len(drafted) else 0 for k in firsts]
+        texts = [json.loads(line)["text"] for line in outputs["drafted"].read_text().splitlines()]
+        assert len(texts) == len(firsts)
+        accepted_whole = sum(n == 0 and len(text.split()) == len(drafted[k][1]) - 1
+                             for k, n, text in zip(firsts, after, texts))
+        assert accepted_whole > 0 and after.count(1) > 0
 
     def test_predict_names_skipped_examples(self, trained, tmp_path, capsys):
         data, ckpt = trained
@@ -282,6 +292,42 @@ def test_a_diverging_run_exits_1_quietly_and_writes_nothing(tmp_path, capsys):
     assert "data error" not in err
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert not ckpt.exists() and not curve.exists()
+
+
+@pytest.mark.parametrize("learning_rate", ["1e80", "1e300"])
+def test_a_run_whose_forward_pass_overflows_exits_1_quietly(tmp_path, capsys, learning_rate):
+    """Huge parameters overflow the attention logits, which can empty a
+    row: that is a diverging run, not a fully masked row of bad input."""
+    data = tmp_path / "copy.jsonl"
+    assert cli.run(["synthetic", "--task", "copy", "--n", "16", "--output", str(data)]) == 0
+    ckpt, curve = tmp_path / "ckpt", tmp_path / "curve.csv"
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.run(["train", "--input", str(data), "--output", str(ckpt),
+                        "--loss-curve", str(curve), "--learning-rate", learning_rate,
+                        "--d-model", "8", "--n-heads", "2", "--epochs", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("training diverged at step ")
+    assert "data error" not in err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert not ckpt.exists() and not curve.exists()
+
+
+def test_a_value_error_in_decoding_is_no_data_error(tmp_path, capsys, monkeypatch):
+    """Only a ``CorpusError`` or an ``OSError`` reads as bad input: a fault
+    in the decoder ends in a traceback, not in exit 2."""
+    data, ckpt = train_small(tmp_path)
+
+    def broken(*args, **kwargs):
+        raise ValueError("a fault in the decoder")
+
+    monkeypatch.setattr(M, "greedy_decode", broken)
+    capsys.readouterr()
+    with pytest.raises(ValueError, match="a fault in the decoder"):
+        cli.run(["predict", "--input", str(data), "--checkpoint", str(ckpt),
+                 "--output", str(tmp_path / "preds.jsonl")])
+    assert "data error" not in capsys.readouterr().err
 
 
 class _Stopped(Exception):
@@ -903,11 +949,72 @@ class TestExportAttention:
         assert f"usage error: {detail}" in err and "Traceback" not in err
         assert not out_dir.exists()
 
+    def test_example_over_the_source_limit_is_data_error(self, trained, store_lines,
+                                                          tmp_path, capsys):
+        _, ckpt = trained
+        record = json.loads(store_lines[1])
+        record["turn"]["question"] = "what " * 30
+        store = _write_lines(tmp_path / "store.jsonl", [store_lines[0], json.dumps(record)])
+        out_dir = tmp_path / "attn"
+        assert cli.run(["export-attention", "--checkpoint", str(ckpt), "--input", str(store),
+                        "--index", "1", "--layer", "0", "--heads", "0",
+                        "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {store}: example 1 has ")
+        assert err.rstrip().endswith("source tokens, more than max_source_len 24")
+        assert not out_dir.exists()
+
     def test_bad_index_is_data_error(self, trained, tmp_path):
         data, ckpt = trained
         assert cli.run(["export-attention", "--checkpoint", str(ckpt),
                         "--input", str(data), "--index", "999", "--layer", "0",
                         "--heads", "0", "--out-dir", str(tmp_path / "x")]) == 2
+
+
+def _no_question_words(payload):
+    for story in payload["data"]:
+        for question in story["questions"]:
+            del question["input_text"]
+
+
+class TestStoreWithoutCategories:
+    """A store with no examples, or none whose question has a word, leaves
+    nothing to build the question categories from: exit 2, a data error
+    naming the store, never a traceback."""
+
+    COMMANDS = {
+        "prompts": "prompts --input {store} --output {out}",
+        "train": "train --input {store} --output {out}",
+        "eval": "eval --predictions {preds} --examples {store}",
+        "raw-baseline": "raw-baseline --input {store}",
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("kind", ["empty-jsonl", "empty-coqa", "punctuation-questions",
+                                      "absent-questions"])
+    def test_exit_2_names_the_store(self, store_lines, tmp_path, capsys, command, kind):
+        payload = tiny_coqa_dict()
+        if kind == "empty-jsonl":
+            store = _write_lines(tmp_path / "store.jsonl", [])
+        elif kind == "punctuation-questions":
+            records = [json.loads(line) for line in store_lines]
+            for record in records:
+                record["turn"]["question"] = "?"
+            store = _write_lines(tmp_path / "store.jsonl", map(json.dumps, records))
+        else:
+            if kind == "empty-coqa":
+                payload["data"] = []
+            else:
+                _no_question_words(payload)
+            store = tmp_path / "coqa.json"
+            store.write_text(json.dumps(payload), encoding="utf-8")
+        preds = _write_lines(tmp_path / "preds.jsonl", [])
+        out = tmp_path / "out"
+        argv = self.COMMANDS[command].format(store=store, preds=preds, out=out)
+        assert cli.run(argv.split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {store}: ") and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestWholeFileFaults:

@@ -10,10 +10,10 @@ import pytest
 from pgc import model as M
 from pgc import tensor as T
 from pgc.model import EncoderStack, ModelConfig
-from pgc.prompt import BOS, EOS, PAD, UNK
+from pgc.prompt import BOS, EOS, PAD, UNK, rationale_span
 from pgc.tensor import Tensor
 
-from helpers import (make_prompted, one_position_decode, random_model_draws,
+from helpers import (make_prompted, one_position_decode, random_model_draws, rationale_draft,
                      random_small_config, store_of, tensor_constructions, weighted_total)
 
 
@@ -667,17 +667,19 @@ def decode_with_passes(prompted, params, config, max_len=None):
 def check_drafted(prompted, params, config, max_len=None) -> dict:
     """Assert that the drafted decoder emits the one-position decoder's ids,
     that every row of every pass is within 1e-12 of that position's row
-    fed one position per pass after the accepted ids, and that each draft
-    is the source's ids after the first position holding the token just
-    emitted, cut to the budget.  Returns counts of the drafts and of those
-    rejected at their first id."""
+    fed one position per pass after the accepted ids, that the first pass
+    feeds BOS and the rationale's draft (``helpers.rationale_draft``), and
+    that each later draft is the source's ids after the first position
+    holding the token just emitted, both cut to the budget.  Returns
+    counts of the drafts and of those rejected at their first id, for the
+    first pass (``first``, ``first_rejected``) and the later ones."""
     want = one_position_decode(prompted, params, config, max_len)
     got, passes = decode_with_passes(prompted, params, config, max_len)
     assert got == want, f"argmax flip: drafted {got}, one position per pass {want}"
     limit = config.max_target_len if max_len is None else max_len
     source = list(prompted.source_ids)
     accepted = [BOS] + [i if i < config.vocab_size else UNK for i in got]
-    counts = dict(drafts=0, rejected_first=0)
+    counts = dict(drafts=0, rejected_first=0, first=0, first_rejected=0)
     with T.no_grad():
         stack, reference = M.encode(source, params, config), M.DecoderCache()
         for k, (start, ids, p_final) in enumerate(passes):
@@ -689,14 +691,23 @@ def check_drafted(prompted, params, config, max_len=None) -> dict:
                                                            fork).p_final.data for i in ids])
             assert ids[0] == accepted[start] and np.abs(p_final - rows).max() <= 1e-12
             if k == 0:
-                continue
-            pos = source.index(got[start - 1]) if got[start - 1] in source else len(source)
-            draft = source[pos + 1:pos + limit - start]
+                draft, keys = rationale_draft(prompted, limit), ("first", "first_rejected")
+            else:
+                pos = source.index(got[start - 1]) if got[start - 1] in source else len(source)
+                draft, keys = source[pos + 1:pos + limit - start], ("drafts", "rejected_first")
             assert ids[1:] == [i if i < config.vocab_size else UNK for i in draft]
-            counts["drafts"] += bool(draft)
-            counts["rejected_first"] += (bool(draft) and k + 1 < len(passes)
-                                         and passes[k + 1][0] == start + 1)
+            counts[keys[0]] += bool(draft)
+            counts[keys[1]] += (bool(draft) and k + 1 < len(passes)
+                                and passes[k + 1][0] == start + 1)
     return counts
+
+
+def random_rationale(rng, source) -> str:
+    """The tokens of a random run of ``source``; one time in four with a
+    token no source holds (``t0``, PAD's) appended, so no run matches."""
+    lo = int(rng.integers(0, len(source)))
+    words = [f"t{i}" for i in source[lo:int(rng.integers(lo + 1, len(source) + 1))]]
+    return " ".join(words + ["t0"] * (rng.random() < 0.25))
 
 
 class TestDrafting:
@@ -704,13 +715,16 @@ class TestDrafting:
     the reference is one position per pass (``helpers.one_position_decode``)."""
 
     def test_equal_to_one_position_per_pass_over_random_draws(self):
-        totals = dict(drafts=0, rejected_first=0)
+        rng = np.random.default_rng(3)
+        totals = dict(drafts=0, rejected_first=0, first=0, first_rejected=0)
         for config, params, source, prefix in random_model_draws(seed=42, n=100):
+            prompted = make_prompted(source, rationale=random_rationale(rng, source))
             for max_len in (None, len(prefix)):
-                counts = check_drafted(make_prompted(source), params, config, max_len)
+                counts = check_drafted(prompted, params, config, max_len)
                 for key, value in counts.items():
                     totals[key] += value
         assert totals["drafts"] > totals["rejected_first"] > 0
+        assert totals["first"] > totals["first_rejected"] > 0
 
     @pytest.mark.parametrize("n_dec_layers", [1, 2])
     def test_repeated_source_tokens(self, n_dec_layers):
@@ -769,6 +783,70 @@ class TestDrafting:
         assert ids == [4, 7]
         assert [fed for _, fed, _ in passes] == [[BOS], [4, 7, EOS, 5, 6]]
         check_drafted(prompted, copy_wired_params(config), config)
+
+
+class TestRationaleDraft:
+    """The first pass drafts the current turn's rationale: the source ids
+    under the last run of its tokens, cut to the budget."""
+
+    def fed(self, prompted, config=TestGreedyDecode.wired_config, max_len=None,
+            params=None):
+        """The ids and, per pass, the cache length before it and the ids fed;
+        the drafting oracle holds on the same decode."""
+        params = copy_wired_params(config) if params is None else params
+        ids, passes = decode_with_passes(prompted, params, config, max_len)
+        check_drafted(prompted, params, config, max_len)
+        return ids, [(start, fed) for start, fed, _ in passes]
+
+    @pytest.mark.parametrize("n_dec_layers", [1, 2])
+    def test_a_rationale_accepted_whole_takes_one_pass(self, n_dec_layers):
+        config = replace(TestGreedyDecode.wired_config, n_dec_layers=n_dec_layers)
+        prompted = make_prompted([4, 7, 5, EOS, 6], rationale="t4 t7 t5")
+        assert self.fed(prompted, config) == ([4, 7, 5], [(0, [BOS, 4, 7, 5])])
+
+    def test_a_rationale_rejected_at_its_first_id(self):
+        prompted = make_prompted([4, 7, 5, 9, EOS], rationale="t5 t9")
+        assert self.fed(prompted) == ([4, 7, 5, 9], [(0, [BOS, 5, 9]), (1, [4, 7, 5, 9, EOS])])
+        config = TestGreedyDecode.wired_config
+        assert check_drafted(prompted, copy_wired_params(config), config)["first_rejected"] == 1
+
+    @pytest.mark.parametrize("rationale", ["t8", "t7 t4", "", "r"])
+    def test_no_run_drafts_nothing(self, rationale):
+        prompted = make_prompted([4, 7, EOS], rationale=rationale)
+        assert rationale_draft(prompted, 12) == []
+        assert self.fed(prompted) == ([4, 7], [(0, [BOS]), (1, [4, 7, EOS])])
+
+    def test_cut_by_max_len(self):
+        prompted = make_prompted([4, 7, 5, 9, 6, 8], rationale="t4 t7 t5 t9 t6 t8")
+        assert self.fed(prompted, max_len=3) == ([4, 7, 5], [(0, [BOS, 4, 7])])
+        assert self.fed(prompted, max_len=1) == ([4], [(0, [BOS])])
+
+    def test_cut_by_max_target_len(self):
+        config = replace(TestGreedyDecode.wired_config, max_target_len=4)
+        prompted = make_prompted([4, 7, 5, 9, 6, 8, 10, 11], rationale="t4 t7 t5 t9 t6 t8")
+        assert self.fed(prompted, config) == ([4, 7, 5, 9], [(0, [BOS, 4, 7, 5])])
+
+    def test_the_last_run_is_drafted(self):
+        prompted = make_prompted([4, 7, 5, 4, 7, EOS], rationale="t4 t7")
+        assert rationale_span(prompted) == (3, 5)
+        assert self.fed(prompted) == ([4, 7, 5, 4, 7], [(0, [BOS, 4, 7]), (3, [5, 4, 7, EOS])])
+
+    def test_oov_ids_are_fed_as_unk(self):
+        prompted = make_prompted([4, 13, 14, 5], oov=["x", "y"], rationale="t4 t13 t14 t5")
+        assert self.fed(prompted, max_len=4) == ([4, 13, 14, 5], [(0, [BOS, 4, UNK, UNK])])
+
+    def test_blind_to_the_answer(self):
+        """Other words in ``target_text`` and ``turn.answer``, the
+        rationale's own among them, change no id and no id fed."""
+        rng = np.random.default_rng(11)
+        for config, params, source, _ in random_model_draws(seed=5, n=40):
+            prompted = make_prompted(source, rationale=random_rationale(rng, source))
+            want = self.fed(prompted, config, params=params)
+            for answer in ("zz", prompted.origin.turn.rationale, f"t{source[-1]} t{source[0]}"):
+                turn = replace(prompted.origin.turn, answer=answer)
+                other = replace(prompted, target_text=answer,
+                                origin=replace(prompted.origin, turn=turn))
+                assert self.fed(other, config, params=params) == want
 
 
 class TestDecoderCacheRollback:

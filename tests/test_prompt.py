@@ -1,5 +1,7 @@
 """Prompt templates, categorisation, tokeniser, and token vocabulary."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -134,6 +136,25 @@ class TestBuildPrompt:
         got = build_prompt(ex, self.v(2), DEFAULT_VOCAB)
         assert got.source_tokens == tokenize(got.source_text)
         assert len(got.source_tokens) == len(got.source_ids)
+
+    def test_rationale_span_is_the_current_turns_run(self):
+        prior = ConversationTurn(turn_id=1, question="Of what?", answer="propofol",
+                                 rationale="The surgical anesthetic", span_start=0)
+        ex = example_with("And what else?", "the surgical anesthetic", history=(prior,))
+        for n in (1, 2, 3):
+            got = build_prompt(ex, self.v(n), DEFAULT_VOCAB)
+            start, stop = prompt.rationale_span(got)
+            assert got.source_tokens[start:stop] == ["the", "surgical", "anesthetic"]
+            assert got.source_tokens[stop:] == (["answer", ":"] if n == 3 else [])
+
+    def test_rationale_span_is_empty_without_a_run(self):
+        got = build_prompt(example_with(self.q, self.r), self.v(1), DEFAULT_VOCAB)
+        cut = replace(got, source_tokens=got.source_tokens[:-1])
+        unanswerable = replace(got.origin, turn=replace(got.origin.turn, rationale="",
+                                                        span_start=-1))
+        for example in (cut, replace(got, origin=unanswerable)):
+            start, stop = prompt.rationale_span(example)
+            assert start == stop
 
     def test_negative_history_depth_rejected(self):
         with pytest.raises(ValueError):

@@ -88,6 +88,13 @@ class TestSoftmax:
         with pytest.raises(ValueError, match="fully masked"):
             T.attention(Tensor([[1.0]]), Tensor([[1.0], [2.0]]), None, np.array([True, True]))
 
+    def test_a_row_emptied_by_overflow_is_no_masked_row(self):
+        """Logits that overflow to -inf leave the row with no key, but the
+        mask kept one: numpy flags the arithmetic, the mask check is quiet."""
+        with np.errstate(all="ignore", invalid="raise"), pytest.raises(FloatingPointError):
+            T.attention(Tensor([[1e200]]), Tensor([[-1e200], [2.0]]), None,
+                        np.array([False, True]))
+
     def test_last_axis_of_a_stack(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(3, 2, 5))
@@ -343,6 +350,14 @@ class TestSigmoid:
 
     def test_quarter_point(self):
         assert abs(T.sigmoid(Tensor(-math.log(3.0))).item() - 0.25) < 1e-12
+
+    def test_a_saturated_input_overflows_nothing(self):
+        """Training's forward pass raises on overflow; an input far past
+        saturation is clipped first, so it is no divergence."""
+        with np.errstate(over="raise", invalid="raise"):
+            low, high = T.sigmoid(Tensor([-800.0, 800.0])).data
+        assert low == T.sigmoid(Tensor(-30.0)).item() and 0.0 < low < 1e-13
+        assert high == T.sigmoid(Tensor(30.0)).item() < 1.0
 
 
 class TestCrossEntropy:
