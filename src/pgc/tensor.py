@@ -25,14 +25,16 @@ replaced.
 
 NaN/inf is rejected where values enter: by a public ``Tensor(...)``, by
 ``add``/``mul`` for a Python number, which stays a plain float, and by
-``train.checkpoint_load``; a ``ParamStore`` is built zeroed and filled
-only there and by ``model.init_params``, whose draws are finite.  Op
-results are not scanned; the model checks its output distributions once
-per forward pass and training checks the loss and gradients each step.
+``train.checkpoint_load``; a ``ParamStore`` is built only there, around
+the vectors read from the file, and by ``model.init_params``, which
+fills a zeroed one with finite draws.  Op results are not scanned; the
+model checks its output distributions once per forward pass and
+training checks the loss, the gradients and their norm each step.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from typing import Callable, Iterable
@@ -479,29 +481,45 @@ def sequence_nll(p_rows, gold_ids, weights=None) -> Tensor:
 
 class ParamStore:
     """Named trainable arrays plus their gradients and Adam state, built
-    zeroed from their layout (a name -> shape dict): views, in its order,
-    into the vectors ``flat``, ``flat_grad``, ``flat_m`` and ``flat_v``.
-    A fifth vector of that size is scratch space for the norm and Adam."""
+    from their layout (a name -> shape dict): views, in its order, into
+    the vectors ``flat``, ``flat_grad``, ``flat_m`` and ``flat_v``.
+    ``state``, a ``(3, n)`` float64 array, is adopted with no copy as
+    ``flat``, ``flat_m`` and ``flat_v``; without it they start zeroed, as
+    ``flat_grad`` always does.  A fifth vector of that size is scratch
+    space for the norm and Adam.  Each parameter's data and gradient are
+    views made here; its Adam moments, in ``adam_m``/``adam_v``, are made
+    on first read."""
 
-    def __init__(self, shapes: dict[str, tuple[int, ...]]):
+    def __init__(self, shapes: dict[str, tuple[int, ...]], state: np.ndarray | None = None):
         n = sum(math.prod(shape) for shape in shapes.values())
-        self.flat, self.flat_grad, self.flat_m, self.flat_v = np.zeros((4, n))
+        state = np.zeros((3, n)) if state is None else state
+        if state.shape != (3, n):
+            raise ValueError(f"a state of shape {state.shape} for 3 vectors of {n} values")
+        self.flat, self.flat_m, self.flat_v = state
+        self.flat_grad = np.zeros(n)
         self._scratch = np.empty(n)
         self._params: dict[str, Tensor] = {}
-        self.adam_m: dict[str, np.ndarray] = {}
-        self.adam_v: dict[str, np.ndarray] = {}
         self._slices: list[slice] = []
         lo = 0
         for name, shape in shapes.items():
             part = slice(lo, lo + math.prod(shape))
-            data, grad, m, v = (flat[part].reshape(shape) for flat in
-                                (self.flat, self.flat_grad, self.flat_m, self.flat_v))
-            param = self._params[name] = Tensor(data, _check=False)
-            param.grad = grad
-            self.adam_m[name], self.adam_v[name] = m, v
+            param = self._params[name] = Tensor(self.flat[part].reshape(shape), _check=False)
+            param.grad = self.flat_grad[part].reshape(shape)
             self._slices.append(part)
             lo = part.stop
         self.step = 0
+
+    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        return {name: flat[part].reshape(t.data.shape)
+                for (name, t), part in zip(self._params.items(), self._slices)}
+
+    @functools.cached_property
+    def adam_m(self) -> dict[str, np.ndarray]:
+        return self._views(self.flat_m)
+
+    @functools.cached_property
+    def adam_v(self) -> dict[str, np.ndarray]:
+        return self._views(self.flat_v)
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -533,8 +551,13 @@ class ParamStore:
         return math.sqrt(sum(float(squares[part].sum()) for part in self._slices))
 
     def clip_grad_norm(self, max_norm: float) -> float:
-        """Scale all gradients so the global norm is at most ``max_norm``."""
-        norm = self.global_grad_norm()
+        """Scale all gradients so the global norm is at most ``max_norm``.
+        A non-finite norm, which finite gradients past about 1e154 also
+        give, raises ``FloatingPointError``: no factor would clip it."""
+        with np.errstate(over="ignore"):
+            norm = self.global_grad_norm()
+        if not math.isfinite(norm):
+            raise FloatingPointError(f"non-finite gradient norm {norm}")
         if norm > max_norm:
             self.flat_grad *= max_norm / (norm + 1e-12)
         return norm

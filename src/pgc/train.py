@@ -11,15 +11,18 @@ task whose yes/no answers never occur in the source (so only the
 generation path can solve it).
 
 A checkpoint is one line of JSON, the header, followed by the store's
-three flat vectors as raw little-endian float64 bytes; the loader reads
-the file once, parses the header line through ``pgc.corpus`` and finds
-each vector by its length, so values round-trip bit-exactly.
+three flat vectors as raw little-endian float64 bytes; the loader opens
+the file once, parses the header line through ``pgc.corpus`` and reads
+the vectors, found by their length, in one call into the array the new
+store adopts, so values round-trip bit-exactly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -53,8 +56,8 @@ class TrainConfig:
     def __post_init__(self):
         check_fields(self)
         PromptVersion(PromptVersionId(self.prompt_version), self.history_depth)
-        if self.learning_rate <= 0 or self.clip_norm <= 0:
-            raise ValueError("learning_rate and clip_norm must be positive")
+        if not (0 < self.learning_rate < math.inf and 0 < self.clip_norm < math.inf):
+            raise ValueError("learning_rate and clip_norm must be positive and finite")
         if self.batch_size < 1 or self.epochs < 1 or self.checkpoint_interval < 0:
             raise ValueError("batch_size and epochs must be >= 1, checkpoint_interval >= 0")
         if self.seed < 0:
@@ -236,8 +239,9 @@ def train_loop(prompted_examples: list[PromptedExample], store: ParamStore,
 
     Each mini-batch is one ``teacher_forced_loss`` graph.  Before the
     gradients are clipped and Adam writes any parameter, the forward pass
-    must not overflow and the loss and every gradient must be finite, or
-    ``FloatingPointError`` says the run diverged, with no numpy warning.  The
+    must not overflow and the loss, every gradient and their norm must be
+    finite, and the Adam step must not overflow, or ``FloatingPointError``
+    says the run diverged, with no numpy warning.  The
     shuffle order is a pure function of (seed, epoch), so resuming from
     a checkpoint at an epoch boundary replays the exact run.  ``log``
     gets one line per epoch: the mean loss, the largest pre-clip
@@ -261,11 +265,12 @@ def train_loop(prompted_examples: list[PromptedExample], store: ParamStore,
                     store.zero_grad()
                     loss.backward()
                 _check_finite(loss, store)
+                with np.errstate(all="ignore", over="raise", invalid="raise"):
+                    norm = store.clip_grad_norm(config.clip_norm)
+                    T.adam_step(store, config.learning_rate)
             except FloatingPointError as err:
                 raise FloatingPointError(f"training diverged at step {step + 1}: {err}") from None
-            norm = store.clip_grad_norm(config.clip_norm)
             max_norm, clipped = max(max_norm, norm), clipped + (norm > config.clip_norm)
-            T.adam_step(store, config.learning_rate)
             step += 1
             value = loss.item()
             curve.append((epoch, step, value))
@@ -302,12 +307,14 @@ def write_loss_curve(curve: list[tuple[int, int, float]], path: str | Path) -> N
 
 
 def config_hash(model_config: ModelConfig) -> str:
-    canonical = json.dumps(asdict(model_config), sort_keys=True)
+    canonical = json.dumps({f.name: getattr(model_config, f.name) for f in fields(model_config)},
+                           sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def _layout(store: ParamStore) -> list:
-    return [[name, list(t.data.shape)] for name, t in store.items()]
+def _layout(shapes) -> list:
+    """The ``[name, shape]`` list of ``(name, shape)`` pairs, as a header holds it."""
+    return [[name, list(shape)] for name, shape in shapes]
 
 
 def _vectors(store: ParamStore):
@@ -335,7 +342,7 @@ def checkpoint_save(path: str | Path, store: ParamStore, model_config: ModelConf
         "epochs_completed": epochs_completed,
         "token_vocab": vocab.tokens[len(SPECIAL_TOKENS):],
         "category_vocab": list(category_vocab.categories),
-        "layout": _layout(store),
+        "layout": _layout((name, t.data.shape) for name, t in store.items()),
     }
     with open(path, "wb") as fh:   # json.dumps escapes every newline, so the header has none
         fh.write(json.dumps(header).encode("ascii") + b"\n")
@@ -367,63 +374,68 @@ def _is_str_list(value) -> bool:
     return isinstance(value, list) and all(type(item) is str for item in value)
 
 
-def _fill_state(path, header: dict, raw: bytes, start: int, store: ParamStore) -> None:
-    """Copy the parameters and Adam moments, from byte ``start`` of ``raw``
-    on, into ``store``'s own vectors.
+def _read_state(path, header: dict, fh, shapes: dict) -> np.ndarray:
+    """The parameters and Adam moments, the rest of the open file ``fh``,
+    as one fresh ``(3, n)`` array read in one call, for a store of layout
+    ``shapes``.
 
-    ``layout`` must be the store's ``[name, shape]`` list, JSON types
-    included (``true`` is not ``1``), and ``raw`` hold from ``start`` on
-    exactly the store's three vectors of float64 values, all finite."""
-    layout = header["layout"]
+    ``layout`` must be that ``[name, shape]`` list, JSON types included
+    (``true`` is not ``1``), and the rest of the file exactly three vectors
+    of ``n`` float64 values; its length is taken from the file's size."""
+    layout, want = header["layout"], _layout(shapes.items())
     if not isinstance(layout, list):
         raise CorpusError(f"{path}: layout is not a list")
-    if json.dumps(layout) != json.dumps(_layout(store)):   # entries only to name the first
-        got, want = [json.dumps(e) for e in layout], [json.dumps(e) for e in _layout(store)]
+    if layout != want or any(type(d) is not int for _, shape in layout for d in shape):
+        got, want = [json.dumps(e) for e in layout], [json.dumps(e) for e in want]
         i, have, expected = next((i, a, b) for i, (a, b) in
                                  enumerate(zip(got + ["nothing"], want + ["nothing"])) if a != b)
         raise CorpusError(f"{path}: layout entry {i} is {have}, expected {expected}")
-    size, n = len(raw) - start, store.n_values()
-    if size != 3 * 8 * n:
+    n = sum(math.prod(shape) for shape in shapes.values())
+    size, state = os.fstat(fh.fileno()).st_size - fh.tell(), np.empty((3, n), dtype="<f8")
+    if size != state.nbytes or fh.readinto(state) != size:   # found by length, never searched
         raise CorpusError(f"{path}: {size} bytes follow the header, expected 3 vectors of "
-                          f"{n} float64 values ({3 * 8 * n} bytes)")
-    for i, (key, flat) in enumerate(_vectors(store)):   # found by length, never searched
-        flat[:] = np.frombuffer(raw, dtype="<f8", count=n, offset=start + 8 * n * i)
-        name = store.non_finite(flat)
-        if name is not None:
-            raise CorpusError(f"{path}: {key}: {name} holds NaN or inf")
+                          f"{n} float64 values ({state.nbytes} bytes)")
+    return state
 
 
 def checkpoint_load(path: str | Path, expected_config: ModelConfig | None = None):
     """Load a checkpoint; returns (store, model_config, train_config, vocab, meta).
 
-    The header line must hold every section ``checkpoint_save`` writes,
-    each with its type, and nothing else.  The store is built from its
-    layout, ``param_shapes(model_config)``, which ``layout`` must list;
-    the bytes after the header, exactly its three vectors of finite
-    values, are copied into it.  ``step`` and ``epochs_completed`` are
-    ints >= 0, and the token vocabulary with the special tokens fills
-    ``model_config.vocab_size``.  Anything else is a path-naming ``CorpusError``.
+    The file is opened once.  Its header line must hold every section
+    ``checkpoint_save`` writes, each with its type, and nothing else.
+    The store's layout is ``param_shapes(model_config)``, which ``layout``
+    must list; the bytes after the header, exactly its three vectors of
+    finite values, are read straight into the array the new store adopts.
+    ``step`` and ``epochs_completed`` are ints >= 0, and the token
+    vocabulary with the special tokens fills ``model_config.vocab_size``.
+    Anything else is a path-naming ``CorpusError``.
     """
-    raw = Path(path).read_bytes()
-    end = raw.find(b"\n")   # the header's end: json.dumps writes no newline
-    header = parse_json(path, raw if end < 0 else raw[:end])
-    version = header.get("format_version")
-    if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:
-        raise CorpusError(f"{path}: unsupported checkpoint format version {version}")
-    if end < 0:
-        raise CorpusError(f"{path}: no newline after the header")
-    unknown = sorted(set(header) - _HEADER_KEYS)
-    missing = sorted(_HEADER_KEYS - set(header))
-    if unknown or missing:
-        raise CorpusError(f"{path}: unknown keys {unknown}, missing keys {missing}")
-    model_config = _config_from_checkpoint(path, header, "model_config", ModelConfig)
-    if header["config_hash"] != config_hash(model_config):
-        raise CorpusError(f"{path}: config_hash does not match model_config")
-    if expected_config is not None and expected_config != model_config:
-        raise CorpusError(f"{path}: checkpoint was written for a different model configuration")
-    train_config = _config_from_checkpoint(path, header, "train_config", TrainConfig)
-    store = ParamStore(M.param_shapes(model_config))
-    _fill_state(path, header, raw, end + 1, store)
+    with open(path, "rb") as fh:
+        line = fh.readline()   # the header: json.dumps writes no newline
+        header = parse_json(path, line.removesuffix(b"\n"))
+        version = header.get("format_version")
+        if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:
+            raise CorpusError(f"{path}: unsupported checkpoint format version {version}")
+        if not line.endswith(b"\n"):
+            raise CorpusError(f"{path}: no newline after the header")
+        unknown = sorted(set(header) - _HEADER_KEYS)
+        missing = sorted(_HEADER_KEYS - set(header))
+        if unknown or missing:
+            raise CorpusError(f"{path}: unknown keys {unknown}, missing keys {missing}")
+        model_config = _config_from_checkpoint(path, header, "model_config", ModelConfig)
+        if header["config_hash"] != config_hash(model_config):
+            raise CorpusError(f"{path}: config_hash does not match model_config")
+        if expected_config is not None and expected_config != model_config:
+            raise CorpusError(f"{path}: checkpoint was written for a different model "
+                              f"configuration")
+        train_config = _config_from_checkpoint(path, header, "train_config", TrainConfig)
+        shapes = M.param_shapes(model_config)
+        state = _read_state(path, header, fh, shapes)
+    store = ParamStore(shapes, state)
+    for key, flat in _vectors(store):
+        name = store.non_finite(flat)
+        if name is not None:
+            raise CorpusError(f"{path}: {key}: {name} holds NaN or inf")
     step, epochs = header["step"], header["epochs_completed"]
     if type(step) is not int or step < 0 or type(epochs) is not int or epochs < 0:
         raise CorpusError(f"{path}: step and epochs_completed must be ints >= 0, "

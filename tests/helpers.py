@@ -12,6 +12,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from pgc import corpus, model as M, prompt, tensor as T
 from pgc.tensor import Tensor
@@ -219,6 +220,11 @@ def random_copy_batch(rng: np.random.Generator, vocab: prompt.TokenVocab,
 
 
 VECTOR_KEYS = ("params", "adam_m", "adam_v")
+
+# A test class marked with this fails if it leaves a file open, on an
+# error path too: the unclosed handle's ResourceWarning is an error.
+CLOSES_ITS_FILES = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning")
 
 
 def read_checkpoint(path) -> dict:

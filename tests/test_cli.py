@@ -26,8 +26,8 @@ from pgc.eval import Prediction
 from pgc.model import ModelConfig
 from pgc.train import TrainConfig
 
-from helpers import (VECTOR_KEYS, checkpoint_bytes, one_position_decode, read_checkpoint,
-                     tiny_coqa_dict, write_checkpoint)
+from helpers import (CLOSES_ITS_FILES, VECTOR_KEYS, checkpoint_bytes, one_position_decode,
+                     read_checkpoint, tiny_coqa_dict, write_checkpoint)
 
 
 TINY_MODEL_FLAGS = [
@@ -312,6 +312,68 @@ def test_a_run_whose_forward_pass_overflows_exits_1_quietly(tmp_path, capsys, le
     assert "data error" not in err
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert not ckpt.exists() and not curve.exists()
+
+
+@pytest.fixture(scope="module")
+def copy_16(tmp_path_factory):
+    """A 16-example copy store at seed 1."""
+    data = tmp_path_factory.mktemp("copy16") / "copy.jsonl"
+    assert cli.run(["synthetic", "--task", "copy", "--seed", "1", "--n", "16",
+                    "--output", str(data)]) == 0
+    return data
+
+
+NOT_POSITIVE_AND_FINITE = "learning_rate and clip_norm must be positive and finite"
+# (setting, value) -> the last stderr line of a run that fails, or None
+# for a run that trains.  0, -1, NaN and +-inf are no setting at all; a
+# learning rate of 1e20 or 1e308 is one too large to train with.
+NUMERIC_TRAIN_SETTINGS = {
+    **{(setting, value): NOT_POSITIVE_AND_FINITE
+       for setting in ("learning_rate", "clip_norm")
+       for value in (0.0, -1.0, math.nan, math.inf, -math.inf)},
+    ("learning_rate", 1e20): "training diverged at step 2: non-finite gradient norm inf",
+    ("learning_rate", 1e308): "training diverged at step 2: overflow encountered in multiply",
+    ("clip_norm", 1e20): None,
+    ("clip_norm", 1e308): None,
+}
+
+
+@pytest.mark.parametrize("setting,value", list(NUMERIC_TRAIN_SETTINGS),
+                         ids=[f"{s}={v!r}" for s, v in NUMERIC_TRAIN_SETTINGS])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_numeric_train_setting(copy_16, tmp_path, capsys, setting, value, source):
+    """``learning_rate`` and ``clip_norm`` at 0, -1, NaN, +-inf, 1e20 and
+    1e308, as a flag or in a config file.  A value that is not positive
+    and finite is a usage error as a flag and a data error naming the file
+    in a config file; a learning rate too large to train with diverges;
+    anything else trains.  Never a traceback nor a RuntimeWarning, and on
+    failure neither the checkpoint nor the loss curve is written."""
+    ckpt, curve, config = tmp_path / "ckpt", tmp_path / "curve.csv", tmp_path / "config.json"
+    argv = ["train", "--input", str(copy_16), "--output", str(ckpt), "--loss-curve",
+            str(curve), "--d-model", "8", "--n-heads", "2", "--epochs", "3"]
+    if source == "flag":
+        argv.append(f"--{setting.replace('_', '-')}={value!r}")
+    else:
+        config.write_text(json.dumps({setting: value}))
+        argv += ["--config", str(config)]
+    expected = NUMERIC_TRAIN_SETTINGS[setting, value]
+    if expected == NOT_POSITIVE_AND_FINITE:
+        code = 1 if source == "flag" else 2
+        expected = f"usage error: {expected}" if code == 1 else f"data error: {config}: {expected}"
+    else:
+        code = 0 if expected is None else 1
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.run(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    if code:
+        assert err.splitlines()[-1] == expected
+        assert not ckpt.exists() and not curve.exists()
+    else:
+        assert read_checkpoint(ckpt)["train_config"][setting] == value
 
 
 def test_a_value_error_in_decoding_is_no_data_error(tmp_path, capsys, monkeypatch):
@@ -734,6 +796,7 @@ class TestMalformedPredictions:
         assert "Traceback" not in err.getvalue()
 
 
+@CLOSES_ITS_FILES
 class TestMalformedCheckpoint:
     """A checkpoint that ``pgc train`` could not have written ends in exit 2
     naming the file, never in a traceback or a silent decode."""

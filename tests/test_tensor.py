@@ -3,6 +3,7 @@
 import gc
 import itertools
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -655,6 +656,39 @@ class TestParamStore:
         assert np.all(data < 1.0) and np.all(m > 0.0)
         assert not store.flat_grad.any()   # the step uses the gradients up
 
+    def test_adam_moment_dicts_are_made_once_and_follow_adam_step(self):
+        """``adam_m`` and ``adam_v`` are made on first read and then the same
+        dict of views, which show every Adam step."""
+        store = store_of({"p": np.array([0.3, -0.7]), "q": np.ones((2, 2))})
+        m, v = store.adam_m, store.adam_v
+        assert store.adam_m is m and store.adam_v is v
+        assert list(m) == list(v) == store.names()
+        for step in range(1, 3):
+            store.flat_grad[:] = 0.5 * step
+            T.adam_step(store, lr=0.1)
+            assert store.adam_m is m and store.adam_v is v
+            for moments, flat in ((m, store.flat_m), (v, store.flat_v)):
+                assert np.array_equal(np.concatenate([a.reshape(-1) for a in moments.values()]),
+                                      flat)
+                assert flat.any()
+            assert m["q"].shape == v["q"].shape == (2, 2)
+
+    def test_a_given_state_is_adopted_without_a_copy(self):
+        """The ``(3, n)`` state becomes ``flat``, ``flat_m`` and ``flat_v``;
+        only the gradients start zeroed.  Any other shape is refused."""
+        shapes = {"p": (2,), "q": (1, 3)}
+        state = np.arange(15.0).reshape(3, 5)
+        store = ParamStore(shapes, state)
+        state += 0.5   # seen through the store's vectors: none is a copy
+        for flat, row in zip((store.flat, store.flat_m, store.flat_v), state):
+            assert np.shares_memory(flat, row) and np.array_equal(flat, row)
+        assert np.array_equal(store["q"].data, [[2.5, 3.5, 4.5]])
+        assert np.array_equal(store.adam_v["p"], [10.5, 11.5])
+        assert not store.flat_grad.any() and not np.shares_memory(store.flat_grad, state)
+        for bad in (np.zeros((3, 4)), np.zeros((4, 5)), np.zeros(15)):
+            with pytest.raises(ValueError, match="for 3 vectors of 5 values"):
+                ParamStore(shapes, bad)
+
     def test_clip_grad_norm(self):
         store = store_of({"p": np.zeros(2), "q": np.zeros(2)})
         store["p"].grad[:] = [3.0, 0.0]
@@ -662,6 +696,19 @@ class TestParamStore:
         norm = store.clip_grad_norm(1.0)
         assert abs(norm - 5.0) < 1e-12
         assert abs(store.global_grad_norm() - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("grad", [[1e200, 0.0], [1e154, 1e154], [np.inf, 0.0]],
+                             ids=["square-overflows", "sum-overflows", "inf"])
+    def test_a_non_finite_norm_is_refused_quietly_and_clips_nothing(self, grad):
+        """Finite gradients whose squares, or the sum of them, pass float64's
+        range have no finite norm either: no factor would clip them."""
+        store = store_of({"p": np.zeros(1), "q": np.zeros(1)})
+        store.flat_grad[:] = grad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="non-finite gradient norm inf"):
+                store.clip_grad_norm(1.0)
+        assert np.array_equal(store.flat_grad, grad)
 
     def test_clip_is_noop_below_threshold(self):
         store = store_of({"p": np.zeros(2)})

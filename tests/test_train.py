@@ -3,10 +3,10 @@
 import base64
 import functools
 import inspect
+import itertools
 import json
 import math
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +26,8 @@ from pgc.train import (SyntheticSpec, TrainConfig,
                        teacher_forced_loss, token_accuracy,
                        train_loop)
 
-from helpers import (make_prompted, random_copy_batch, read_checkpoint, tensor_constructions,
-                     write_checkpoint)
+from helpers import (CLOSES_ITS_FILES, make_prompted, random_copy_batch, read_checkpoint,
+                     tensor_constructions, write_checkpoint)
 
 TINY_MODEL = ModelConfig(n_enc_layers=1, n_dec_layers=1, d_model=16, n_heads=2,
                          vocab_size=40, max_source_len=24, max_target_len=16,
@@ -201,6 +201,7 @@ def fitted_setup(n):
     return prompted, vocab, replace(TINY_MODEL, vocab_size=vocab.size)
 
 
+@CLOSES_ITS_FILES
 class TestCheckpoints:
     def make_trained(self, tmp_path, epochs=2):
         prompted, vocab, model = fitted_setup(n=8)
@@ -338,22 +339,14 @@ class TestCheckpoints:
             checkpoint_load(path)
         assert str(refused.value) == f"{path}: unsupported checkpoint format version 3"
 
-    def test_repeated_round_trips_on_one_path(self, tmp_path, monkeypatch):
+    def test_repeated_round_trips_on_one_path(self, tmp_path):
         """21 saves and loads on one path, as the benchmark does them, the
         store changed by an Adam step before each save: every loaded store
         keeps the values saved with it after later saves overwrite the
-        file, its vectors are writable and share no memory with the bytes
-        read, and an Adam step on it equals one on the saved store."""
+        file, its vectors are writable, no two stores share memory, and an
+        Adam step on it equals one on the saved store."""
         model, vocab, store, config = self.make_trained(tmp_path, epochs=1)
         path = tmp_path / "ckpt.json"
-        read = []
-        read_bytes = Path.read_bytes
-
-        def recorded(self):
-            read.append(read_bytes(self))
-            return read[-1]
-
-        monkeypatch.setattr(Path, "read_bytes", recorded)
         rng = np.random.default_rng(2)
         saved, loaded = [], []
         for _ in range(21):
@@ -362,17 +355,42 @@ class TestCheckpoints:
             checkpoint_save(path, store, model, config, vocab, CATEGORIES, 1)
             saved.append(state_bytes(store))
             loaded.append(checkpoint_load(path)[0])
-        assert len(read) == 21
-        for state, copy, buffer in zip(saved, loaded, read):
+        assert len(loaded) == 21
+        for state, copy in zip(saved, loaded):
             assert state_bytes(copy) == state
             for flat in (copy.flat, copy.flat_m, copy.flat_v):
                 assert flat.flags.writeable
-                assert not np.shares_memory(flat, np.frombuffer(buffer, dtype=np.uint8))
+        vectors = [(i, flat) for i, one in enumerate([store, *loaded])
+                   for flat in (one.flat, one.flat_grad, one.flat_m, one.flat_v)]
+        for (i, a), (j, b) in itertools.combinations(vectors, 2):
+            assert not np.shares_memory(a, b), (i, j)
         grad = rng.normal(size=store.n_values())
         for one in (store, loaded[-1]):
             one.flat_grad[:] = grad
             T.adam_step(one, 1e-3)
         assert state_bytes(loaded[-1]) == state_bytes(store)
+
+    def test_a_file_cut_short_names_where(self, tmp_path):
+        """Cut inside the header line, the header is malformed JSON; cut
+        inside a vector, the file is short by the bytes it lost."""
+        path = tmp_path / "ckpt.json"
+        store = M.init_params(TINY_MODEL, seed=0)
+        checkpoint_save(path, store, TINY_MODEL, TrainConfig(),
+                        TokenVocab([f"w{i}" for i in range(TINY_MODEL.vocab_size - 4)]),
+                        CATEGORIES, 0)
+        raw, n = path.read_bytes(), store.n_values()
+        in_header = raw.index(b", ") + 2
+        mid_vector = raw.index(b"\n") + 1 + 8 * n + 4   # inside adam_m's first value
+        for cut, detail in [
+            (in_header, f"malformed JSON at line 1, byte offset {in_header}: "
+                        f"Expecting property name enclosed in double quotes"),
+            (mid_vector, f"{8 * n + 4} bytes follow the header, expected 3 vectors of "
+                         f"{n} float64 values ({24 * n} bytes)"),
+        ]:
+            path.write_bytes(raw[:cut])
+            with pytest.raises(CorpusError) as refused:
+                checkpoint_load(path)
+            assert str(refused.value) == f"{path}: {detail}"
 
     def test_bench_copy_shape_is_written_as_bytes_under_2_mb(self, tmp_path):
         """The parameters and Adam moments are raw float64 bytes after a
