@@ -16,6 +16,7 @@ diverges among them), 2 data error (any input or config file).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -94,11 +95,6 @@ def _load_config_dict(path: str | Path) -> dict:
     except (TypeError, ValueError) as err:
         raise CorpusError(f"{path}: {err}") from err
     return payload
-
-
-def load_config(path: str | Path) -> RunConfig:
-    """Read a JSON config file; unknown keys are an error."""
-    return RunConfig(**_load_config_dict(path))
 
 
 def effective_config(args: argparse.Namespace) -> RunConfig:
@@ -235,7 +231,7 @@ def _cmd_train(args, config: RunConfig) -> int:
     if dropped:
         print(f"dropped {dropped} over-length examples", file=sys.stderr)
     if not prompted:
-        raise CorpusError("every example exceeds the model's length limits")
+        raise CorpusError(f"{args.input}: every example exceeds the model's length limits")
     train_config = config.section(trainmod.TrainConfig)
 
     def save(epochs_completed: int) -> None:
@@ -362,7 +358,7 @@ def _cmd_gradcheck(args, config: RunConfig) -> int:
 def _cmd_export_attention(args, config: RunConfig) -> int:
     examples = _load_examples_any(args.input)
     if not 0 <= args.index < len(examples):
-        raise CorpusError(f"example index {args.index} out of range")
+        raise CorpusError(f"{args.input}: example index {args.index} out of range")
     config, store, model_config, token_vocab, category_vocab, _ = \
         _open_checkpoint(args.checkpoint, config, args)
     if not 0 <= args.layer < model_config.n_enc_layers:
@@ -376,10 +372,17 @@ def _cmd_export_attention(args, config: RunConfig) -> int:
     if len(p.source_tokens) > model_config.max_source_len:
         raise CorpusError(f"{args.input}: example {args.index} has {len(p.source_tokens)} "
                           f"source tokens, more than max_source_len {model_config.max_source_len}")
-    paths = M.export_attention(p.source_tokens, p.source_ids, store, model_config,
-                               args.layer, args.heads, args.out_dir)
-    for path in paths:
-        print(str(path))
+    # One CSV per head: rows are query tokens, columns key tokens, each row sums to 1.
+    maps = M.encode(p.source_ids, store, model_config).attn_maps[args.layer]
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = [out_dir / f"attention_layer{args.layer}_head{head}.csv" for head in args.heads]
+    for head, path in zip(args.heads, paths):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([["", *p.source_tokens]] + [
+                [token, *(f"{v:.8f}" for v in row)]
+                for token, row in zip(p.source_tokens, maps[head])])
+    print("\n".join(map(str, paths)))
     return 0
 
 

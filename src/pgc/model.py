@@ -28,11 +28,9 @@ token just emitted.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -155,12 +153,16 @@ class Forward:
     p_final: Tensor
 
 
+@functools.lru_cache(maxsize=None)
 def sinusoidal_positions(n: int, d_model: int) -> np.ndarray:
-    """Fixed sin/cos position table, one row per position."""
+    """Fixed sin/cos position table, one row per position.  Each shape is
+    computed once and shared, so the table is read-only."""
     positions = np.arange(n)[:, None].astype(np.float64)
     dims = np.arange(d_model)[None, :].astype(np.float64)
     angles = positions / np.power(10000.0, 2.0 * (dims // 2) / d_model)
-    return np.where(dims % 2 == 0, np.sin(angles), np.cos(angles))
+    table = np.where(dims % 2 == 0, np.sin(angles), np.cos(angles))
+    table.flags.writeable = False
+    return table
 
 
 def _glorot(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
@@ -227,19 +229,12 @@ def _multi_head_attention(x_query: Tensor, keys: Tensor, values: Tensor, prefix:
     return out @ params[f"{prefix}.wo"], weights
 
 
-@functools.lru_cache(maxsize=None)
-def _position_table(n: int, d_model: int) -> np.ndarray:
-    table = sinusoidal_positions(n, d_model)
-    table.flags.writeable = False
-    return table
-
-
 def _embed_with_positions(ids: np.ndarray, params: ParamStore, config: ModelConfig,
                           start: int = 0) -> Tensor:
     """Scaled embeddings plus the position rows ``start`` onwards."""
     x = T.embed_rows(params["embed"], ids) * math.sqrt(config.d_model)
     rows = max(config.max_source_len, config.max_target_len)
-    positions = _position_table(rows, config.d_model)[start:start + ids.shape[-1]]
+    positions = sinusoidal_positions(rows, config.d_model)[start:start + ids.shape[-1]]
     return x + Tensor(positions, _check=False)   # read-only rows; a NaN shows in the output
 
 
@@ -331,8 +326,6 @@ def copy_attention(states: Tensor, stack: EncoderStack, params: ParamStore) -> T
     the stacked keys of all layers); the views are mixed by a simplex
     weight vector, so every row is itself a probability distribution.
     """
-    if not stack.layers:
-        raise ValueError("encoder stack is empty")
     keys = stack.cached("copy.keys", lambda: _copy_keys(stack, params))
     views, _ = T.attention(states @ params["copy.w_s"], keys, None, stack.key_mask)
     shape = views.data.shape   # [n_layers, ..., 1, R, L]: drop the one head axis
@@ -382,10 +375,7 @@ def mix(p_gen: Tensor, p_vocab: Tensor, p_copy: Tensor) -> Tensor:
     zero-padded on the extended slots, so generation never places mass
     on source-only ids and copying never places mass outside the source.
     """
-    n_ext = p_copy.data.shape[-1]
-    if n_ext < p_vocab.data.shape[-1]:
-        raise ValueError("extended size smaller than vocabulary size")
-    return p_gen * T.pad_cols(p_vocab, n_ext) + (1.0 - p_gen) * p_copy
+    return p_gen * T.pad_cols(p_vocab, p_copy.data.shape[-1]) + (1.0 - p_gen) * p_copy
 
 
 def forward_distributions(prefix_ids, stack: EncoderStack, params: ParamStore,
@@ -410,8 +400,8 @@ def forward_distributions(prefix_ids, stack: EncoderStack, params: ParamStore,
                    p_vocab=p_vocab, p_copy=p_copy, p_final=p_final)
 
 
-def greedy_decode(prompted: PromptedExample, params: ParamStore, config: ModelConfig,
-                  max_len: int | None = None) -> list[int]:
+def greedy_decode(prompted: PromptedExample, params: ParamStore,
+                  config: ModelConfig) -> list[int]:
     """Greedy argmax decoding; returns emitted extended-vocabulary ids.
 
     Runs without a graph on one source, against a decoder cache holding
@@ -423,14 +413,13 @@ def greedy_decode(prompted: PromptedExample, params: ParamStore, config: ModelCo
     while they match, the first row that disagrees emits its own argmax,
     and the cache drops the rejected draft positions.  So the ids are
     those of one position per pass, and an empty draft (no rationale
-    run, or a token the source does not hold) is that one-position step.  Stops
-    at EOS or after ``max_len`` tokens, which may not exceed
-    ``config.max_target_len``.  Emitted ids map back to surface tokens
-    via the token vocabulary plus ``prompted.source_oov``.
+    run, or a token the source does not hold) is that one-position step.
+    Stops at EOS or after ``config.max_target_len`` tokens.  A config with
+    a smaller ``max_target_len`` is a shorter budget: it emits the first
+    ids of the longer one.  Emitted ids map back to surface tokens via the
+    token vocabulary plus ``prompted.source_oov``.
     """
-    limit = max_len if max_len is not None else config.max_target_len
-    if limit > config.max_target_len:
-        raise ValueError(f"max_len {limit} exceeds max_target_len {config.max_target_len}")
+    limit = config.max_target_len
     emitted: list[int] = []
     with T.no_grad():
         stack = encode(prompted.source_ids, params, config)
@@ -452,34 +441,3 @@ def greedy_decode(prompted: PromptedExample, params: ParamStore, config: ModelCo
             start = hits[0] + 1 if hits.size else len(source)
             stop = len(source)
     return emitted
-
-
-def export_attention(source_tokens: list[str], source_ids, params: ParamStore,
-                     config: ModelConfig, layer: int, heads: list[int],
-                     out_dir: str | Path) -> list[Path]:
-    """Write encoder self-attention matrices as token-labelled CSV files.
-
-    One file per requested head, ``attention_layer<l>_head<h>.csv``; rows
-    are query tokens, columns are key tokens, entries sum to 1 per row.
-    """
-    if not 0 <= layer < config.n_enc_layers:
-        raise ValueError(f"layer {layer} out of range (0..{config.n_enc_layers - 1})")
-    bad = [h for h in heads if not 0 <= h < config.n_heads]
-    if bad:
-        raise ValueError(f"heads out of range (0..{config.n_heads - 1}): {bad}")
-    if len(source_tokens) != len(source_ids):
-        raise ValueError("token labels must match the id list")
-    stack = encode(source_ids, params, config)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for head in heads:
-        matrix = stack.attn_maps[layer][head]
-        path = out_dir / f"attention_layer{layer}_head{head}.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([""] + list(source_tokens))
-            for token, row in zip(source_tokens, matrix):
-                writer.writerow([token] + [f"{v:.8f}" for v in row])
-        paths.append(path)
-    return paths

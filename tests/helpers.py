@@ -143,16 +143,15 @@ def rationale_draft(prompted, limit) -> list[int]:
     return list(prompted.source_ids[starts[-1]:starts[-1] + len(run)])[:max(limit - 1, 0)]
 
 
-def one_position_decode(prompted, params, config, max_len=None):
+def one_position_decode(prompted, params, config):
     """Reference greedy decoder, as it was before drafting: one new
     position per cached pass of a batch of one, the argmax of its one row
-    emitted (ties to the lowest id) until EOS or ``max_len`` tokens."""
-    limit = config.max_target_len if max_len is None else max_len
+    emitted (ties to the lowest id) until EOS or ``max_target_len`` tokens."""
     emitted = []
     with T.no_grad():
         stack = M.encode([prompted.source_ids], params, config)
         cache, next_id = M.DecoderCache(), prompt.BOS
-        for _ in range(limit):
+        for _ in range(config.max_target_len):
             fed = next_id if next_id < config.vocab_size else prompt.UNK
             p_next = M.forward_distributions([[fed]], stack, params, config,
                                              cache).p_final.data[0, -1]

@@ -219,7 +219,7 @@ def _greedy_token_accuracy(prompted, params, vocab):
     scores = []
     for p in prompted:
         want = TR.target_ids(p, vocab)[:-1]
-        got = M.greedy_decode(p, params, DESK_MODEL, max_len=len(want) + 2)
+        got = M.greedy_decode(p, params, DESK_MODEL)[:len(want) + 2]
         hits = sum(int(a == b) for a, b in zip(got, want))
         scores.append(hits / max(len(got), len(want)))
     return float(np.mean(scores))

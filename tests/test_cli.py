@@ -1,6 +1,7 @@
 """End-to-end subcommand behaviour, exit codes, config precedence."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -20,10 +21,11 @@ from hypothesis import strategies as st
 
 import pgc
 from pgc import cli, model as M
-from pgc.cli import RunConfig, load_config
+from pgc.cli import RunConfig
 from pgc.corpus import AnswerClass, ConversationTurn, DialogueExample, check_fields
 from pgc.eval import Prediction
 from pgc.model import ModelConfig
+from pgc.prompt import tokenize
 from pgc.train import TrainConfig
 
 from helpers import (CLOSES_ITS_FILES, VECTOR_KEYS, checkpoint_bytes, one_position_decode,
@@ -338,30 +340,51 @@ NUMERIC_TRAIN_SETTINGS = {
 }
 
 
-@pytest.mark.parametrize("setting,value", list(NUMERIC_TRAIN_SETTINGS),
-                         ids=[f"{s}={v!r}" for s, v in NUMERIC_TRAIN_SETTINGS])
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_numeric_train_setting(copy_16, tmp_path, capsys, setting, value, source):
+# A config-file value of a wrong type: the JSON type named in the message.
+WRONG_TYPE_VALUES = {"str": "1e-3", "bool": True, "list": [1], "null": None}
+
+
+def numeric_train_cases():
+    """One row per (source, setting, value): the exit code and the last
+    stderr line, or None for a run that trains; ``{config}`` stands for the
+    config file's path."""
+    for source in ("flag", "config"):
+        for (setting, value), line in NUMERIC_TRAIN_SETTINGS.items():
+            code = 0 if line is None else 1
+            if line == NOT_POSITIVE_AND_FINITE:
+                code, line = ((1, f"usage error: {line}") if source == "flag"
+                              else (2, f"data error: {{config}}: {line}"))
+            yield pytest.param(source, setting, value, code, line,
+                               id=f"{source}-{setting}={value!r}")
+    for setting in ("learning_rate", "clip_norm"):
+        flag = "--" + setting.replace("_", "-")
+        yield pytest.param("flag", setting, "abc", 1,
+                           f"usage error: argument {flag}: invalid float value: 'abc'",
+                           id=f"flag-{setting}='abc'")
+        for name, value in WRONG_TYPE_VALUES.items():
+            yield pytest.param("config", setting, value, 2,
+                               f"data error: {{config}}: {setting}: expected float, got {name}",
+                               id=f"config-{setting}={value!r}")
+
+
+@pytest.mark.parametrize("source,setting,value,code,expected", list(numeric_train_cases()))
+def test_numeric_train_setting(copy_16, tmp_path, capsys, source, setting, value, code,
+                               expected):
     """``learning_rate`` and ``clip_norm`` at 0, -1, NaN, +-inf, 1e20 and
-    1e308, as a flag or in a config file.  A value that is not positive
-    and finite is a usage error as a flag and a data error naming the file
-    in a config file; a learning rate too large to train with diverges;
-    anything else trains.  Never a traceback nor a RuntimeWarning, and on
-    failure neither the checkpoint nor the loss curve is written."""
+    1e308, as a flag or in a config file, and of a wrong type.  A value
+    that is not positive and finite, or not a float, is a usage error as a
+    flag and a data error naming the file in a config file; a learning
+    rate too large to train with diverges; anything else trains.  Never a
+    traceback nor a RuntimeWarning, and on failure neither the checkpoint
+    nor the loss curve is written."""
     ckpt, curve, config = tmp_path / "ckpt", tmp_path / "curve.csv", tmp_path / "config.json"
     argv = ["train", "--input", str(copy_16), "--output", str(ckpt), "--loss-curve",
             str(curve), "--d-model", "8", "--n-heads", "2", "--epochs", "3"]
     if source == "flag":
-        argv.append(f"--{setting.replace('_', '-')}={value!r}")
+        argv.append(f"--{setting.replace('_', '-')}={value}")
     else:
         config.write_text(json.dumps({setting: value}))
         argv += ["--config", str(config)]
-    expected = NUMERIC_TRAIN_SETTINGS[setting, value]
-    if expected == NOT_POSITIVE_AND_FINITE:
-        code = 1 if source == "flag" else 2
-        expected = f"usage error: {expected}" if code == 1 else f"data error: {config}: {expected}"
-    else:
-        code = 0 if expected is None else 1
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -370,10 +393,22 @@ def test_numeric_train_setting(copy_16, tmp_path, capsys, setting, value, source
     assert "Traceback" not in err
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     if code:
-        assert err.splitlines()[-1] == expected
+        assert err.splitlines()[-1] == expected.replace("{config}", str(config))
         assert not ckpt.exists() and not curve.exists()
     else:
         assert read_checkpoint(ckpt)["train_config"][setting] == value
+
+
+def test_a_store_with_every_example_over_the_limits_is_a_data_error(copy_16, tmp_path, capsys):
+    ckpt, curve = tmp_path / "ckpt", tmp_path / "curve.csv"
+    capsys.readouterr()
+    assert cli.run(["train", "--input", str(copy_16), "--output", str(ckpt),
+                    "--loss-curve", str(curve), "--max-source-len", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dropped 16 over-length examples\n")
+    assert err.splitlines()[-1] == (f"data error: {copy_16}: "
+                                    "every example exceeds the model's length limits")
+    assert "Traceback" not in err and not ckpt.exists() and not curve.exists()
 
 
 def test_a_value_error_in_decoding_is_no_data_error(tmp_path, capsys, monkeypatch):
@@ -985,6 +1020,25 @@ class TestExportAttention:
         files = sorted(out_dir.glob("*.csv"))
         assert len(files) == 2
 
+    def test_csv_rows_are_distributions(self, trained, tmp_path, capsys):
+        """Each file's header row is the example's source tokens; one row
+        per token follows, labelled by it, and each row sums to 1."""
+        data, ckpt = trained
+        prompts, out_dir = tmp_path / "prompts.jsonl", tmp_path / "attn"
+        assert cli.run(["prompts", "--input", str(data), "--output", str(prompts)]) == 0
+        tokens = tokenize(json.loads(prompts.read_text().splitlines()[0])["source_text"])
+        capsys.readouterr()
+        assert cli.run(["export-attention", "--checkpoint", str(ckpt), "--input", str(data),
+                        "--layer", "0", "--heads", "1,0", "--out-dir", str(out_dir)]) == 0
+        paths = [out_dir / f"attention_layer0_head{head}.csv" for head in (1, 0)]
+        assert capsys.readouterr().out == "".join(f"{path}\n" for path in paths)
+        for path in paths:
+            rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+            assert rows[0] == [""] + tokens
+            assert [row[0] for row in rows[1:]] == tokens
+            for row in rows[1:]:
+                assert abs(sum(float(v) for v in row[1:]) - 1.0) < 1e-6
+
     def test_bad_head_list_is_usage_error(self, trained, tmp_path, capsys):
         data, ckpt = trained
         assert cli.run(["export-attention", "--checkpoint", str(ckpt),
@@ -1027,11 +1081,14 @@ class TestExportAttention:
         assert err.rstrip().endswith("source tokens, more than max_source_len 24")
         assert not out_dir.exists()
 
-    def test_bad_index_is_data_error(self, trained, tmp_path):
+    def test_bad_index_is_data_error(self, trained, tmp_path, capsys):
         data, ckpt = trained
         assert cli.run(["export-attention", "--checkpoint", str(ckpt),
                         "--input", str(data), "--index", "999", "--layer", "0",
                         "--heads", "0", "--out-dir", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {data}: example index 999 out of range\n"
+        assert not (tmp_path / "x").exists()
 
 
 def _no_question_words(payload):
@@ -1120,6 +1177,18 @@ class TestWholeFileFaults:
         assert "Traceback" not in err
 
 
+@pytest.fixture
+def config_from_file(monkeypatch):
+    """Reads a config file the way every command does: the settings of
+    ``--config path`` alone, with PGC_SEED unset."""
+    monkeypatch.delenv("PGC_SEED", raising=False)
+
+    def read(path) -> RunConfig:
+        args = cli.build_parser().parse_args(["stats", "--input", "x", "--config", str(path)])
+        return cli.effective_config(args)
+    return read
+
+
 class TestExitCodesAndConfig:
     def test_usage_error_is_exit_1(self):
         assert cli.run(["prompts"]) == 1          # missing required flags
@@ -1164,10 +1233,10 @@ class TestExitCodesAndConfig:
         assert (f"{config}: {key}: expected {expected}, got {type(value).__name__}"
                 in capsys.readouterr().err)
 
-    def test_int_config_value_taken_for_float(self, tmp_path):
+    def test_int_config_value_taken_for_float(self, tmp_path, config_from_file):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"learning_rate": 1, "d_k": None}))
-        loaded = load_config(config)
+        loaded = config_from_file(config)
         assert loaded.learning_rate == 1.0 and isinstance(loaded.learning_rate, float)
 
     def test_bad_checkpoint_config_is_data_error(self, trained, tmp_path, capsys):
@@ -1180,10 +1249,10 @@ class TestExitCodesAndConfig:
         assert code == 2
         assert f"{bad}: model_config: unknown keys ['bogus']" in capsys.readouterr().err
 
-    def test_empty_config_file_gives_defaults(self, tmp_path):
+    def test_empty_config_file_gives_defaults(self, tmp_path, config_from_file):
         config = tmp_path / "empty.json"
         config.write_text("{}")
-        assert load_config(config) == RunConfig()
+        assert config_from_file(config) == RunConfig()
 
     def test_flag_overrides_config_file(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -1195,15 +1264,15 @@ class TestExitCodesAndConfig:
         sidecar = json.loads((tmp_path / "s.jsonl.run.json").read_text())
         assert sidecar["seed"] == 9
 
-    def test_sidecar_reloads_to_identical_config(self, tmp_path):
+    def test_sidecar_reloads_to_identical_config(self, tmp_path, config_from_file):
         out = tmp_path / "s.jsonl"
         assert cli.run(["synthetic", "--task", "copy", "--n", "3", "--seed", "4",
                         "--output", str(out)]) == 0
         sidecar_path = tmp_path / "s.jsonl.run.json"
-        reloaded = load_config(sidecar_path)
+        reloaded = config_from_file(sidecar_path)
         assert reloaded == RunConfig(seed=4)
 
-    def test_every_model_and_train_field_is_a_setting(self, tmp_path):
+    def test_every_model_and_train_field_is_a_setting(self, tmp_path, config_from_file):
         def changed(f):   # valid alone and together: 8 heads divide d_model 64 and 128
             return 4 if f.default is None else f.default * 2 or 1
 
@@ -1222,7 +1291,7 @@ class TestExitCodesAndConfig:
                         "--config", str(config), "--output", str(out)]) == 0
         sidecar = json.loads((tmp_path / "s.jsonl.run.json").read_text())
         assert {name: sidecar[name] for name in settings} == settings
-        assert load_config(config) == RunConfig(**settings)
+        assert config_from_file(config) == RunConfig(**settings)
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PGC_SEED", "17")

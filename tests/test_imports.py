@@ -2,7 +2,8 @@
 no cycle among their relative imports.  Only ``pgc.corpus`` parses JSON,
 and its ``CorpusError`` is the one error for bad input.  Only
 ``model.init_params`` and ``train.checkpoint_load`` build a ``ParamStore``,
-and only ``model.greedy_decode`` decodes against a ``DecoderCache``."""
+and only ``model.greedy_decode`` decodes against a ``DecoderCache``.
+``pgc.model`` writes no files: it imports neither ``csv`` nor ``pathlib``."""
 
 import ast
 import builtins
@@ -53,6 +54,18 @@ def find_cycle(graph: dict[str, set[str]]) -> list[str] | None:
             if cycle:
                 return cycle
     return None
+
+
+def absolute_imports(tree: ast.Module) -> set[str]:
+    """The top-level names of the modules imported by name, anywhere:
+    ``import a.b`` and ``from a.b import c`` both give ``a``."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return {name.split(".")[0] for name in names}
 
 
 def json_parse_lines(tree: ast.Module) -> list[int]:
@@ -182,10 +195,21 @@ def test_the_cached_forward_check_sees_what_it_forbids():
 
 def test_no_module_imports_base64(package_trees):
     """Checkpoint vectors are raw bytes; nothing encodes them as text."""
-    found = {name for name, tree in package_trees.items() for node in ast.walk(tree)
-             if isinstance(node, ast.Import) and any(a.name == "base64" for a in node.names)
-             or isinstance(node, ast.ImportFrom) and node.module == "base64"}
+    found = {name for name, tree in package_trees.items()
+             if "base64" in absolute_imports(tree)}
     assert found == set()
+
+
+def test_model_imports_no_file_writer(package_trees):
+    """The mechanism writes no files: ``pgc export-attention`` writes its CSVs."""
+    assert absolute_imports(package_trees["model"]) & {"csv", "pathlib"} == set()
+
+
+def test_the_absolute_import_check_sees_what_it_forbids():
+    tree = ast.parse("import csv\nfrom pathlib import Path\nimport os.path as osp\n"
+                     "from . import model\nfrom .tensor import Tensor\n\n"
+                     "def f():\n    from base64 import b64encode\n")
+    assert absolute_imports(tree) == {"csv", "pathlib", "os", "base64"}
 
 
 def test_corpus_error_and_usage_error_are_the_only_exceptions(package_trees):

@@ -1,6 +1,5 @@
-"""Encoder stack, copy head, gate, mixture, decoding, attention export."""
+"""Encoder stack, copy head, gate, mixture, decoding, attention maps."""
 
-import csv
 import math
 from dataclasses import asdict, replace
 
@@ -544,33 +543,28 @@ class TestGreedyDecode:
     def test_copy_wired_model_reproduces_source_prefix(self):
         params = copy_wired_params(self.wired_config)
         source = [4, 7, 5, 9, 6, 8]
-        out = M.greedy_decode(make_prompted(source), params, self.wired_config,
-                              max_len=5)
+        out = M.greedy_decode(make_prompted(source), params,
+                              replace(self.wired_config, max_target_len=5))
         assert out == source[:5]
 
     def test_copy_wired_model_emits_extended_ids(self):
         params = copy_wired_params(self.wired_config)
         source = [4, 13, 14, 5]  # two source-only ids past the vocabulary
         out = M.greedy_decode(make_prompted(source, oov=["x", "y"]),
-                              params, self.wired_config, max_len=4)
+                              params, replace(self.wired_config, max_target_len=4))
         assert out == source
 
     def test_max_len_one_emits_at_most_one_token(self, small_params, small_config):
         out = M.greedy_decode(make_prompted([4, 5, 6]), small_params,
-                              small_config, max_len=1)
+                              replace(small_config, max_target_len=1))
         assert len(out) <= 1
 
-    def test_max_len_is_bounded_by_max_target_len(self, small_config, monkeypatch):
+    def test_max_len_is_bounded_by_max_target_len(self, small_config):
         config = replace(small_config, max_target_len=4)
         params = M.init_params(config, seed=0)
         params["gate.b"].data[:] = 1e9
         params["out.b_v"].data[EOS] = -1e4      # never stops early
-        assert len(M.greedy_decode(make_prompted([4, 5]), params, config, max_len=4)) == 4
-        encoded = []
-        monkeypatch.setattr(M, "encode", lambda *args: encoded.append(args))
-        with pytest.raises(ValueError, match="max_len 6"):
-            M.greedy_decode(make_prompted([4, 5]), params, config, max_len=6)
-        assert encoded == []
+        assert len(M.greedy_decode(make_prompted([4, 5]), params, config)) == 4
 
     def test_exact_tie_breaks_to_lowest_id(self, small_config):
         # zeroed weights make the copy attention exactly uniform; equal
@@ -580,7 +574,8 @@ class TestGreedyDecode:
             t.data[:] = 0.0 if not name.endswith(".g") else 1.0
         params["out.b_v"].data[6] = 1000.0
         params["out.b_v"].data[9] = 1000.0
-        out = M.greedy_decode(make_prompted([6, 9]), params, small_config, max_len=3)
+        out = M.greedy_decode(make_prompted([6, 9]), params,
+                              replace(small_config, max_target_len=3))
         assert out == [6, 6, 6]
 
     def test_parameter_only_values_computed_once_per_decode(self, small_config,
@@ -647,7 +642,7 @@ class TestGreedyDecode:
 
 
 
-def decode_with_passes(prompted, params, config, max_len=None):
+def decode_with_passes(prompted, params, config):
     """``M.greedy_decode``'s ids, and per decoder pass the cache length
     before it, the ids fed and the ``p_final`` rows."""
     passes, forward = [], M.forward_distributions
@@ -660,11 +655,11 @@ def decode_with_passes(prompted, params, config, max_len=None):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(M, "forward_distributions", recorded)
-        ids = M.greedy_decode(prompted, params, config, max_len)
+        ids = M.greedy_decode(prompted, params, config)
     return ids, passes
 
 
-def check_drafted(prompted, params, config, max_len=None) -> dict:
+def check_drafted(prompted, params, config) -> dict:
     """Assert that the drafted decoder emits the one-position decoder's ids,
     that every row of every pass is within 1e-12 of that position's row
     fed one position per pass after the accepted ids, that the first pass
@@ -673,10 +668,10 @@ def check_drafted(prompted, params, config, max_len=None) -> dict:
     holding the token just emitted, both cut to the budget.  Returns
     counts of the drafts and of those rejected at their first id, for the
     first pass (``first``, ``first_rejected``) and the later ones."""
-    want = one_position_decode(prompted, params, config, max_len)
-    got, passes = decode_with_passes(prompted, params, config, max_len)
+    want = one_position_decode(prompted, params, config)
+    got, passes = decode_with_passes(prompted, params, config)
     assert got == want, f"argmax flip: drafted {got}, one position per pass {want}"
-    limit = config.max_target_len if max_len is None else max_len
+    limit = config.max_target_len
     source = list(prompted.source_ids)
     accepted = [BOS] + [i if i < config.vocab_size else UNK for i in got]
     counts = dict(drafts=0, rejected_first=0, first=0, first_rejected=0)
@@ -719,8 +714,8 @@ class TestDrafting:
         totals = dict(drafts=0, rejected_first=0, first=0, first_rejected=0)
         for config, params, source, prefix in random_model_draws(seed=42, n=100):
             prompted = make_prompted(source, rationale=random_rationale(rng, source))
-            for max_len in (None, len(prefix)):
-                counts = check_drafted(prompted, params, config, max_len)
+            for limit in (config.max_target_len, len(prefix)):
+                counts = check_drafted(prompted, params, replace(config, max_target_len=limit))
                 for key, value in counts.items():
                     totals[key] += value
         assert totals["drafts"] > totals["rejected_first"] > 0
@@ -728,27 +723,28 @@ class TestDrafting:
 
     @pytest.mark.parametrize("n_dec_layers", [1, 2])
     def test_repeated_source_tokens(self, n_dec_layers):
-        config = replace(TestGreedyDecode.wired_config, n_dec_layers=n_dec_layers)
+        config = replace(TestGreedyDecode.wired_config, n_dec_layers=n_dec_layers,
+                         max_target_len=6)
         prompted = make_prompted([4, 7, 4, 9, 4, 6])
-        ids, passes = decode_with_passes(prompted, copy_wired_params(config), config, 6)
+        ids, passes = decode_with_passes(prompted, copy_wired_params(config), config)
         assert ids == prompted.source_ids
         assert [fed for _, fed, _ in passes] == [[BOS], [4, 7, 4, 9, 4]]
-        check_drafted(prompted, copy_wired_params(config), config, max_len=6)
+        check_drafted(prompted, copy_wired_params(config), config)
 
     def test_oov_copies_are_fed_as_unk(self):
-        config = TestGreedyDecode.wired_config
+        config = replace(TestGreedyDecode.wired_config, max_target_len=5)
         source = [4, 13, 14, 5, 13]   # source-only ids past the vocabulary of 12
         prompted = make_prompted(source, oov=["x", "y"])
-        ids, passes = decode_with_passes(prompted, copy_wired_params(config), config, 5)
+        ids, passes = decode_with_passes(prompted, copy_wired_params(config), config)
         assert ids == source
         assert [fed for _, fed, _ in passes] == [[BOS], [4, UNK, UNK, 5]]   # cut to 3
-        check_drafted(prompted, copy_wired_params(config), config, max_len=5)
+        check_drafted(prompted, copy_wired_params(config), config)
 
     def test_draft_cut_by_max_len(self):
-        config = TestGreedyDecode.wired_config
+        config = replace(TestGreedyDecode.wired_config, max_target_len=3)
         source = [4, 7, 5, 9, 6, 8]
         ids, passes = decode_with_passes(make_prompted(source), copy_wired_params(config),
-                                         config, 3)
+                                         config)
         assert ids == source[:3]
         assert [fed for _, fed, _ in passes] == [[BOS], [4, 7]]
 
@@ -769,12 +765,12 @@ class TestDrafting:
             t.data[:] = 0.0 if not name.endswith(".g") else 1.0
         params["out.b_v"].data[6] = 1000.0
         params["out.b_v"].data[9] = 1000.0
-        prompted = make_prompted([6, 9])
-        ids, passes = decode_with_passes(prompted, params, small_config, 4)
+        prompted, config = make_prompted([6, 9]), replace(small_config, max_target_len=4)
+        ids, passes = decode_with_passes(prompted, params, config)
         assert ids == [6, 6, 6, 6]
         assert [(start, fed) for start, fed, _ in passes] == [
             (0, [BOS]), (1, [6, 9]), (2, [6, 9]), (3, [6])]   # the last draft is cut to 0
-        assert check_drafted(prompted, params, small_config, 4)["rejected_first"] == 2
+        assert check_drafted(prompted, params, config)["rejected_first"] == 2
 
     def test_eos_inside_a_fully_matching_draft(self):
         config = TestGreedyDecode.wired_config
@@ -789,13 +785,12 @@ class TestRationaleDraft:
     """The first pass drafts the current turn's rationale: the source ids
     under the last run of its tokens, cut to the budget."""
 
-    def fed(self, prompted, config=TestGreedyDecode.wired_config, max_len=None,
-            params=None):
+    def fed(self, prompted, config=TestGreedyDecode.wired_config, params=None):
         """The ids and, per pass, the cache length before it and the ids fed;
         the drafting oracle holds on the same decode."""
         params = copy_wired_params(config) if params is None else params
-        ids, passes = decode_with_passes(prompted, params, config, max_len)
-        check_drafted(prompted, params, config, max_len)
+        ids, passes = decode_with_passes(prompted, params, config)
+        check_drafted(prompted, params, config)
         return ids, [(start, fed) for start, fed, _ in passes]
 
     @pytest.mark.parametrize("n_dec_layers", [1, 2])
@@ -818,8 +813,10 @@ class TestRationaleDraft:
 
     def test_cut_by_max_len(self):
         prompted = make_prompted([4, 7, 5, 9, 6, 8], rationale="t4 t7 t5 t9 t6 t8")
-        assert self.fed(prompted, max_len=3) == ([4, 7, 5], [(0, [BOS, 4, 7])])
-        assert self.fed(prompted, max_len=1) == ([4], [(0, [BOS])])
+        config = TestGreedyDecode.wired_config
+        assert self.fed(prompted, replace(config, max_target_len=3)) == (
+            [4, 7, 5], [(0, [BOS, 4, 7])])
+        assert self.fed(prompted, replace(config, max_target_len=1)) == ([4], [(0, [BOS])])
 
     def test_cut_by_max_target_len(self):
         config = replace(TestGreedyDecode.wired_config, max_target_len=4)
@@ -833,7 +830,8 @@ class TestRationaleDraft:
 
     def test_oov_ids_are_fed_as_unk(self):
         prompted = make_prompted([4, 13, 14, 5], oov=["x", "y"], rationale="t4 t13 t14 t5")
-        assert self.fed(prompted, max_len=4) == ([4, 13, 14, 5], [(0, [BOS, 4, UNK, UNK])])
+        config = replace(TestGreedyDecode.wired_config, max_target_len=4)
+        assert self.fed(prompted, config) == ([4, 13, 14, 5], [(0, [BOS, 4, UNK, UNK])])
 
     def test_blind_to_the_answer(self):
         """Other words in ``target_text`` and ``turn.answer``, the
@@ -879,28 +877,18 @@ class TestDecoderCacheRollback:
         cache.rollback(0)
         assert cache.length == 0
 
-class TestExportAttention:
-    def test_csv_rows_are_distributions(self, small_params, small_config, tmp_path):
-        tokens = ["alpha", "beta", "gamma", "delta"]
-        paths = M.export_attention(tokens, [4, 5, 6, 7], small_params, small_config,
-                                   layer=1, heads=[0, 1], out_dir=tmp_path)
-        assert len(paths) == 2
-        for path in paths:
-            rows = list(csv.reader(path.read_text().splitlines()))
-            assert rows[0] == [""] + tokens
-            assert len(rows) == 1 + len(tokens)
-            for row in rows[1:]:
-                assert row[0] in tokens
-                assert abs(sum(float(v) for v in row[1:]) - 1.0) < 1e-6
 
+class TestExportAttention:
     def test_matrix_shape_is_square_in_source_length(self, small_params, small_config):
         stack = M.encode([4, 5, 6], small_params, small_config)
         assert stack.attn_maps[0][0].shape == (3, 3)
 
-    def test_bad_layer_or_head_rejected(self, small_params, small_config, tmp_path):
-        with pytest.raises(ValueError):
-            M.export_attention(["a"], [4], small_params, small_config,
-                               layer=9, heads=[0], out_dir=tmp_path)
-        with pytest.raises(ValueError):
-            M.export_attention(["a"], [4], small_params, small_config,
-                               layer=0, heads=[5], out_dir=tmp_path)
+
+class TestPositions:
+    def test_one_read_only_table_per_shape_whose_rows_do_not_depend_on_its_length(self):
+        table = M.sinusoidal_positions(64, 16)
+        assert M.sinusoidal_positions(64, 16) is table
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
+        for n in (1, 5, 16, 63):
+            assert np.array_equal(M.sinusoidal_positions(n, 16), table[:n])

@@ -600,9 +600,9 @@ class TestFiniteStep:
 
     def test_nan_input(self, monkeypatch):
         prompted, vocab, model, params = self.trained_one_epoch()
-        table = M.sinusoidal_positions(model.max_source_len, model.d_model)
+        table = M.sinusoidal_positions(model.max_source_len, model.d_model).copy()
         table[0, 0] = float("nan")
-        monkeypatch.setattr(M, "_position_table", lambda n, d: table)
+        monkeypatch.setattr(M, "sinusoidal_positions", lambda n, d: table)
         self.assert_step_refused(prompted, vocab, model, params, "non-finite")
         with pytest.raises(ValueError):
             M.greedy_decode(prompted[0], params, model)
