@@ -4,10 +4,11 @@ Subcommands: ingest, stats, prompts, synthetic, train, predict, eval,
 raw-baseline, gradcheck, export-attention.  Settings come from built-in
 defaults, overridden by a JSON config file (--config), overridden by
 explicit flags; PGC_SEED is the seed fallback of last resort.  ``run``
-resolves them once per command.  Each artifact records them: a
-``.run.json`` sidecar for line-based outputs, the report's ``config``,
-a checkpoint's model_config and train_config.  Identical runs produce
-identical bytes.
+resolves them once per command, which offers flags only for settings it
+reads (--seed: synthetic, train, gradcheck; --top-k-categories: prompts,
+train, eval, raw-baseline).  Each artifact records them: a ``.run.json``
+sidecar for line-based outputs, the report's ``config``, a checkpoint's
+model_config and train_config.  Identical runs produce identical bytes.
 
 Exit codes: 0 success, 1 usage or check failure (a training run that
 diverges among them), 2 data error (any input or config file).
@@ -42,7 +43,6 @@ class CliSettings:
     """The settings that only the command line reads."""
     tighten: bool = field(default=False, metadata={
         "help": "cut extractive rationales down to the answer span"})
-    multi_ref: bool = False
     top_k_categories: int = 10
 
     def __post_init__(self):
@@ -201,7 +201,7 @@ def _cmd_synthetic(args, config: RunConfig) -> int:
         raise UsageError(err) from err
     examples = trainmod.make_synthetic(spec)
     corpus.save_examples(examples, args.output)
-    _write_sidecar(args.output, config)
+    _write_sidecar(args.output, config, {"synthetic": asdict(spec)})
     print(f"wrote {len(examples)} {args.task} examples to {args.output}")
     return 0
 
@@ -252,7 +252,8 @@ def _cmd_train(args, config: RunConfig) -> int:
 
 
 def _open_checkpoint(path, config: RunConfig, args):
-    """Load a checkpoint and adopt its model shape and prompt settings.
+    """Load a checkpoint and adopt its model shape, prompt settings and
+    category vocabulary.
 
     A flag that names a different value is overridden, with one stderr
     line each.  Returns (config, store, model_config, token_vocab,
@@ -269,6 +270,10 @@ def _open_checkpoint(path, config: RunConfig, args):
         if given is not None and given != value:
             print(f"{path}: using the checkpoint's {name} {value}, not {given}",
                   file=sys.stderr)
+    n_categories = len(meta["category_vocab"].categories)
+    if getattr(args, "top_k_categories", None) not in (None, n_categories):
+        print(f"{path}: using the checkpoint's category vocabulary ({n_categories} categories), "
+              f"not --top-k-categories {args.top_k_categories}", file=sys.stderr)
     config = replace(config, **adopted)
     return config, store, model_config, token_vocab, meta["category_vocab"], meta
 
@@ -295,11 +300,12 @@ def _cmd_predict(args, config: RunConfig) -> int:
     return 0
 
 
-def _read_predictions(path, examples, multi_ref, coqa_path):
+def _read_predictions(path, examples, coqa_path):
     """One prediction per line, exactly ``story_id``, ``turn_id`` and ``text``,
-    each for a distinct example of the store."""
+    each for a distinct example of the store; its references are the
+    example's answer and those the CoQA file ``coqa_path`` adds, if given."""
     by_key = {(ex.story_id, ex.turn.turn_id): ex for ex in examples}
-    extra = corpus.load_additional_answers(coqa_path) if (multi_ref and coqa_path) else {}
+    extra = corpus.load_additional_answers(coqa_path) if coqa_path else {}
 
     def build(record):
         checked = evalmod.Prediction(**record, references=[""])   # the types before the lookup
@@ -322,11 +328,8 @@ def _emit_report(report, args, config) -> None:
 
 def _cmd_eval(args, config: RunConfig) -> int:
     examples = _load_examples_any(args.examples)
-    if config.multi_ref and not args.coqa:
-        raise UsageError("--multi-ref needs --coqa pointing at the original CoQA JSON")
     vocab = _category_vocab(examples, config, args.examples)
-    predictions = _read_predictions(args.predictions, examples,
-                                    config.multi_ref, args.coqa)
+    predictions = _read_predictions(args.predictions, examples, args.coqa)
     report = evalmod.evaluate(predictions, examples, vocab=vocab, top_k=config.top_k_categories)
     _emit_report(report, args, config)
     return 0
@@ -334,11 +337,7 @@ def _cmd_eval(args, config: RunConfig) -> int:
 
 def _cmd_raw_baseline(args, config: RunConfig) -> int:
     examples = _load_examples_any(args.input)
-    extra = None
-    if config.multi_ref:
-        if str(args.input).endswith(".jsonl"):
-            raise UsageError("--multi-ref needs the original CoQA JSON as --input")
-        extra = corpus.load_additional_answers(args.input)
+    extra = corpus.load_additional_answers(args.coqa) if args.coqa else None
     vocab = _category_vocab(examples, config, args.input)
     report = evalmod.raw_baseline(examples, tighten=config.tighten, extra_references=extra,
                                   vocab=vocab, top_k=config.top_k_categories)
@@ -415,9 +414,10 @@ def build_parser() -> _Parser:
     def int_list(text: str) -> list[int]:   # a flag type: comma-separated ints, none empty
         return [int(item) for item in text.split(",")]
 
+    coqa_help = "original CoQA JSON whose additional answers are extra references"
+
     def common(p, *settings):
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--seed", type=int, help="random seed (fallback: PGC_SEED)")
         _add_setting_flags(p, *settings)
 
     p = sub.add_parser("ingest", help="CoQA JSON -> line-delimited example store")
@@ -438,7 +438,7 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_prompts)
 
     p = sub.add_parser("synthetic", help="generate copy/gate verification data")
-    common(p)
+    common(p, "seed")
     p.add_argument("--task", required=True, choices=("copy", "gate"))
     spec = {f.name: f.default for f in fields(trainmod.SyntheticSpec)}
     p.add_argument("--n", type=int, default=spec["n_examples"])
@@ -450,7 +450,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="teacher-forced training run")
     common(p, *(f.name for section in (M.ModelConfig, trainmod.TrainConfig)
-                for f in fields(section) if f.name != "seed"), "top_k_categories")
+                for f in fields(section)), "top_k_categories")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True, help="checkpoint path")
     p.add_argument("--loss-curve", help="CSV path for (epoch, step, loss)")
@@ -459,36 +459,37 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_train)
 
     p = sub.add_parser("predict", help="greedy decoding over an example store")
-    common(p, "top_k_categories")
+    common(p)
     p.add_argument("--input", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--output", required=True)
     p.set_defaults(handler=_cmd_predict)
 
     p = sub.add_parser("eval", help="score a predictions file")
-    common(p, "multi_ref", "top_k_categories")
+    common(p, "top_k_categories")
     p.add_argument("--predictions", required=True)
     p.add_argument("--examples", required=True)
     p.add_argument("--report", help="JSON report output path")
     p.add_argument("--category-csv", dest="category_csv")
-    p.add_argument("--coqa", help="original CoQA JSON for extra references")
+    p.add_argument("--coqa", help=coqa_help)
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("raw-baseline", help="score the rationale itself as the answer")
-    common(p, "tighten", "multi_ref", "top_k_categories")
+    common(p, "tighten", "top_k_categories")
     p.add_argument("--input", required=True)
     p.add_argument("--report")
     p.add_argument("--category-csv", dest="category_csv")
+    p.add_argument("--coqa", help=coqa_help)
     p.set_defaults(handler=_cmd_raw_baseline)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the full loss")
-    common(p)
+    common(p, "seed")
     p.add_argument("--coords", type=int, default=8,
                    help="sampled coordinates per parameter")
     p.set_defaults(handler=_cmd_gradcheck)
 
     p = sub.add_parser("export-attention", help="encoder self-attention as CSV")
-    common(p, "top_k_categories")
+    common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--index", type=int, default=0)

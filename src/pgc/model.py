@@ -47,7 +47,6 @@ class ModelConfig:
     n_dec_layers: int = 2
     d_model: int = 64
     n_heads: int = 4
-    d_k: int | None = None
     vocab_size: int = 512
     max_source_len: int = 64
     max_target_len: int = 16
@@ -56,16 +55,11 @@ class ModelConfig:
     def __post_init__(self):
         check_fields(self)
         counts = (self.n_enc_layers, self.n_dec_layers, self.d_model, self.n_heads,
-                  self.vocab_size, self.max_source_len, self.max_target_len,
-                  *(d for d in (self.d_k, self.d_ff) if d is not None))
+                  self.vocab_size, self.max_source_len, self.max_target_len, self.ffn_dim)
         if any(c < 1 for c in counts):
             raise ValueError("all model dimensions must be >= 1")
         if self.d_model % self.n_heads:
             raise ValueError("d_model must be divisible by n_heads")
-
-    @property
-    def copy_d_k(self) -> int:
-        return self.d_k if self.d_k is not None else self.d_model // self.n_heads
 
     @property
     def ffn_dim(self) -> int:
@@ -172,7 +166,8 @@ def _glorot(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """The store's layout: each parameter's name -> shape, in store order."""
-    d, v, dff, dk = config.d_model, config.vocab_size, config.ffn_dim, config.copy_d_k
+    d, v, dff = config.d_model, config.vocab_size, config.ffn_dim
+    dk = d // config.n_heads   # the copy head's key width: one attention head's
     shapes = [("embed", (v, d))]
 
     def add_attention(prefix: str) -> None:

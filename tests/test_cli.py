@@ -1,5 +1,6 @@
 """End-to-end subcommand behaviour, exit codes, config precedence."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -233,6 +234,22 @@ class TestTrainPredictEval:
         assert f"usage error: {own} has 2 epochs completed, more than the 1 epochs" in err
         assert own.read_bytes() == ckpt.read_bytes() and not curve.exists()
 
+    def test_resume_names_the_category_vocabulary_it_keeps(self, trained, tmp_path, capsys):
+        """``--top-k-categories`` cannot change a resumed run's categories: a
+        value other than their count gets one stderr line."""
+        data, ckpt = trained
+        categories = read_checkpoint(ckpt)["category_vocab"]
+        for k, notice in ((len(categories), False), (3, True)):
+            resumed = tmp_path / f"resumed-{k}.json"
+            capsys.readouterr()
+            assert cli.run(["train", "--input", str(data), "--output", str(resumed),
+                            "--resume", str(ckpt), "--epochs", "2",
+                            "--top-k-categories", str(k)]) == 0
+            line = (f"{ckpt}: using the checkpoint's category vocabulary "
+                    f"({len(categories)} categories), not --top-k-categories {k}\n")
+            assert (line in capsys.readouterr().err) == notice
+            assert read_checkpoint(resumed)["category_vocab"] == categories
+
     @pytest.mark.parametrize("omitted", ["model flags", "--version"])
     def test_resume_adopts_checkpoint_settings(self, tmp_path, capsys, omitted):
         data = tmp_path / "copy.jsonl"
@@ -397,6 +414,66 @@ def test_numeric_train_setting(copy_16, tmp_path, capsys, source, setting, value
         assert not ckpt.exists() and not curve.exists()
     else:
         assert read_checkpoint(ckpt)["train_config"][setting] == value
+
+
+# Every setting that holds a number, in the order of the fields.
+NUMERIC_SETTINGS = [f.name for f in fields(RunConfig) if {int, float} & set(
+    typing.get_args(cli._SETTING_TYPES[f.name]) or (cli._SETTING_TYPES[f.name],))]
+# The values drawn for one: none a large valid int, which would allocate or
+# run as asked.  "wrong type" is "abc" as a flag, a WRONG_TYPE_VALUES value
+# in a config file.
+DRAWN_VALUES = [0, -1, math.nan, math.inf, -math.inf, 1e308, "wrong type"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_drawn_numeric_setting_trains_or_fails_cleanly(copy_16, data):
+    """Any numeric setting at 0, -1, NaN, +-inf, 1e308 or of a wrong type,
+    as a flag or in a config file (where JSON's NaN and Infinity reach the
+    checks as floats), ends in one of three ways: exit 0 with a finite loss
+    curve and the value recorded in the checkpoint, exit 1 with a usage
+    error or a diverged run, or exit 2 naming the config file.  Never a
+    traceback nor a RuntimeWarning; on failure nothing is written."""
+    source = data.draw(st.sampled_from(["flag", "config"]), label="source")
+    setting = data.draw(st.sampled_from(NUMERIC_SETTINGS), label="setting")
+    value = data.draw(st.sampled_from(DRAWN_VALUES), label="value")
+    if value == "wrong type":
+        value = "abc" if source == "flag" else data.draw(
+            st.sampled_from(list(WRONG_TYPE_VALUES.values())), label="wrong type")
+    base = {"d_model": 8, "n_heads": 2, "epochs": 1}
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt, curve, config = Path(tmp, "ckpt"), Path(tmp, "curve.csv"), Path(tmp, "config.json")
+        argv = ["train", "--input", str(copy_16), "--output", str(ckpt), "--loss-curve", str(curve)]
+        if source == "flag":
+            flag = "--version" if setting == "prompt_version" else "--" + setting.replace("_", "-")
+            argv += [f"--{name.replace('_', '-')}={v}" for name, v in base.items()]
+            argv.append(f"{flag}={value}")
+        else:
+            config.write_text(json.dumps({**base, setting: value}))
+            argv += ["--config", str(config)]
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli.run(argv)
+        last = err.getvalue().splitlines()[-1] if err.getvalue() else ""
+        if code == 0:
+            payload = read_checkpoint(ckpt)
+            recorded = {**payload["model_config"], **payload["train_config"]}
+            if setting in recorded:
+                assert recorded[setting] == value
+            losses = [float(row[-1]) for row in csv.reader(curve.read_text().splitlines()[1:])]
+            assert losses and all(math.isfinite(loss) for loss in losses)
+        else:
+            assert not ckpt.exists() and not curve.exists()
+    assert "Traceback" not in err.getvalue()
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    if code == 1:
+        assert last.startswith(("usage error: ", "training diverged at step ")), last
+    elif code == 2:
+        assert source == "config" and last.startswith(f"data error: {config}: "), last
+    else:
+        assert code == 0, last
 
 
 def test_a_store_with_every_example_over_the_limits_is_a_data_error(copy_16, tmp_path, capsys):
@@ -574,31 +651,31 @@ def _repeat_story(payload):
 class TestMalformedCoqa:
     """A malformed CoQA file ends in exit 2 with a message naming the file
     (and the story, where the fault is inside one), never in a traceback.
-    The ``ingest`` cases are read by ingestion, the ``multi-ref`` ones by
-    the loader of additional answers behind ``eval --multi-ref --coqa``."""
+    The ``ingest`` cases are read by ingestion, the ``coqa`` ones by the
+    loader of additional answers behind ``eval --coqa``."""
 
     @pytest.mark.parametrize("damage,reader,story", [
         (_drop_turn_ids, "ingest", "beach-001"),
         (_add_non_object_story, "ingest", "data entry 2"),
         (_bad_span_start, "ingest", "beach-001"),
         (_repeat_story, "ingest", "story beach-001 appears twice"),
-        (_drop_additional_turn_id, "multi-ref", "beach-001"),
-        (lambda payload: payload["data"], "multi-ref", ""),
-        (_repeat_story, "multi-ref", "story beach-001 appears twice"),
+        (_drop_additional_turn_id, "coqa", "beach-001"),
+        (lambda payload: payload["data"], "coqa", ""),
+        (_repeat_story, "coqa", "story beach-001 appears twice"),
         (_set_first_turn(turn_id=1.5), "ingest", "beach-001"),
         (_set_first_turn(turn_id="1"), "ingest", "beach-001"),
         (_set_first_turn(turn_id=True), "ingest", "beach-001"),
         (_set_first_turn(("answers",), span_start="75"), "ingest", "beach-001"),
         (_set_first_turn(("answers",), span_start=True), "ingest", "beach-001"),
         (_set_first_turn(("answers",), span_start="75", span_text=""), "ingest", "beach-001"),
-        (_set_additional_turn_id(1.5), "multi-ref", "beach-001"),
-        (_set_additional_turn_id("2"), "multi-ref", "beach-001"),
+        (_set_additional_turn_id(1.5), "coqa", "beach-001"),
+        (_set_additional_turn_id("2"), "coqa", "beach-001"),
         (_set_first_turn(("questions",), input_text=None), "ingest", "beach-001"),
         (_set_first_turn(("answers",), span_text=[1, 2]), "ingest", "beach-001"),
         (_set_first_turn(("answers",), input_text=7), "ingest", "beach-001"),
         (_set_story_id(7), "ingest", "data entry 0"),
-        (_set_story_id(None), "multi-ref", "data entry 0"),
-        (_set_additional_text, "multi-ref", "beach-001"),
+        (_set_story_id(None), "coqa", "data entry 0"),
+        (_set_additional_text, "coqa", "beach-001"),
     ], ids=["turn-without-turn_id", "story-not-object", "span_start-not-int",
             "story-id-twice", "additional-answer-without-turn_id", "top-level-array",
             "additional-story-id-twice", "turn_id-float", "turn_id-string", "turn_id-bool",
@@ -616,7 +693,7 @@ class TestMalformedCoqa:
             preds = tmp_path / "preds.jsonl"
             preds.write_text(json.dumps(TestEvalInput.GOOD) + "\n")
             argv = ["eval", "--predictions", str(preds), "--examples", str(store_path),
-                    "--multi-ref", "--coqa", str(bad)]
+                    "--coqa", str(bad)]
         assert cli.run(argv) == 2
         err = capsys.readouterr().err
         assert f"data error: {bad}: " in err and story in err
@@ -993,15 +1070,37 @@ class TestRawBaseline:
         assert report["e_em"] == 100.0
         assert report["e_f1"] == 100.0
 
-    def test_multi_ref_needs_coqa_json(self, store_path):
-        assert cli.run(["raw-baseline", "--input", str(store_path),
-                        "--multi-ref"]) == 1
-
-    def test_multi_ref_with_coqa_json(self, tiny_coqa_path, tmp_path):
+    def test_multi_ref_needs_coqa_json(self, store_path, tmp_path, capsys):
+        """The references come from the CoQA JSON ``--coqa`` names: an example
+        store or a missing file there exits 2 naming it, with no report, in
+        both scoring commands."""
         report_path = tmp_path / "raw_multi.json"
-        assert cli.run(["raw-baseline", "--input", str(tiny_coqa_path),
-                        "--multi-ref", "--report", str(report_path)]) == 0
-        assert json.loads(report_path.read_text())["g_em"] == 0.0
+        for scored in (["raw-baseline", "--input", str(store_path)],
+                       ["eval", "--predictions", str(store_path), "--examples", str(store_path)]):
+            for bad in (store_path, tmp_path / "absent.json"):
+                capsys.readouterr()
+                assert cli.run([*scored, "--coqa", str(bad), "--report", str(report_path)]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("data error: ") and str(bad) in err
+                assert "Traceback" not in err and not report_path.exists()
+
+    def test_multi_ref_with_coqa_json(self, tiny_coqa_path, store_path, tmp_path):
+        """``--coqa`` alone adds the additional answers, to a CoQA file's or a
+        store's examples: the library's multi-reference scores, which differ
+        here from the single-reference ones."""
+        examples = cli.corpus.ingest(tiny_coqa_path)
+        vocab = cli.prompt.build_category_vocab(examples, 10)
+        multi, single = (cli.evalmod.raw_baseline(examples, extra_references=extra,
+                                                  vocab=vocab).to_dict()
+                         for extra in (cli.corpus.load_additional_answers(tiny_coqa_path), None))
+        assert multi != single and multi["g_em"] == 0.0
+        report_path = tmp_path / "raw_multi.json"
+        for given in (tiny_coqa_path, store_path):
+            assert cli.run(["raw-baseline", "--input", str(given), "--coqa", str(tiny_coqa_path),
+                            "--report", str(report_path)]) == 0
+            report = json.loads(report_path.read_text())
+            del report["config"]
+            assert report == multi
 
 
 class TestGradcheck:
@@ -1146,7 +1245,7 @@ class TestWholeFileFaults:
     COMMANDS = {
         "ingest": "ingest --input {bad} --output {out}",
         "stats": "stats --input {bad}",
-        "eval-coqa": "eval --predictions {store} --examples {store} --multi-ref --coqa {bad}",
+        "eval-coqa": "eval --predictions {store} --examples {store} --coqa {bad}",
         "config": "stats --input {store} --config {bad}",
         "predict": "predict --input {store} --checkpoint {bad} --output {out}",
         "resume": "train --input {store} --resume {bad} --output {out}",
@@ -1221,7 +1320,7 @@ class TestExitCodesAndConfig:
         ("d_model", True, "int"),
         ("learning_rate", "0.1", "float"),
         ("tighten", 1, "bool"),
-        ("d_k", 2.5, "int or null"),
+        ("d_ff", 2.5, "int or null"),
     ])
     def test_ill_typed_config_value_is_data_error(self, tmp_path, capsys, key, value,
                                                   expected):
@@ -1235,19 +1334,20 @@ class TestExitCodesAndConfig:
 
     def test_int_config_value_taken_for_float(self, tmp_path, config_from_file):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"learning_rate": 1, "d_k": None}))
+        config.write_text(json.dumps({"learning_rate": 1, "d_ff": None}))
         loaded = config_from_file(config)
         assert loaded.learning_rate == 1.0 and isinstance(loaded.learning_rate, float)
 
     def test_bad_checkpoint_config_is_data_error(self, trained, tmp_path, capsys):
         data, ckpt = trained
-        payload = read_checkpoint(ckpt)
-        payload["model_config"]["bogus"] = 1
-        bad = write_checkpoint(tmp_path / "bad-ckpt.json", payload)
-        code = cli.run(["predict", "--input", str(data), "--checkpoint", str(bad),
-                        "--output", str(tmp_path / "p.jsonl")])
-        assert code == 2
-        assert f"{bad}: model_config: unknown keys ['bogus']" in capsys.readouterr().err
+        for key in ("bogus", "d_k"):   # d_k: a model_config written before it was removed
+            payload = read_checkpoint(ckpt)
+            payload["model_config"][key] = None
+            bad = write_checkpoint(tmp_path / "bad-ckpt.json", payload)
+            code = cli.run(["predict", "--input", str(data), "--checkpoint", str(bad),
+                            "--output", str(tmp_path / "p.jsonl")])
+            assert code == 2
+            assert f"{bad}: model_config: unknown keys ['{key}']" in capsys.readouterr().err
 
     def test_empty_config_file_gives_defaults(self, tmp_path, config_from_file):
         config = tmp_path / "empty.json"
@@ -1264,13 +1364,33 @@ class TestExitCodesAndConfig:
         sidecar = json.loads((tmp_path / "s.jsonl.run.json").read_text())
         assert sidecar["seed"] == 9
 
-    def test_sidecar_reloads_to_identical_config(self, tmp_path, config_from_file):
+    def test_sidecar_reloads_to_identical_config(self, tiny_coqa_path, tmp_path,
+                                                 config_from_file):
+        config, out = tmp_path / "config.json", tmp_path / "s.jsonl"
+        config.write_text(json.dumps({"seed": 4, "epochs": 3}))
+        assert cli.run(["ingest", "--input", str(tiny_coqa_path), "--config", str(config),
+                        "--tighten", "--output", str(out)]) == 0
+        reloaded = config_from_file(tmp_path / "s.jsonl.run.json")
+        assert reloaded == RunConfig(seed=4, epochs=3, tighten=True)
+
+    def test_synthetic_sidecar_regenerates_the_store(self, tmp_path, monkeypatch):
+        """The sidecar's ``synthetic`` key holds every generator setting:
+        the store made again from those values has the same bytes."""
+        monkeypatch.delenv("PGC_SEED", raising=False)
         out = tmp_path / "s.jsonl"
-        assert cli.run(["synthetic", "--task", "copy", "--n", "3", "--seed", "4",
+        assert cli.run(["synthetic", "--task", "gate", "--n", "24", "--lexicon-size", "48",
+                        "--min-len", "2", "--max-len", "4", "--seed", "3",
                         "--output", str(out)]) == 0
-        sidecar_path = tmp_path / "s.jsonl.run.json"
-        reloaded = config_from_file(sidecar_path)
-        assert reloaded == RunConfig(seed=4)
+        spec = json.loads((tmp_path / "s.jsonl.run.json").read_text())["synthetic"]
+        assert spec == {"task": "gate", "vocab_size": 48, "min_len": 2, "max_len": 4,
+                        "n_examples": 24, "seed": 3}
+        flags = {"task": "--task", "vocab_size": "--lexicon-size", "min_len": "--min-len",
+                 "max_len": "--max-len", "n_examples": "--n", "seed": "--seed"}
+        again = tmp_path / "again.jsonl"
+        assert cli.run(["synthetic", *(item for name, value in spec.items()
+                                       for item in (flags[name], str(value))),
+                        "--output", str(again)]) == 0
+        assert again.read_bytes() == out.read_bytes()
 
     def test_every_model_and_train_field_is_a_setting(self, tmp_path, config_from_file):
         def changed(f):   # valid alone and together: 8 heads divide d_model 64 and 128
@@ -1426,7 +1546,7 @@ class TestSettingSource:
         truncate the JSON or make its top level no object.  The run exits 2
         naming the file, or 0 when the setting's type hint takes the new
         value (``1.5`` in a float field, ``null`` in an optional one)."""
-        valid = {**asdict(RunConfig()), "d_k": 8, "d_ff": 32}
+        valid = {**asdict(RunConfig()), "d_ff": 32}
         text, accepted = json.dumps(valid), False
         how = data.draw(st.sampled_from(["add", "retype", "truncate", "top-level"]))
         if how == "add":
@@ -1464,14 +1584,14 @@ class TestSettingSource:
 
     @pytest.mark.parametrize("flag,value,detail", [
         ("--n-heads", "3", "d_model must be divisible by n_heads"),
-        ("--d-k", "0", "all model dimensions must be >= 1"),
+        ("--d-ff", "0", "all model dimensions must be >= 1"),
         ("--clip-norm", "-1", "learning_rate and clip_norm must be positive"),
         ("--checkpoint-interval", "-1",
          "batch_size and epochs must be >= 1, checkpoint_interval >= 0"),
         ("--top-k-categories", "0", "top_k_categories must be >= 1"),
         ("--seed", "-1", "seed must be >= 0"),
         ("--vocab-size", "3", "vocab_size must exceed the 4 special tokens"),
-    ], ids=["n_heads", "d_k", "clip_norm", "checkpoint_interval", "top_k_categories", "seed",
+    ], ids=["n_heads", "d_ff", "clip_norm", "checkpoint_interval", "top_k_categories", "seed",
             "vocab_size"])
     @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
     def test_bad_flag_is_usage_error(self, trained, tmp_path, capsys, resume, flag, value,
@@ -1508,3 +1628,74 @@ class TestSettingSource:
         again = tmp_path / "again.json"
         assert cli.run(["train", "--input", str(data), "--output", str(again), *flags]) == 0
         assert again.read_bytes() == ckpt.read_bytes()
+
+
+# Every option string each command offers, -h/--help aside.  A command
+# offers a flag only for what it reads, so a new flag, or one offered
+# where it is not read, is a deliberate edit here.
+PINNED_OPTIONS = {
+    "ingest": {"--config", "--tighten", "--input", "--output"},
+    "stats": {"--config", "--input"},
+    "prompts": {"--config", "--version", "--history-depth", "--top-k-categories", "--input",
+                "--output"},
+    "synthetic": {"--config", "--seed", "--task", "--n", "--min-len", "--max-len",
+                  "--lexicon-size", "--output"},
+    "train": {"--config", "--n-enc-layers", "--n-dec-layers", "--d-model", "--n-heads",
+              "--vocab-size", "--max-source-len", "--max-target-len", "--d-ff",
+              "--learning-rate", "--batch-size", "--epochs", "--seed", "--version",
+              "--history-depth", "--clip-norm", "--checkpoint-interval", "--top-k-categories",
+              "--input", "--output", "--loss-curve", "--resume"},
+    "predict": {"--config", "--input", "--checkpoint", "--output"},
+    "eval": {"--config", "--top-k-categories", "--predictions", "--examples", "--report",
+             "--category-csv", "--coqa"},
+    "raw-baseline": {"--config", "--tighten", "--top-k-categories", "--input", "--report",
+                     "--category-csv", "--coqa"},
+    "gradcheck": {"--config", "--seed", "--coords"},
+    "export-attention": {"--config", "--checkpoint", "--input", "--index", "--layer", "--heads",
+                         "--out-dir"},
+}
+
+
+class TestOptionStrings:
+    def test_each_command_offers_the_pinned_options(self):
+        commands = next(action.choices for action in cli.build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        offered = {name: [option for action in command._actions
+                          for option in action.option_strings if option not in ("-h", "--help")]
+                   for name, command in commands.items()}
+        assert {name: set(options) for name, options in offered.items()} == PINNED_OPTIONS
+        assert sum(map(len, offered.values())) == 70
+
+    @pytest.mark.parametrize("command,flag", [
+        ("train", ["--d-k", "8"]),
+        ("eval", ["--multi-ref"]),
+        ("raw-baseline", ["--multi-ref"]),
+        ("predict", ["--seed", "1"]),
+        ("export-attention", ["--top-k-categories", "3"]),
+    ], ids=["train-d-k", "eval-multi-ref", "raw-baseline-multi-ref", "predict-seed",
+            "export-attention-top-k-categories"])
+    def test_a_removed_flag_is_usage_error(self, trained, tmp_path, capsys, command, flag):
+        data, ckpt = trained
+        out = tmp_path / "out"
+        argv = {
+            "train": ["--input", str(data), "--output", str(out)],
+            "eval": ["--predictions", str(data), "--examples", str(data), "--report", str(out)],
+            "raw-baseline": ["--input", str(data), "--report", str(out)],
+            "predict": ["--input", str(data), "--checkpoint", str(ckpt), "--output", str(out)],
+            "export-attention": ["--input", str(data), "--checkpoint", str(ckpt), "--layer", "0",
+                                 "--heads", "0", "--out-dir", str(out)],
+        }[command]
+        assert cli.run([command, *argv, *flag]) == 1
+        err = capsys.readouterr().err
+        assert err == f"usage error: unrecognized arguments: {' '.join(flag)}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key,value", [("d_k", 8), ("multi_ref", True)])
+    def test_a_removed_setting_in_a_config_file_is_data_error(self, tmp_path, capsys, key,
+                                                               value):
+        config, out = tmp_path / "config.json", tmp_path / "s.jsonl"
+        config.write_text(json.dumps({key: value}))
+        assert cli.run(["synthetic", "--task", "copy", "--n", "3", "--config", str(config),
+                        "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"data error: {config}: unknown config keys: {key}\n"
+        assert not out.exists()

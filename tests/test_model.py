@@ -39,8 +39,9 @@ class TestModelConfig:
             ModelConfig(n_enc_layers=0)
 
     def test_default_key_dim(self):
-        assert ModelConfig(d_model=64, n_heads=4).copy_d_k == 16
-        assert ModelConfig(d_model=64, n_heads=4, d_k=8).copy_d_k == 8
+        """The copy head's key width is one attention head's."""
+        shapes = M.param_shapes(ModelConfig(d_model=64, n_heads=4, n_enc_layers=2))
+        assert shapes["copy.w_s"] == shapes["copy.w_h0"] == shapes["copy.w_h1"] == (64, 16)
 
     def test_round_trip(self):
         config = ModelConfig(d_model=16, n_heads=2)
@@ -51,7 +52,8 @@ def former_init_params(config, seed):
     """``init_params`` as it was written before ``param_shapes``: the
     reference for the draw order."""
     rng = np.random.default_rng(seed)
-    d, v, dff, dk = config.d_model, config.vocab_size, config.ffn_dim, config.copy_d_k
+    d, v, dff = config.d_model, config.vocab_size, config.ffn_dim
+    dk = d // config.n_heads
 
     def glorot(n_in, n_out):
         limit = math.sqrt(6.0 / (n_in + n_out))
@@ -101,7 +103,7 @@ class TestInitParams:
                             vocab_size=256, max_source_len=24, max_target_len=14)
         rng = np.random.default_rng(8)
         configs = [ModelConfig(), bench, replace(bench, max_source_len=40, max_target_len=8),
-                   ModelConfig(d_model=16, n_heads=2, d_k=8, d_ff=24, vocab_size=20),
+                   ModelConfig(d_model=16, n_heads=2, d_ff=24, vocab_size=20),
                    *(random_small_config(rng) for _ in range(20))]
         for config in configs:
             for seed in (0, 3):
@@ -537,7 +539,7 @@ def copy_wired_params(config):
 
 class TestGreedyDecode:
     wired_config = ModelConfig(n_enc_layers=2, n_dec_layers=2, d_model=16,
-                               n_heads=2, d_k=16, vocab_size=12,
+                               n_heads=1, vocab_size=12,
                                max_source_len=12, max_target_len=12)
 
     def test_copy_wired_model_reproduces_source_prefix(self):
