@@ -4,11 +4,12 @@ Subcommands: ingest, stats, prompts, synthetic, train, predict, eval,
 raw-baseline, gradcheck, export-attention.  Settings come from built-in
 defaults, overridden by a JSON config file (--config), overridden by
 explicit flags; PGC_SEED is the seed fallback of last resort.  ``run``
-resolves them once per command, which offers flags only for settings it
-reads (--seed: synthetic, train, gradcheck; --top-k-categories: prompts,
-train, eval, raw-baseline).  Each artifact records them: a ``.run.json``
-sidecar for line-based outputs, the report's ``config``, a checkpoint's
-model_config and train_config.  Identical runs produce identical bytes.
+resolves them once per command, which offers flags, and reads PGC_SEED,
+only for settings it reads (--seed: synthetic, train, gradcheck;
+--top-k-categories: prompts, train, eval, raw-baseline).  Each artifact
+records them: a ``.run.json`` sidecar for line-based outputs, the
+report's ``config``, a checkpoint's model_config and train_config.
+Identical runs produce identical bytes.
 
 Exit codes: 0 success, 1 usage or check failure (a training run that
 diverges among them), 2 data error (any input or config file).
@@ -98,9 +99,10 @@ def _load_config_dict(path: str | Path) -> dict:
 
 
 def effective_config(args: argparse.Namespace) -> RunConfig:
-    """Precedence: explicit flags > config file > PGC_SEED env > defaults.  A bad
-    value in the file is a data error naming it, one from a flag or PGC_SEED a usage error."""
-    env_seed = os.environ.get("PGC_SEED")
+    """Precedence: explicit flags > config file > PGC_SEED env > defaults, the
+    variable read only by a command that offers --seed.  A bad value in the file
+    is a data error naming it, one from a flag or PGC_SEED a usage error."""
+    env_seed = os.environ.get("PGC_SEED") if hasattr(args, "seed") else None
     try:
         settings = {} if env_seed is None else {"seed": int(env_seed)}
     except ValueError:
@@ -253,7 +255,7 @@ def _cmd_train(args, config: RunConfig) -> int:
 
 def _open_checkpoint(path, config: RunConfig, args):
     """Load a checkpoint and adopt its model shape, prompt settings and
-    category vocabulary.
+    category vocabulary, whose size becomes the run's top_k_categories.
 
     A flag that names a different value is overridden, with one stderr
     line each.  Returns (config, store, model_config, token_vocab,
@@ -274,7 +276,7 @@ def _open_checkpoint(path, config: RunConfig, args):
     if getattr(args, "top_k_categories", None) not in (None, n_categories):
         print(f"{path}: using the checkpoint's category vocabulary ({n_categories} categories), "
               f"not --top-k-categories {args.top_k_categories}", file=sys.stderr)
-    config = replace(config, **adopted)
+    config = replace(config, **adopted, top_k_categories=n_categories)
     return config, store, model_config, token_vocab, meta["category_vocab"], meta
 
 

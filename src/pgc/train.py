@@ -11,7 +11,9 @@ task whose yes/no answers never occur in the source (so only the
 generation path can solve it).
 
 A checkpoint is one line of JSON, the header, followed by the store's
-three flat vectors as raw little-endian float64 bytes; the loader opens
+three flat vectors as raw little-endian float64 bytes.  The saver
+rewrites an existing file in place and writes the header last, so a save
+that stops part-way leaves a file the loader refuses.  The loader opens
 the file once, parses the header line through ``pgc.corpus`` and reads
 the vectors, found by their length, in one call into the array the new
 store adopts, so values round-trip bit-exactly.
@@ -331,6 +333,11 @@ def checkpoint_save(path: str | Path, store: ParamStore, model_config: ModelConf
     and ``layout``, each parameter's ``[name, shape]`` in store order.
     Then come ``params``, ``adam_m`` and ``adam_v``, the store's flat
     vectors as little-endian float64 bytes, and nothing after them.
+
+    An existing file is rewritten in place and cut to the new length, and
+    the header is written last: a save that stops part-way leaves a file
+    whose first line is empty, which ``checkpoint_load`` refuses with a
+    ``CorpusError`` (exit 2 from the commands).
     """
     _check_vocab_size(vocab, model_config)
     header = {
@@ -344,10 +351,17 @@ def checkpoint_save(path: str | Path, store: ParamStore, model_config: ModelConf
         "category_vocab": list(category_vocab.categories),
         "layout": _layout((name, t.data.shape) for name, t in store.items()),
     }
-    with open(path, "wb") as fh:   # json.dumps escapes every newline, so the header has none
-        fh.write(json.dumps(header).encode("ascii") + b"\n")
+    head = json.dumps(header).encode("ascii") + b"\n"   # json.dumps escapes every newline
+    # No O_TRUNC: rewriting the pages of an existing file costs far less than
+    # allocating new ones.  Until the last write the first line is empty.
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(b"\n")
+        fh.seek(len(head))
         for _, flat in _vectors(store):
             fh.write(flat.astype("<f8", copy=False).data)
+        fh.truncate()
+        fh.seek(0)
+        fh.write(head)
 
 
 def _config_from_checkpoint(path, header: dict, key: str, cls):

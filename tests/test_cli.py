@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -23,7 +24,8 @@ from hypothesis import strategies as st
 import pgc
 from pgc import cli, model as M
 from pgc.cli import RunConfig
-from pgc.corpus import AnswerClass, ConversationTurn, DialogueExample, check_fields
+from pgc.corpus import (AnswerClass, ConversationTurn, CorpusError, DialogueExample,
+                        check_fields)
 from pgc.eval import Prediction
 from pgc.model import ModelConfig
 from pgc.prompt import tokenize
@@ -249,6 +251,70 @@ class TestTrainPredictEval:
                     f"({len(categories)} categories), not --top-k-categories {k}\n")
             assert (line in capsys.readouterr().err) == notice
             assert read_checkpoint(resumed)["category_vocab"] == categories
+
+    def test_a_run_from_a_checkpoint_records_its_category_count(self, trained, tmp_path):
+        """``train --resume`` and ``predict`` record the number of categories
+        the checkpoint holds as ``top_k_categories``, not the flag's or the
+        config file's."""
+        data, ckpt = trained
+        n_categories = len(read_checkpoint(ckpt)["category_vocab"])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"top_k_categories": n_categories + 4}))
+        curve, preds = tmp_path / "curve.csv", tmp_path / "preds.jsonl"
+        assert cli.run(["train", "--input", str(data), "--output", str(tmp_path / "ck.json"),
+                        "--resume", str(ckpt), "--epochs", "2", "--loss-curve", str(curve),
+                        "--top-k-categories", str(n_categories + 4)]) == 0
+        assert cli.run(["predict", "--input", str(data), "--checkpoint", str(ckpt),
+                        "--output", str(preds), "--config", str(config)]) == 0
+        for artifact in (curve, preds):
+            sidecar = json.loads(Path(f"{artifact}.run.json").read_text())
+            assert sidecar["top_k_categories"] == n_categories, artifact
+
+    def test_resume_in_place_writes_the_bytes_of_a_resume_to_a_new_path(self, trained,
+                                                                        tmp_path):
+        """``train --resume CK --output CK``, whose saves rewrite the file
+        it was loaded from, ends with the bytes of a resume into a new path."""
+        data, ckpt = trained
+        own, elsewhere = tmp_path / "own.json", tmp_path / "elsewhere.json"
+        own.write_bytes(ckpt.read_bytes())
+        for out in (elsewhere, own):
+            assert cli.run(["train", "--input", str(data), "--output", str(out),
+                            "--resume", str(own), "--epochs", "4",
+                            "--checkpoint-interval", "1"]) == 0
+        assert own.read_bytes() == elsewhere.read_bytes() != ckpt.read_bytes()
+
+    @pytest.mark.parametrize("kept", [0, 1, 2, 3])
+    def test_a_save_that_stops_part_way_is_refused(self, trained, tmp_path, capsys,
+                                                   monkeypatch, kept):
+        """A save over a checkpoint of the same size that stops after
+        ``kept`` of its three vectors leaves a file that the loader refuses
+        and ``pgc predict`` exits 2 on, both naming it."""
+        data, ckpt = trained
+        own = tmp_path / "own.json"
+        own.write_bytes(ckpt.read_bytes())
+        train = cli.trainmod
+        store, model_config, train_config, vocab, meta = train.checkpoint_load(own)
+        for flat in (store.flat, store.flat_m, store.flat_v):
+            flat += 1.0   # every vector differs from the one on disk
+        vectors = train._vectors
+
+        def stop_after_kept(store):
+            yield from vectors(store)[:kept]
+            raise _Stopped
+
+        monkeypatch.setattr(train, "_vectors", stop_after_kept)
+        with pytest.raises(_Stopped):
+            train.checkpoint_save(own, store, model_config, train_config, vocab,
+                                  meta["category_vocab"], meta["epochs_completed"])
+        monkeypatch.undo()
+        with pytest.raises(CorpusError, match=re.escape(f"{own}: ")):
+            train.checkpoint_load(own)
+        capsys.readouterr()
+        preds = tmp_path / "preds.jsonl"
+        assert cli.run(["predict", "--input", str(data), "--checkpoint", str(own),
+                        "--output", str(preds)]) == 2
+        assert f"data error: {own}: " in capsys.readouterr().err
+        assert not preds.exists()
 
     @pytest.mark.parametrize("omitted", ["model flags", "--version"])
     def test_resume_adopts_checkpoint_settings(self, tmp_path, capsys, omitted):
@@ -1510,6 +1576,23 @@ class TestEntryPoints:
         assert "Warning" not in done.stderr
 
 
+# One run of each command, its paths to be filled in with ``str.format``.
+_ARGV_OF_EACH_COMMAND = {
+    "ingest": ["--input", "{coqa}", "--output", "{out}/store.jsonl"],
+    "stats": ["--input", "{data}"],
+    "prompts": ["--input", "{data}", "--output", "{out}/prompts.jsonl"],
+    "predict": ["--input", "{data}", "--checkpoint", "{ckpt}", "--output", "{out}/preds.jsonl"],
+    "eval": ["--predictions", "{preds}", "--examples", "{data}", "--report", "{out}/report.json",
+             "--category-csv", "{out}/cats.csv"],
+    "raw-baseline": ["--input", "{data}", "--report", "{out}/report.json"],
+    "export-attention": ["--checkpoint", "{ckpt}", "--input", "{data}", "--layer", "0",
+                         "--heads", "0,1", "--out-dir", "{out}/attn"],
+    "synthetic": ["--task", "copy", "--n", "3", "--output", "{out}/s.jsonl"],
+    "train": ["--input", "{data}", "--output", "{out}/ckpt.json"],
+    "gradcheck": ["--coords", "1"],
+}
+
+
 class TestSettingSource:
     """A bad setting is reported where it came from, before anything is
     written: a config file's value exits 2 naming the file, a flag's or
@@ -1581,6 +1664,38 @@ class TestSettingSource:
         assert cli.run(["synthetic", "--task", "copy", "--n", "3", "--output", str(out)]) == 1
         assert "usage error: PGC_SEED must be an int, got 'x'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(_ARGV_OF_EACH_COMMAND))
+    def test_only_a_command_with_a_seed_reads_pgc_seed(self, trained, tiny_coqa_path, tmp_path,
+                                                      capsys, monkeypatch, command):
+        """A command that takes no seed runs the same, to the byte, with
+        ``PGC_SEED=x`` as without it; one that takes a seed refuses ``x``."""
+        data, ckpt = trained
+        preds = tmp_path / "preds.jsonl"
+        assert cli.run(["predict", "--input", str(data), "--checkpoint", str(ckpt),
+                        "--output", str(preds)]) == 0
+        seeded = "--seed" in PINNED_OPTIONS[command]   # synthetic, train and gradcheck
+        runs = {}
+        for env in ("x",) if seeded else (None, "x"):
+            out = tmp_path / f"env-{env}"
+            out.mkdir()
+            if env is None:
+                monkeypatch.delenv("PGC_SEED", raising=False)
+            else:
+                monkeypatch.setenv("PGC_SEED", env)
+            capsys.readouterr()
+            code = cli.run([command, *(arg.format(coqa=tiny_coqa_path, data=data, ckpt=ckpt,
+                                                  preds=preds, out=out)
+                                       for arg in _ARGV_OF_EACH_COMMAND[command])])
+            stdout, stderr = (text.replace(str(out), "OUT") for text in capsys.readouterr())
+            written = {str(p.relative_to(out)): p.read_bytes()
+                       for p in sorted(out.rglob("*")) if p.is_file()}
+            runs[env] = code, stdout, written
+        if seeded:
+            assert runs["x"] == (1, "", {})
+            assert "usage error: PGC_SEED must be an int, got 'x'" in stderr
+        else:
+            assert runs["x"] == runs[None] and runs[None][0] == 0
 
     @pytest.mark.parametrize("flag,value,detail", [
         ("--n-heads", "3", "d_model must be divisible by n_heads"),

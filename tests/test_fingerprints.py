@@ -32,7 +32,8 @@ def test_synthetic_train_predict_flow_is_bit_identical(tmp_path, monkeypatch, ca
     """48 copy examples at seed 0 and 16 gate examples at seed 1 (lexicon
     48, lengths 2-4) in one store; six epochs of a two-layer encoder at
     learning rate 1e-2, then greedy predictions on the same store and the
-    encoder's last-layer attention of both heads on its first example."""
+    encoder's last-layer attention of both heads on its first example.  The
+    loaded checkpoint saved again over a longer file has the same bytes."""
     monkeypatch.delenv("PGC_SEED", raising=False)
     for task, seed, n in (("copy", "0", "48"), ("gate", "1", "16")):
         assert cli.run(["synthetic", "--task", task, "--seed", seed, "--n", n,
@@ -51,7 +52,11 @@ def test_synthetic_train_predict_flow_is_bit_identical(tmp_path, monkeypatch, ca
     assert cli.run(["export-attention", "--input", str(data), "--checkpoint", str(ckpt),
                     "--layer", "1", "--heads", "0,1", "--out-dir", str(attn)]) == 0
     capsys.readouterr()
-    model_config = TR.checkpoint_load(ckpt)[1]
+    store, model_config, train_config, vocab, meta = TR.checkpoint_load(ckpt)
+    over = tmp_path / "over.json"   # a save over a longer file rewrites it in place
+    over.write_bytes(b"\xff" * (2 * ckpt.stat().st_size))
+    TR.checkpoint_save(over, store, model_config, train_config, vocab, meta["category_vocab"],
+                       meta["epochs_completed"])
     got = {
         "checkpoint": sha256(ckpt.read_bytes()),
         "loss curve": sha256(curve.read_bytes()),
@@ -61,5 +66,7 @@ def test_synthetic_train_predict_flow_is_bit_identical(tmp_path, monkeypatch, ca
                                           for head in (0, 1))),
     }
     changed = [name for name in FINGERPRINTS if got[name] != FINGERPRINTS[name]]
+    if sha256(over.read_bytes()) != FINGERPRINTS["checkpoint"]:
+        changed.append("checkpoint saved over a longer file")
     assert not changed, (f"changed: {', '.join(changed)}; fingerprints taken with numpy "
                          f"{FINGERPRINT_NUMPY}, run with numpy {np.__version__}")

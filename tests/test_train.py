@@ -370,6 +370,20 @@ class TestCheckpoints:
             T.adam_step(one, 1e-3)
         assert state_bytes(loaded[-1]) == state_bytes(store)
 
+    @pytest.mark.parametrize("before", ["no file", "empty", "shorter", "longer"])
+    def test_a_save_over_any_file_writes_the_bytes_of_a_fresh_one(self, tmp_path, before):
+        """An existing file is rewritten in place and cut to the new
+        length: none of its bytes, 0xFF everywhere, is left behind."""
+        model, vocab, params, config = self.make_trained(tmp_path)
+        fresh, path = tmp_path / "fresh.json", tmp_path / "ckpt.json"
+        checkpoint_save(fresh, params, model, config, vocab, CATEGORIES, 2)
+        size = fresh.stat().st_size
+        old = {"empty": 0, "shorter": size // 2, "longer": 2 * size}.get(before)
+        if old is not None:
+            path.write_bytes(b"\xff" * old)
+        checkpoint_save(path, params, model, config, vocab, CATEGORIES, 2)
+        assert path.read_bytes() == fresh.read_bytes()
+
     def test_a_file_cut_short_names_where(self, tmp_path):
         """Cut inside the header line, the header is malformed JSON; cut
         inside a vector, the file is short by the bytes it lost."""
